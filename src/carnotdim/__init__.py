@@ -14,7 +14,7 @@ from .groups import (GPoint, GroupSpec, INFINITY, LatticePoint, cross_ratio,
 from .conformal import (ConformalChain, Dilate, Invert, Rotate, Translate,
                         chain_from_json, chain_to_json, compose, compose_all,
                         identity_chain, invert_chain)
-from .gdms import EdgeMap, GdmsSpec, PointCloud, VertexSet
+from .gdms import EdgeMap, EdgeTable, GdmsSpec, PointCloud, VertexSet
 from .thermo import (CylinderMeasure, DimBracket, InvariantMeasureSpec,
                      PressureBracket, ShellFamily, ThetaEstimate, WeightTable,
                      bowen_dim, compute_weight_table, ensure_weights,

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 import time
 
 import numpy as np
 
-from .errors import CarnotDimError, ValidationError
+from .errors import CarnotDimError, NonConvergenceError, ValidationError
 from . import groups as G
 from .groups import GroupSpec
 from .conformal import chain_from_json
@@ -123,7 +124,7 @@ def load_system(args) -> GdmsSpec:
         return build_cantor_system(
             g, CantorSystemParams(epsilon=args.epsilon, shells=args.shells),
             seed=args.seed)
-    raise ValidationError("no system given: use --spec FILE or --system cf|cantor|moran")
+    raise ValidationError("no system given: use --spec FILE or --system cf|cantor")
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,10 @@ def _emit(args, text: str):
 
 def _record(args, op: str, payload: dict) -> str:
     rec = {"op": op, "params": _param_echo(args), **payload}
-    return json.dumps(rec, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(rec, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # a NaN or infinity in the result
+        raise NonConvergenceError(f"{op} produced a non-finite value ({exc})") from None
 
 
 def _param_echo(args) -> dict:
@@ -154,8 +158,11 @@ def _param_echo(args) -> dict:
 
 
 def _grid(text: str):
-    lo, hi, step = (float(x) for x in text.split(":"))
-    if step <= 0 or hi < lo:
+    try:
+        lo, hi, step = (float(x) for x in text.split(":"))
+    except ValueError:
+        raise ValidationError(f"bad grid {text!r}: expected lo:hi:step") from None
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise ValidationError(f"bad grid {text!r}")
     n = int(round((hi - lo) / step)) + 1
     return [lo + k * step for k in range(n)]
@@ -166,6 +173,8 @@ def _grid(text: str):
 # ---------------------------------------------------------------------------
 
 def cmd_pressure(args):
+    if args.t is None and not args.t_grid:
+        raise ValidationError("pressure needs --t T or --t-grid lo:hi:step")
     sys = load_system(args)
     if args.t_grid:
         rows = []
@@ -294,7 +303,7 @@ def _add_common(p, system=False):
         p.add_argument("--lattice-budget", dest="lattice_budget", type=int,
                        default=int(os.environ.get("CARNOTDIM_LATTICE_BUDGET",
                                                   G.DEFAULT_LATTICE_BUDGET)))
-        p.add_argument("--system", choices=["cf", "cantor", "moran"], default=None)
+        p.add_argument("--system", choices=["cf", "cantor"], default=None)
         p.add_argument("--group", default="heis_c:1")
         p.add_argument("--epsilon", type=float, default=0.5)
         p.add_argument("--radius", type=float, default=8.0)
@@ -368,6 +377,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"--{name.replace('_', '-')} must be finite, got {value}")
         args.func(args)
     except CarnotDimError as exc:
         _sys.stderr.write(json.dumps({"error": type(exc).__name__,

@@ -28,7 +28,28 @@ EPS_FLOOR = 1e-12
 # ---------------------------------------------------------------------------
 
 class Primitive:
-    """Base class; concrete primitives implement the hooks below."""
+    """Base class; concrete primitives implement the hooks below.
+
+    A primitive is fixed by a row of floats (`params`, `n_params` of them),
+    and `apply_rows` applies it for parameter rows P of shape (..., n_params)
+    that broadcast against the points (Z, T): one row per point batch, or a
+    stack of rows for many edges at once.
+    """
+
+    @staticmethod
+    def n_params(g: GroupSpec) -> int:
+        return 0
+
+    def params(self, g: GroupSpec) -> np.ndarray:
+        return np.empty(0)
+
+    @classmethod
+    def from_params(cls, g: GroupSpec, row) -> "Primitive":
+        return cls()
+
+    @staticmethod
+    def apply_rows(g: GroupSpec, P, Z, T):
+        raise NotImplementedError
 
     def validate(self, g: GroupSpec) -> None:
         pass
@@ -37,7 +58,7 @@ class Primitive:
         raise NotImplementedError
 
     def apply_many(self, g: GroupSpec, Z, T):
-        raise NotImplementedError
+        return self.apply_rows(g, self.params(g), Z, T)
 
     def apply_infinity(self, g: GroupSpec):
         """Image of the point at infinity (a GPoint or INFINITY)."""
@@ -62,14 +83,26 @@ class Translate(Primitive):
             raise ValidationError("cannot translate by infinity")
         self.point = point
 
+    @staticmethod
+    def n_params(g):
+        return g.m1 + g.m2
+
+    def params(self, g):
+        return np.concatenate([self.point.z, self.point.t])
+
+    @classmethod
+    def from_params(cls, g, row):
+        return cls(GPoint(row[:g.m1], row[g.m1:]))
+
+    @staticmethod
+    def apply_rows(g, P, Z, T):
+        return G.mul_many(g, P[..., :g.m1], P[..., g.m1:], Z, T)
+
     def validate(self, g):
         G._check_point(g, self.point, "translation")
 
     def inverse(self):
         return Translate(GPoint(-self.point.z, -self.point.t))
-
-    def apply_many(self, g, Z, T):
-        return G.mul_many(g, self.point.z, self.point.t, Z, T)
 
     def __repr__(self):
         return f"Translate({self.point!r})"
@@ -81,11 +114,23 @@ class Dilate(Primitive):
             raise ValidationError(f"dilation factor must be positive, got {r}")
         self.r = float(r)
 
+    @staticmethod
+    def n_params(g):
+        return 1
+
+    def params(self, g):
+        return np.array([self.r])
+
+    @classmethod
+    def from_params(cls, g, row):
+        return cls(row[0])
+
+    @staticmethod
+    def apply_rows(g, P, Z, T):
+        return G.dilate_many(g, P[..., 0], Z, T)
+
     def inverse(self):
         return Dilate(1.0 / self.r)
-
-    def apply_many(self, g, Z, T):
-        return G.dilate_many(g, self.r, Z, T)
 
     def norm_factor_many(self, g, Z, T):
         return np.full(np.asarray(Z).shape[:-1], self.r)
@@ -105,6 +150,22 @@ class Rotate(Primitive):
             raise ValidationError("Rotate takes exactly one of matrix or theta")
         self.theta = None if theta is None else float(theta)
         self.matrix = None if matrix is None else np.asarray(matrix, float)
+
+    @staticmethod
+    def n_params(g):
+        return g.m1 * g.m1
+
+    def params(self, g):
+        return self._matrix_for(g).ravel()
+
+    @classmethod
+    def from_params(cls, g, row):
+        return cls(matrix=np.reshape(row, (g.m1, g.m1)))
+
+    @staticmethod
+    def apply_rows(g, P, Z, T):
+        A = np.reshape(P, np.shape(P)[:-1] + (g.m1, g.m1))
+        return np.einsum("...ab,...b->...a", A, Z), np.array(T, float)
 
     def _matrix_for(self, g: GroupSpec) -> np.ndarray:
         if self.matrix is not None:
@@ -134,10 +195,6 @@ class Rotate(Primitive):
             return Rotate(theta=-self.theta)
         return Rotate(matrix=self.matrix.T)
 
-    def apply_many(self, g, Z, T):
-        A = self._matrix_for(g)
-        return np.asarray(Z, float) @ A.T, np.asarray(T, float).copy()
-
     def __repr__(self):
         if self.theta is not None:
             return f"Rotate(theta={self.theta:g})"
@@ -154,7 +211,8 @@ class Invert(Primitive):
     def inverse(self):
         return Invert()
 
-    def apply_many(self, g, Z, T):
+    @staticmethod
+    def apply_rows(g, P, Z, T):
         Z = np.asarray(Z, float); T = np.asarray(T, float)
         n = g.n
         zc = Z[..., :n] + 1j * Z[..., n:]
@@ -225,16 +283,19 @@ class ConformalChain:
         return None if is_infinity(x) else x
 
     def _compute_r_f(self) -> float:
-        if self.pole is None:
+        if self.n_inversions == 0:
             r = 1.0
             for prim in self.primitives:
                 r *= prim.scale()
             return r
-        # ||DF(p)|| = r_f / d(p, pole)^2, so probe at unit distance from the pole.
+        # ||DF(p)|| = r_f / d(p, pole)^2, so probe at unit distance from the
+        # pole.  Inversions that cancel (J o dilate(r) o J = dilate(1/r)) leave
+        # a similarity with ||DF|| = r_f everywhere: probe near the origin.
         g = self.group
+        base = self.pole if self.pole is not None else origin(g)
         for j in range(g.m1):
             e = np.zeros(g.m1); e[j] = 1.0
-            probe = G.group_mul(g, self.pole, GPoint(e, np.zeros(g.m2)))
+            probe = G.group_mul(g, base, GPoint(e, np.zeros(g.m2)))
             try:
                 val = self.deriv_norm_at(probe)
             except PoleError:
@@ -291,9 +352,9 @@ class ConformalChain:
                        seed: int = 0, distortion: float = 1.0):
         """Bounds (lower, upper) for sup ||DF|| over the gauge ball B(center, radius).
 
-        bracketed (chains with exactly one inversion, or similarities): exact
-        two-sided bounds from the pole distance.  sampled: max over k seeded
-        ball points, upper = max * distortion.
+        bracketed: exact two-sided bounds r_f / (d(a, center) +- radius)^2
+        from the pole a (r_f itself for similarities).  sampled: max over k
+        seeded ball points, upper = max * distortion.
         """
         G._check_point(self.group, center, "center")
         if radius <= 0:
@@ -301,9 +362,6 @@ class ConformalChain:
         if mode == "bracketed":
             if self.is_similarity:
                 return (self.r_f, self.r_f)
-            if self.n_inversions != 1:
-                raise UnsupportedError(
-                    "bracketed sup norms require a similarity or a single-inversion chain")
             d = G.gauge_dist(self.group, self.pole, center)
             if d <= radius:
                 raise PoleError("pole inside the ball", distance=d)
@@ -329,6 +387,19 @@ class ConformalChain:
 
     def __repr__(self):
         return f"ConformalChain({list(self.primitives)!r})"
+
+
+def template_offsets(g: GroupSpec, template: Sequence[type]) -> np.ndarray:
+    """Start of each primitive's parameters in a template row, plus the row width."""
+    return np.cumsum([0] + [cls.n_params(g) for cls in template])
+
+
+def apply_template(g: GroupSpec, template: Sequence[type], P, Z, T):
+    """Apply the chain template (outermost first) with parameter rows P."""
+    off = template_offsets(g, template)
+    for j in range(len(template) - 1, -1, -1):
+        Z, T = template[j].apply_rows(g, P[..., off[j]:off[j + 1]], Z, T)
+    return Z, T
 
 
 def identity_chain(g: GroupSpec) -> ConformalChain:

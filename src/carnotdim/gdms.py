@@ -2,24 +2,32 @@
 
 A system is a directed multigraph whose vertices carry compact gauge balls
 (optionally with a concentric open hole removed, i.e. an annulus) and whose
-edges carry contracting conformal chains mapping the target-vertex set into
+edges carry contracting conformal maps sending the target-vertex set into
 the source-vertex set.  An incidence matrix restricts which edges may
 follow which; "maximal" incidence allows every composable pair.
+
+Edges live in an EdgeTable, one struct of arrays: each map is a row of
+primitive parameters under a template (its tuple of primitive types) plus
+its normal form (a pole a with ||D phi(p)|| = r_f / d(p, a)^2, or a
+similarity of ratio r_f).  ConformalChain objects are built only where a
+chain is needed (word maps, coding points, limit-set export).
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, PoleError, ValidationError
 from . import groups as G
 from .groups import GPoint, GroupSpec
-from .conformal import ConformalChain, compose_all
+from .conformal import (EPS_FLOOR, ConformalChain, apply_template, compose_all,
+                        template_offsets)
 
 Word = Tuple[int, ...]  # edge indices; () is the empty word
 
@@ -69,41 +77,203 @@ class VertexSet:
         return G.mul_many(g, self.center.z, self.center.t, Z, T)
 
 
-@dataclass(frozen=True)
 class EdgeMap:
-    id: str
-    src: str  # i(e): the vertex the image lands in
-    dst: str  # t(e): the domain vertex
-    chain: ConformalChain
+    """An edge e with i(e) = src (the vertex the image lands in), t(e) = dst
+    (the domain vertex) and its conformal chain phi_e.
+
+    Edges read from a system are views of a row of its EdgeTable; their
+    chain is built on first access and cached by the table.
+    """
+
+    __slots__ = ("id", "src", "dst", "_chain", "_table", "_row")
+
+    def __init__(self, id: str, src: str, dst: str, chain: ConformalChain):
+        self.id, self.src, self.dst = id, src, dst
+        self._chain, self._table, self._row = chain, None, -1
+
+    @classmethod
+    def _view(cls, table: "EdgeTable", k: int) -> "EdgeMap":
+        e = cls.__new__(cls)
+        e.id, e.src, e.dst = str(table.ids[k]), str(table.src[k]), str(table.dst[k])
+        e._chain, e._table, e._row = None, table, k
+        return e
+
+    @property
+    def chain(self) -> ConformalChain:
+        if self._table is not None:
+            return self._table.chain(self._row)
+        return self._chain
+
+    def __repr__(self):
+        return f"EdgeMap({self.id!r}, {self.src!r} <- {self.dst!r})"
+
+
+class EdgeTable:
+    """The edges of a system as one struct of arrays.
+
+    Row k holds the edge id, i(e) and t(e) as vertex ids, the index of its
+    template (a tuple of primitive types, outermost first) in `templates`,
+    the template's parameters (zero-padded to a common width), and the
+    normal form of phi_e: either a pole a with ||D phi_e(p)|| = r_f / d(p, a)^2
+    (`has_pole`, `pole_z`, `pole_t`, `r_f`), or a similarity of ratio r_f.
+    A ConformalChain is built only when `chain(k)` asks for one, once per row.
+    """
+
+    def __init__(self, group: GroupSpec, ids, src, dst, templates, template, params,
+                 pole_z, pole_t, has_pole, r_f,
+                 chains: Optional[Dict[int, ConformalChain]] = None):
+        n = len(ids)
+        self.group = group
+        self.ids = np.asarray(ids, dtype=str)
+        self.src = np.broadcast_to(np.asarray(src, dtype=str), (n,))
+        self.dst = np.broadcast_to(np.asarray(dst, dtype=str), (n,))
+        self.templates = tuple(tuple(t) for t in templates)
+        self.template = np.broadcast_to(np.asarray(template, dtype=np.int64), (n,))
+        self.params = np.asarray(params, float).reshape(n, -1)
+        self.pole_z = np.asarray(pole_z, float).reshape(n, group.m1)
+        self.pole_t = np.asarray(pole_t, float).reshape(n, group.m2)
+        self.has_pole = np.broadcast_to(np.asarray(has_pole, dtype=bool), (n,))
+        self.r_f = np.broadcast_to(np.asarray(r_f, float), (n,))
+        self._chains: Dict[int, ConformalChain] = dict(chains or {})
+
+    @classmethod
+    def from_primitives(cls, group: GroupSpec, ids, src, dst, prim_lists, pole_z, pole_t,
+                        has_pole, r_f, chains=None) -> "EdgeTable":
+        """Pack per-edge primitive lists (outermost first) into template rows."""
+        kinds = [tuple(type(p) for p in prims) for prims in prim_lists]
+        templates = list(dict.fromkeys(kinds))
+        which = {t: j for j, t in enumerate(templates)}
+        rows = [np.concatenate([p.params(group) for p in prims] + [np.empty(0)])
+                for prims in prim_lists]
+        params = np.zeros((len(rows), max(r.size for r in rows)))
+        for k, row in enumerate(rows):
+            params[k, :row.size] = row
+        return cls(group, ids, src, dst, templates, [which[t] for t in kinds], params,
+                   pole_z, pole_t, has_pole, r_f, chains)
+
+    @classmethod
+    def from_maps(cls, group: GroupSpec, edges: Sequence[EdgeMap]) -> "EdgeTable":
+        """Table of explicit edges; their chains supply the pole and r_f."""
+        chains = [e.chain for e in edges]
+        poles = [c.pole if c.pole is not None else G.origin(group) for c in chains]
+        return cls.from_primitives(
+            group, [e.id for e in edges], [e.src for e in edges], [e.dst for e in edges],
+            [c.primitives for c in chains],
+            np.array([p.z for p in poles]), np.array([p.t for p in poles]),
+            [c.pole is not None for c in chains], [c.r_f for c in chains],
+            chains=dict(enumerate(chains)))
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def take(self, rows, ids, src, dst) -> "EdgeTable":
+        """A table of the given rows (repeats allowed) under new ids and vertices."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cached = np.flatnonzero(np.isin(rows, list(self._chains)))
+        return EdgeTable(self.group, ids, src, dst, self.templates, self.template[rows],
+                         self.params[rows], self.pole_z[rows], self.pole_t[rows],
+                         self.has_pole[rows], self.r_f[rows],
+                         chains={int(k): self._chains[int(rows[k])] for k in cached})
+
+    def chain(self, k: int) -> ConformalChain:
+        """The ConformalChain of row k, built on first use."""
+        k = int(k)
+        c = self._chains.get(k)
+        if c is None:
+            g, tpl = self.group, self.templates[self.template[k]]
+            off = template_offsets(g, tpl)
+            row = self.params[k]
+            c = ConformalChain(g, [cls.from_params(g, row[off[j]:off[j + 1]])
+                                   for j, cls in enumerate(tpl)])
+            self._chains[k] = c
+        return c
+
+    def apply(self, rows, Z, T):
+        """phi_e of each given row at points (Z, T) broadcastable to (rows, S, .);
+        returns arrays of shape (rows, S, m1) and (rows, S, m2).  No pole checks."""
+        g = self.group
+        rows = np.asarray(rows, dtype=np.int64)
+        shape = (rows.size, np.shape(Z)[-2])
+        Z = np.broadcast_to(Z, shape + (g.m1,))
+        T = np.broadcast_to(T, shape + (g.m2,))
+        P = self.params[rows][:, None, :]
+        tpl_of = self.template[rows]
+        kinds = np.unique(tpl_of)
+        if kinds.size == 1:
+            return apply_template(g, self.templates[kinds[0]], P, Z, T)
+        FZ = np.empty(shape + (g.m1,)); FT = np.empty(shape + (g.m2,))
+        for j in kinds:
+            sel = np.flatnonzero(tpl_of == j)
+            FZ[sel], FT[sel] = apply_template(g, self.templates[j], P[sel], Z[sel], T[sel])
+        return FZ, FT
+
+    def pole_distance(self, cz, ct) -> np.ndarray:
+        """d(a_e, c_e) per row for points (cz, ct) of shape (rows, .);
+        meaningful where has_pole."""
+        return G.dist_many(self.group, self.pole_z, self.pole_t, cz, ct)
+
+
+class EdgeList(Sequence):
+    """Read-only sequence of EdgeMap views over an EdgeTable."""
+
+    def __init__(self, table: EdgeTable):
+        self.table = table
+
+    def __len__(self):
+        return len(self.table)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [EdgeMap._view(self.table, i) for i in range(*k.indices(len(self)))]
+        if not -len(self) <= k < len(self):
+            raise IndexError("edge index out of range")
+        return EdgeMap._view(self.table, k % len(self))
+
+
+# points per batch of sampled validation: bounds its working memory
+VALIDATE_CHUNK = 1 << 15
 
 
 class GdmsSpec:
-    """Immutable graph directed Markov system."""
+    """Immutable graph directed Markov system.
+
+    `edges` is a sequence of EdgeMap (each with its chain), the `edges` of
+    another system, or an EdgeTable.  The system stores its edges as one
+    EdgeTable (`table`); `edges[k]` is a view whose chain is built on first
+    access.  Sampled validation, weight brackets and maximalization work on
+    the table's rows without building chains.  `weights` (a thermo
+    WeightTable, computed on first use by thermo.ensure_weights when None)
+    and `cantor_shells` (the shell number of each edge of a shell-mode
+    Cantor system) are constructor fields.
+    """
 
     def __init__(self, group: GroupSpec, vertices: Sequence[VertexSet],
-                 edges: Sequence[EdgeMap], incidence: Optional[np.ndarray] = None,
+                 edges, incidence: Optional[np.ndarray] = None,
                  contraction: Optional[float] = None, weights=None,
-                 validate: str = "sampled", samples: int = 1000, seed: int = 0):
+                 validate: str = "sampled", samples: int = 1000, seed: int = 0,
+                 cantor_shells: Optional[np.ndarray] = None):
         self.group = group
         self.vertices: Tuple[VertexSet, ...] = tuple(vertices)
-        self.edges: Tuple[EdgeMap, ...] = tuple(edges)
-        if not self.vertices or not self.edges:
+        if isinstance(edges, EdgeList):
+            edges = edges.table
+        elif not isinstance(edges, EdgeTable):
+            edges = list(edges)
+            edges = EdgeTable.from_maps(group, edges) if edges else None
+        if not self.vertices or edges is None or len(edges) == 0:
             raise ValidationError("a system needs at least one vertex and one edge")
+        self.table: EdgeTable = edges
+        self.edges = EdgeList(edges)
         self.vertex_index: Dict[str, int] = {v.id: k for k, v in enumerate(self.vertices)}
         if len(self.vertex_index) != len(self.vertices):
             raise ValidationError("duplicate vertex ids")
-        self.edge_index: Dict[str, int] = {e.id: k for k, e in enumerate(self.edges)}
-        if len(self.edge_index) != len(self.edges):
+        if np.unique(edges.ids).size != len(edges):
             raise ValidationError("duplicate edge ids")
-        for e in self.edges:
-            if e.src not in self.vertex_index or e.dst not in self.vertex_index:
-                raise ValidationError(f"edge {e.id!r} references unknown vertices")
-        self.src_idx = np.array([self.vertex_index[e.src] for e in self.edges])
-        self.dst_idx = np.array([self.vertex_index[e.dst] for e in self.edges])
+        self.src_idx = self._vertex_rows(edges.src)
+        self.dst_idx = self._vertex_rows(edges.dst)
 
         if incidence is not None:
             A = np.asarray(incidence)
-            if A.shape != (len(self.edges), len(self.edges)):
+            if A.shape != (self.n_edges, self.n_edges):
                 raise ValidationError("incidence matrix must be |E| x |E|")
             A = A.astype(bool)
             bad = A & (self.dst_idx[:, None] != self.src_idx[None, :])
@@ -116,7 +286,8 @@ class GdmsSpec:
         else:
             self.incidence = None  # maximal: admissible iff t(a) == i(b)
 
-        self.weights = weights  # optional thermo.WeightTable, attached by builders
+        self.weights = weights  # optional thermo.WeightTable
+        self.cantor_shells = None if cantor_shells is None else np.asarray(cantor_shells)
         self.max_diam = max(v.diameter for v in self.vertices)
 
         self._validate_geometry()
@@ -133,6 +304,22 @@ class GdmsSpec:
             raise ValidationError(
                 f"contraction bound must be in (0,1), got {self.contraction:g}")
 
+    def _vertex_rows(self, names: np.ndarray) -> np.ndarray:
+        """Vertex index of each edge's vertex id."""
+        uniq, inv = np.unique(names, return_inverse=True)
+        lookup = np.array([self.vertex_index.get(str(u), -1) for u in uniq])
+        rows = lookup[inv.reshape(-1)]
+        if (rows < 0).any():
+            k = int(np.flatnonzero(rows < 0)[0])
+            raise ValidationError(f"edge {self.table.ids[k]!r} references unknown vertices")
+        return rows
+
+    def vertex_arrays(self):
+        """Per-vertex (center z, center t, radius, inner radius) arrays."""
+        V = self.vertices
+        return (np.stack([v.center.z for v in V]), np.stack([v.center.t for v in V]),
+                np.array([v.radius for v in V]), np.array([v.inner_radius for v in V]))
+
     # -- validation --------------------------------------------------------
 
     def _validate_geometry(self):
@@ -146,39 +333,52 @@ class GdmsSpec:
                         f"vertex sets {va.id!r} and {vb.id!r} are not disjoint")
 
     def _validate_sampled(self, samples: int, seed: int, contraction) -> float:
-        """Sampled containment and contraction check; returns a Lipschitz estimate."""
-        g = self.group
+        """Sampled containment and contraction check; returns a Lipschitz estimate.
+
+        Each edge maps the samples of its domain vertex (one sample set per
+        vertex, drawn in order of first use); edges sharing a domain and an
+        image vertex are checked in batches of VALIDATE_CHUNK points.
+        """
+        g, table = self.group, self.table
         rng = np.random.default_rng(seed)
+        first = np.sort(np.unique(self.dst_idx, return_index=True)[1])
+        half = samples // 2
+        step = max(VALIDATE_CHUNK // samples, 1)
         lip = 0.0
-        cache = {}
-        for e in self.edges:
-            v_dom = self.vertices[self.vertex_index[e.dst]]
-            v_img = self.vertices[self.vertex_index[e.src]]
-            key = e.dst
-            if key not in cache:
-                cache[key] = v_dom.sample(g, samples, rng)
-            Z, T = cache[key]
-            FZ, FT = e.chain.apply_many(Z, T)
-            if not np.isfinite(FZ).all() or not np.isfinite(FT).all():
-                raise ValidationError(f"edge {e.id!r}: map blows up on its domain")
-            ok = v_img.contains(g, FZ, FT)
-            if not ok.all():
-                d = G.dist_many(g, v_img.center.z, v_img.center.t, FZ, FT)
-                raise ValidationError(
-                    f"edge {e.id!r}: image escapes X_{e.src!r} "
-                    f"(worst distance {float(d.max()):g} > radius {v_img.radius:g})")
-            # Lipschitz from consecutive sample pairs.
-            half = Z.shape[0] // 2
+        for d in self.dst_idx[first]:
+            Z, T = self.vertices[d].sample(g, samples, rng)
             dp = G.dist_many(g, Z[:half], T[:half], Z[half:2 * half], T[half:2 * half])
-            dF = G.dist_many(g, FZ[:half], FT[:half], FZ[half:2 * half], FT[half:2 * half])
             mask = dp > 1e-9
-            if mask.any():
-                ratio = float((dF[mask] / dp[mask]).max())
-                lip = max(lip, ratio)
-                if contraction is not None and ratio > contraction + 1e-9:
-                    raise ValidationError(
-                        f"edge {e.id!r}: sampled Lipschitz {ratio:g} exceeds the "
-                        f"declared contraction bound {contraction:g}")
+            for s in np.unique(self.src_idx[self.dst_idx == d]):
+                v_img = self.vertices[s]
+                rows = np.flatnonzero((self.dst_idx == d) & (self.src_idx == s))
+                for c in range(0, rows.size, step):
+                    idx = rows[c:c + step]
+                    FZ, FT = table.apply(idx, Z, T)
+                    finite = np.isfinite(FZ).all(axis=(1, 2)) & np.isfinite(FT).all(axis=(1, 2))
+                    if not finite.all():
+                        k = idx[np.flatnonzero(~finite)[0]]
+                        raise ValidationError(
+                            f"edge {table.ids[k]!r}: map blows up on its domain")
+                    ok = v_img.contains(g, FZ, FT).all(axis=1)
+                    if not ok.all():
+                        j = np.flatnonzero(~ok)[0]
+                        dist = G.dist_many(g, v_img.center.z, v_img.center.t, FZ[j], FT[j])
+                        raise ValidationError(
+                            f"edge {table.ids[idx[j]]!r}: image escapes X_{v_img.id!r} "
+                            f"(worst distance {float(dist.max()):g} > radius {v_img.radius:g})")
+                    if not mask.any():
+                        continue
+                    # Lipschitz from consecutive sample pairs.
+                    dF = G.dist_many(g, FZ[:, :half], FT[:, :half],
+                                     FZ[:, half:2 * half], FT[:, half:2 * half])
+                    ratio = (dF[:, mask] / dp[mask]).max(axis=1)
+                    lip = max(lip, float(ratio.max()))
+                    if contraction is not None and (ratio > contraction + 1e-9).any():
+                        j = np.flatnonzero(ratio > contraction + 1e-9)[0]
+                        raise ValidationError(
+                            f"edge {table.ids[idx[j]]!r}: sampled Lipschitz {ratio[j]:g} "
+                            f"exceeds the declared contraction bound {contraction:g}")
         est = min(lip * 1.05, 0.999999)
         if lip >= 1.0:
             raise ValidationError(f"system is not contracting (sampled Lipschitz {lip:g})")
@@ -405,29 +605,32 @@ class GdmsSpec:
         return ("irreducible", tuple(sorted(phi)))
 
     def maximalize(self) -> "GdmsSpec":
-        """Hat construction: vertices = old edges, edges = admissible pairs."""
-        g = self.group
-        new_vertices = []
-        enclosing = {}
-        for a, e in enumerate(self.edges):
-            v_dom = self.vertices[self.dst_idx[a]]
-            center = e.chain.apply(v_dom.center)
-            try:
-                _, w_up = e.chain.deriv_norm_sup(v_dom.center, v_dom.radius, "bracketed")
-            except Exception:
-                _, w_up = e.chain.deriv_norm_sup(v_dom.center, v_dom.radius, "sampled",
-                                                 k=2048, seed=7, distortion=1.5)
-            radius = w_up * v_dom.radius
-            enclosing[a] = VertexSet(id=f"v[{e.id}]", center=center, radius=radius)
-            new_vertices.append(enclosing[a])
-        new_edges = []
-        for a in range(self.n_edges):
-            for b in self.successors(a):
-                new_edges.append(EdgeMap(id=f"{self.edges[a].id}|{self.edges[int(b)].id}",
-                                         src=f"v[{self.edges[a].id}]",
-                                         dst=f"v[{self.edges[int(b)].id}]",
-                                         chain=self.edges[a].chain))
-        return GdmsSpec(g, new_vertices, new_edges, incidence=None,
+        """Hat construction: vertices = old edges, edges = admissible pairs.
+
+        The vertex of edge e is the ball around phi_e(c) of radius
+        sup ||D phi_e|| * R over its domain ball B(c, R): r_f R for a
+        similarity, r_f R / (d(a, c) - R)^2 for a pole a outside the ball.
+        """
+        g, table = self.group, self.table
+        cz, ct, R, _ = self.vertex_arrays()
+        cz, ct, R = cz[self.dst_idx], ct[self.dst_idx], R[self.dst_idx]
+        d = table.pole_distance(cz, ct)
+        inside = table.has_pole & (d <= R)
+        if inside.any():
+            k = int(np.flatnonzero(inside)[0])
+            raise PoleError(f"edge {table.ids[k]!r}: pole inside its domain ball",
+                            distance=float(d[k]))
+        gap = np.where(table.has_pole, np.maximum(d - R, EPS_FLOOR), 1.0)
+        radius = table.r_f / np.where(table.has_pole, gap * gap, 1.0) * R
+        FZ, FT = table.apply(np.arange(self.n_edges), cz[:, None, :], ct[:, None, :])
+        names = np.char.add(np.char.add("v[", table.ids), "]")
+        new_vertices = [VertexSet(id=str(names[a]), center=GPoint(FZ[a, 0], FT[a, 0]),
+                                  radius=float(radius[a]))
+                        for a in range(self.n_edges)]
+        a, b = np.nonzero(self.adjacency())
+        ids = np.char.add(np.char.add(table.ids[a], "|"), table.ids[b])
+        new_table = table.take(a, ids, names[a], names[b])
+        return GdmsSpec(g, new_vertices, new_table, incidence=None,
                         contraction=self.contraction, validate="none")
 
     def __repr__(self):

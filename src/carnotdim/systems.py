@@ -8,8 +8,13 @@
 * Self-similar iterated function systems built from translations, rotations
   and dilations, with exact weights.
 
-Each builder returns a GdmsSpec with an attached WeightTable and, for
-infinite-alphabet families, a ShellFamily for theta estimation.
+Each builder fills the system's EdgeTable in closed form, one array
+operation for the whole alphabet: continued fractions have pole gamma^{-1}
+and r_f = 1, Cantor maps have pole o and r_f = r, similarities have no pole
+and r_f = the product of their dilations.  CF and self-similar systems get
+their WeightTable as a constructor field; shell-mode Cantor systems carry
+the shell number of each edge (`cantor_shells`); infinite-alphabet families
+have a ShellFamily for theta estimation.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ import numpy as np
 from .errors import BudgetError, ValidationError
 from . import groups as G
 from .groups import DEFAULT_LATTICE_BUDGET, GPoint, GroupSpec
-from .conformal import ConformalChain, Dilate, Invert, Rotate, Translate
-from .gdms import EdgeMap, GdmsSpec, VertexSet
-from .thermo import ShellFamily, WeightTable, estimate_distortion
+from .conformal import Dilate, Invert, Rotate, Translate
+from .gdms import EdgeTable, GdmsSpec, VertexSet
+from .thermo import ShellFamily, WeightTable, edge_weight_bounds, estimate_distortion
 
 
 # ---------------------------------------------------------------------------
@@ -68,36 +73,39 @@ def cf_alphabet(g: GroupSpec, params: CfSystemParams,
     return Zf[order], Tf[order], norms[order]
 
 
+def _edge_ids(prefix: str, columns: np.ndarray) -> np.ndarray:
+    """Ids prefix + comma-joined integer columns, e.g. 'g1,-2,3' or 'c17'."""
+    cols = np.rint(columns).astype(np.int64).astype(str)
+    ids = cols[:, 0]
+    for j in range(1, cols.shape[1]):
+        ids = np.char.add(np.char.add(ids, ","), cols[:, j])
+    return np.char.add(prefix, ids)
+
+
 def build_cf_system(g: GroupSpec, params: CfSystemParams,
                     budget: int = DEFAULT_LATTICE_BUDGET,
                     distortion_seed: int = 0) -> GdmsSpec:
     """Maximal IFS of maps (inversion o translation-by-gamma) on B(o, 1/2).
 
-    For every alphabet point the pole sits at distance ||gamma|| >= 5/2 from
-    the center, so sup-norm brackets are exact:
+    Edge g<coords of gamma> has pole gamma^{-1} at distance ||gamma|| >= 5/2
+    from the center and r_f = 1, so sup-norm brackets are exact:
     w_lo = (||gamma|| + 1/2)^-2, w_up = (||gamma|| - 1/2)^-2.  Containment
     in the domain ball holds exactly (images lie within 1/(2 + epsilon) of
     the center), so no sampled validation is needed.
     """
     Z, T, norms = cf_alphabet(g, params, budget)
-    o = G.origin(g)
-    vertex = VertexSet(id="X", center=o, radius=0.5)
-    edges = []
-    for k in range(Z.shape[0]):
-        gamma = G.gpoint(Z[k], T[k])
-        coords = [int(round(v)) for v in np.concatenate([Z[k], T[k]])]
-        chain = ConformalChain(g, [Invert(), Translate(gamma)])
-        edges.append(EdgeMap(id="g" + ",".join(str(c) for c in coords),
-                             src="X", dst="X", chain=chain))
-    w_lo = 1.0 / (norms + 0.5) ** 2
-    w_up = 1.0 / (norms - 0.5) ** 2
-    contraction = float(w_up.max())
-    sys = GdmsSpec(g, [vertex], edges, incidence=None, contraction=contraction,
-                   validate="none")
+    n = Z.shape[0]
+    vertex = VertexSet(id="X", center=G.origin(g), radius=0.5)
+    coords = np.concatenate([Z, T], axis=1)
+    table = EdgeTable(g, _edge_ids("g", coords), "X", "X", [(Invert, Translate)], 0,
+                      coords, -Z, -T, True, np.ones(n))
+    contraction = float(1.0 / (norms.min() - 0.5) ** 2)
+    sys = GdmsSpec(g, [vertex], table, contraction=contraction, validate="none")
+    w_lo, w_up = edge_weight_bounds(sys)
     distortion = estimate_distortion(sys, w_up, seed=distortion_seed)
-    sys.weights = WeightTable(w_lo, w_up, distortion=distortion,
-                              lower_is_inf=True, exact=False)
-    return sys
+    weights = WeightTable(w_lo, w_up, distortion=distortion, lower_is_inf=True, exact=False)
+    return GdmsSpec(g, [vertex], table, contraction=contraction, weights=weights,
+                    validate="none")
 
 
 def cf_shell_family(g: GroupSpec, epsilon: float, r_max: float,
@@ -167,21 +175,12 @@ class CantorSystemParams:
         return "shell"
 
 
-def _inversion_anchored_chain(g: GroupSpec, p: GPoint, r: float) -> ConformalChain:
-    """translate(p) o dilate(r) o translate(J(p)^{-1}) o J  -- fixes p."""
-    J = ConformalChain(g, [Invert()])
-    Jp = J.apply(p)
-    return ConformalChain(g, [Translate(p), Dilate(r),
-                              Translate(G.group_inv(g, Jp)), Invert()])
-
-
 def inversion_image_diameter(g: GroupSpec, vertex: VertexSet, samples: int = 2048,
                              seed: int = 0) -> float:
     """Sampled diameter of J(X) for a vertex set X avoiding the identity."""
     rng = np.random.default_rng(seed)
     Z, T = vertex.sample(g, samples, rng)
-    J = ConformalChain(g, [Invert()])
-    JZ, JT = J.apply_many(Z, T)
+    JZ, JT = Invert().apply_many(g, Z, T)
     half = Z.shape[0] // 2
     d = G.dist_many(g, JZ[:half], JT[:half], JZ[half:2 * half], JT[half:2 * half])
     ref = G.dist_many(g, JZ, JT, JZ[:1].repeat(Z.shape[0], 0),
@@ -304,8 +303,13 @@ def build_cantor_system(g: GroupSpec, params: CantorSystemParams,
         vertex = VertexSet(id="X", center=center, radius=radius)
         if G.gauge_norm(g, center) <= radius:
             raise ValidationError("domain must not contain the identity (inversion pole)")
-        pts = list(params.points)
-        radii = [float(r) for r in params.radii]
+        if not params.points:
+            raise ValidationError("explicit mode needs at least one point")
+        for p in params.points:
+            G._check_point(g, p, "anchor point")
+        Z = np.stack([p.z for p in params.points])
+        T = np.stack([p.t for p in params.points])
+        radii = np.asarray(params.radii, float)
         shell_of = None
     else:
         eps, n_shells = float(params.epsilon), int(params.shells)
@@ -317,34 +321,36 @@ def build_cantor_system(g: GroupSpec, params: CantorSystemParams,
         d0 = 2.0 / inner  # diam J(X) <= 2 / inner for the annulus around o
         if params.separation_scale < 1.0:
             raise ValidationError("separation_scale must be >= 1")
-        pts, radii, shell_of = [], [], []
+        Zs, Ts, radii, shell_of = [], [], [], []
         for n in range(1, n_shells + 1):
             sep = params.separation_scale * (n + 2.0) ** -eps
             Zp, Tp = sphere_packing(g, float(d[n - 1]), sep, seed=seed + n)
-            if Zp.shape[0] < 1:
-                raise ValidationError(f"shell {n} packing produced < 1 point")
-            r_n = sep / (10.0 * d0)
-            for k in range(Zp.shape[0]):
-                pts.append(G.gpoint(Zp[k], Tp[k]))
-                radii.append(r_n)
-                shell_of.append(n)
-    edges = []
-    for k, (p, r) in enumerate(zip(pts, radii)):
-        if not (0 < r < 1):
-            raise ValidationError(f"map radius {r:g} out of (0,1)")
-        chain = _inversion_anchored_chain(g, p, r)
-        edges.append(EdgeMap(id=f"c{k}", src="X", dst="X", chain=chain))
-    sys = GdmsSpec(g, [vertex], edges, incidence=None, validate=validate,
-                   samples=samples, seed=seed,
-                   contraction=None if validate == "sampled" else 0.9)
-    if shell_of is not None:
-        sys.cantor_shells = np.asarray(shell_of)
-    return sys
+            Zs.append(Zp); Ts.append(Tp)
+            radii.append(np.full(Zp.shape[0], sep / (10.0 * d0)))
+            shell_of.append(np.full(Zp.shape[0], n))
+        Z, T = np.concatenate(Zs), np.concatenate(Ts)
+        radii, shell_of = np.concatenate(radii), np.concatenate(shell_of)
+    bad = ~((radii > 0) & (radii < 1))
+    if bad.any():
+        raise ValidationError(f"map radius {radii[bad][0]:g} out of (0,1)")
+    if (G.norm_many(g, Z, T) == 0).any():
+        raise ValidationError("anchor points must avoid the identity (inversion pole)")
+    # translate(p) o dilate(r) o translate(J(p)^{-1}) o J fixes p; pole o, r_f = r
+    JZ, JT = Invert().apply_many(g, Z, T)
+    n = Z.shape[0]
+    table = EdgeTable(g, _edge_ids("c", np.arange(n)[:, None]), "X", "X",
+                      [(Translate, Dilate, Translate, Invert)], 0,
+                      np.concatenate([Z, T, radii[:, None], -JZ, -JT], axis=1),
+                      np.zeros((n, g.m1)), np.zeros((n, g.m2)), True, radii)
+    return GdmsSpec(g, [vertex], table, incidence=None, validate=validate,
+                    samples=samples, seed=seed,
+                    contraction=None if validate == "sampled" else 0.9,
+                    cantor_shells=shell_of)
 
 
 def cantor_shell_family(sys: GdmsSpec) -> ShellFamily:
     """Per-shell mid-weight compression of a shell-mode Cantor system."""
-    shells = getattr(sys, "cantor_shells", None)
+    shells = sys.cantor_shells
     if shells is None:
         raise ValidationError("system was not built in shell mode")
     from .thermo import ensure_weights
@@ -371,9 +377,7 @@ def build_self_similar(g: GroupSpec, maps: Sequence[Tuple],
     """
     if not maps:
         raise ValidationError("need at least one map")
-    chains = []
-    scales = []
-    offsets = []
+    prim_lists = []
     for spec in maps:
         if len(spec) == 2:
             p, s = spec
@@ -389,11 +393,13 @@ def build_self_similar(g: GroupSpec, maps: Sequence[Tuple],
             prims.append(Rotate(theta=float(theta)) if np.isscalar(theta)
                          else Rotate(matrix=theta))
         prims.append(Dilate(float(s)))
-        chains.append(ConformalChain(g, prims))
-        scales.append(float(s))
-        offsets.append(G.gauge_norm(g, p))
-    scales = np.asarray(scales)
-    offsets = np.asarray(offsets)
+        for prim in prims:
+            prim.validate(g)
+        prim_lists.append(prims)
+    scales = np.array([prims[-1].r for prims in prim_lists])
+    Zp = np.stack([prims[0].point.z for prims in prim_lists])
+    Tp = np.stack([prims[0].point.t for prims in prim_lists])
+    offsets = G.norm_many(g, Zp, Tp)
     R = float(offsets.max())
     for _ in range(50):
         R_new = float((offsets + scales * R).max())
@@ -402,13 +408,14 @@ def build_self_similar(g: GroupSpec, maps: Sequence[Tuple],
         R = R_new
     R = max(R * (1 + 1e-9), 1e-6)
     vertex = VertexSet(id="X", center=G.origin(g), radius=R)
-    edges = [EdgeMap(id=f"s{k}", src="X", dst="X", chain=c)
-             for k, c in enumerate(chains)]
-    sys = GdmsSpec(g, [vertex], edges, incidence=incidence,
-                   contraction=float(scales.max()), validate="none")
-    sys.weights = WeightTable(scales.copy(), scales.copy(), distortion=1.0,
-                              lower_is_inf=True, exact=True)
-    return sys
+    n = len(prim_lists)
+    table = EdgeTable.from_primitives(
+        g, _edge_ids("s", np.arange(n)[:, None]), "X", "X", prim_lists,
+        np.zeros((n, g.m1)), np.zeros((n, g.m2)), False, scales)
+    return GdmsSpec(g, [vertex], table, incidence=incidence,
+                    contraction=float(scales.max()), validate="none",
+                    weights=WeightTable(scales.copy(), scales.copy(), distortion=1.0,
+                                        lower_is_inf=True, exact=True))
 
 
 def similarity_shell_family(scales_by_shell: Sequence[Sequence[float]],

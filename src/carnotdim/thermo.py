@@ -19,7 +19,6 @@ from scipy.special import logsumexp
 
 from .errors import (BudgetError, NonConvergenceError, UnsupportedError,
                      ValidationError)
-from . import groups as G
 from .gdms import DEFAULT_WORD_BUDGET, GdmsSpec, Word, stationary_distribution
 
 BISECTION_TOL = 1e-6
@@ -37,8 +36,8 @@ class WeightTable:
     """Per-edge two-sided bounds on the sup derivative norms.
 
     lower_is_inf marks tables whose w_lo also lower-bounds the *infimum* of
-    the pointwise norm over the domain (true for bracketed single-inversion
-    bounds and for exact similarity weights); such tables admit a slightly
+    the pointwise norm over the domain (true for the closed-form pole
+    brackets and for exact similarity weights); such tables admit a slightly
     tighter pressure lower bound.
     """
 
@@ -72,25 +71,27 @@ class WeightTable:
         raise ValidationError(f"unknown weight side {which!r}")
 
 
-def edge_weight_bounds(sys: GdmsSpec, a: int, samples: int = 1024, seed: int = 0,
-                       distortion: float = 1.5):
-    """(w_lo, w_up, lower_is_inf, exact) for edge a over its domain vertex set."""
-    e = sys.edges[a]
-    chain = e.chain
-    v = sys.vertices[sys.dst_idx[a]]
-    if chain.is_similarity:
-        return chain.r_f, chain.r_f, True, True
-    if chain.n_inversions == 1:
-        g = sys.group
-        dc = G.gauge_dist(g, chain.pole, v.center)
-        dmax = dc + v.radius
-        dmin = max(dc - v.radius, v.inner_radius - dc, 1e-12)
-        if dmin <= 1e-12 and v.inner_radius == 0:
-            raise ValidationError(f"edge {e.id!r}: pole touches the domain ball")
-        return chain.r_f / dmax ** 2, chain.r_f / dmin ** 2, True, False
-    lo, up = chain.deriv_norm_sup(v.center, v.radius, "sampled", k=samples,
-                                  seed=seed, distortion=distortion)
-    return lo, up, False, False
+def edge_weight_bounds(sys: GdmsSpec):
+    """Per-edge (w_lo, w_up) bounds on ||D phi_e|| over its domain vertex set.
+
+    Similarities have the exact weight r_f.  A map with pole a has
+    ||D phi_e(p)|| = r_f / d(p, a)^2, so over the ball B(c, R) minus the open
+    ball of radius R_in, w_lo = r_f / (d(c, a) + R)^2 also bounds the
+    infimum and w_up = r_f / max(d(c, a) - R, R_in - d(c, a))^2.
+    """
+    table = sys.table
+    cz, ct, R, inner = sys.vertex_arrays()
+    d = sys.dst_idx
+    dc = table.pole_distance(cz[d], ct[d])
+    dmax = dc + R[d]
+    dmin = np.maximum(np.maximum(dc - R[d], inner[d] - dc), 1e-12)
+    touch = table.has_pole & (dmin <= 1e-12)
+    if touch.any():
+        k = int(np.flatnonzero(touch)[0])
+        raise ValidationError(f"edge {table.ids[k]!r}: pole touches the domain")
+    w_lo = np.where(table.has_pole, table.r_f / dmax ** 2, table.r_f)
+    w_up = np.where(table.has_pole, table.r_f / dmin ** 2, table.r_f)
+    return w_lo, w_up
 
 
 def estimate_distortion(sys: GdmsSpec, w_up: np.ndarray, depth: int = 4,
@@ -133,23 +134,20 @@ def estimate_distortion(sys: GdmsSpec, w_up: np.ndarray, depth: int = 4,
     return ratio_max * 1.1
 
 
-def compute_weight_table(sys: GdmsSpec, samples: int = 1024, seed: int = 0) -> WeightTable:
-    nE = sys.n_edges
-    w_lo = np.empty(nE); w_up = np.empty(nE)
-    inf_flags = np.empty(nE, dtype=bool); exact_flags = np.empty(nE, dtype=bool)
-    for a in range(nE):
-        lo, up, is_inf, is_exact = edge_weight_bounds(sys, a, samples, seed)
-        w_lo[a], w_up[a] = lo, up
-        inf_flags[a], exact_flags[a] = is_inf, is_exact
-    exact = bool(exact_flags.all())
+def compute_weight_table(sys: GdmsSpec, seed: int = 0) -> WeightTable:
+    """Closed-form weight brackets; the distortion constant is estimated
+    (seeded) unless every edge is a similarity."""
+    w_lo, w_up = edge_weight_bounds(sys)
+    exact = not sys.table.has_pole.any()
     distortion = 1.0 if exact else estimate_distortion(sys, w_up, seed=seed)
-    return WeightTable(w_lo, w_up, distortion=distortion,
-                       lower_is_inf=bool(inf_flags.all()), exact=exact)
+    return WeightTable(w_lo, w_up, distortion=distortion, lower_is_inf=True, exact=exact)
 
 
-def ensure_weights(sys: GdmsSpec, samples: int = 1024, seed: int = 0) -> WeightTable:
+def ensure_weights(sys: GdmsSpec, seed: int = 0) -> WeightTable:
+    """The system's weight table, computed and kept on first use when the
+    system was built without one."""
     if sys.weights is None:
-        sys.weights = compute_weight_table(sys, samples, seed)
+        sys.weights = compute_weight_table(sys, seed)
     return sys.weights
 
 

@@ -146,6 +146,33 @@ def test_exit_code_2_bad_input(tmp_path):
     assert b"ValidationError" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pressure", "--spec", "{spec}"],  # neither --t nor --t-grid
+    ["pressure", "--spec", "{spec}", "--t-grid", "0:nan:0.5"],
+    ["compare-dim", "--h", "nan"],
+    ["compare-dim", "--h", "inf"],
+    ["dim", "--spec", "{spec}", "--tol", "nan"],
+], ids=["pressure-no-t", "grid-nan", "h-nan", "h-inf", "tol-nan"])
+def test_exit_code_2_json_error(argv, moran4_path):
+    rc, out, err = run_cli([a.format(spec=moran4_path) for a in argv])
+    assert rc == 2 and out == b""
+    assert json.loads(err.decode().splitlines()[-1])["error"] == "ValidationError"
+
+
+def test_system_moran_is_not_a_choice():
+    # moran systems come from --spec files with "kind": "moran"
+    rc, out, err = run_cli(["dim", "--system", "moran"])
+    assert rc == 2 and out == b"" and b"invalid choice" in err
+
+
+def test_record_rejects_nan():
+    from carnotdim import cli
+    from carnotdim.errors import NonConvergenceError
+    args = cli.build_parser().parse_args(["compare-dim", "--h", "1.0"])
+    with pytest.raises(NonConvergenceError):
+        cli._record(args, "compare-dim", {"h": float("nan")})
+
+
 def test_exit_code_3_budget(moran4_path):
     # depth-10 deterministic cloud needs 4^10 words, far over a budget of 10
     rc, _, err = run_cli(["limitset", "--spec", moran4_path, "--depth", "10",

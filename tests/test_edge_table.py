@@ -1,0 +1,136 @@
+"""Edge tables: the closed-form rows of the builders against ConformalChain."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import carnotdim as cd
+from carnotdim import groups as G
+
+G1 = cd.heisenberg(1)
+SETTINGS = settings(max_examples=25, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+coord = st.floats(-2.0, 2.0, allow_nan=False)
+point = st.tuples(coord, coord, coord).map(lambda c: cd.gpoint(c[:2], c[2:]))
+
+
+def check_rows(sys_, rows, seed=0):
+    """Row normal form and batched apply against the materialised chains."""
+    table = sys_.table
+    rng = np.random.default_rng(seed)
+    Z, T = sys_.vertices[0].sample(G1, 16, rng)
+    FZ, FT = table.apply(rows, Z, T)
+    for j, k in enumerate(rows):
+        chain = sys_.edges[k].chain
+        assert table.has_pole[k] == (chain.pole is not None)
+        assert table.r_f[k] == pytest.approx(chain.r_f, rel=1e-12)
+        if chain.pole is not None:
+            np.testing.assert_allclose(table.pole_z[k], chain.pole.z, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(table.pole_t[k], chain.pole.t, rtol=1e-12, atol=1e-12)
+        CZ, CT = chain.apply_many(Z, T)
+        np.testing.assert_allclose(FZ[j], CZ, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(FT[j], CT, rtol=1e-12, atol=1e-12)
+
+
+@SETTINGS
+@given(eps=st.floats(0.0, 0.6), extra=st.floats(0.6, 1.5),
+       picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6))
+def test_cf_rows_match_chains(eps, extra, picks):
+    sys_ = cd.build_cf_system(G1, cd.CfSystemParams(eps, 2.5 + eps + extra))
+    check_rows(sys_, sorted({k % sys_.n_edges for k in picks}))
+
+
+@SETTINGS
+@given(anchors=st.lists(st.tuples(st.floats(2.0, 4.0), st.floats(-1.0, 1.0),
+                                  st.floats(-1.0, 1.0)), min_size=1, max_size=5),
+       radii=st.lists(st.floats(1e-3, 0.9), min_size=5, max_size=5))
+def test_cantor_rows_match_chains(anchors, radii):
+    pts = [cd.gpoint(a[:2], a[2:]) for a in anchors]
+    params = cd.CantorSystemParams(points=pts, radii=radii[:len(pts)],
+                                   domain_center=cd.gpoint([3.0, 0.0], [0.0]),
+                                   domain_radius=1.0)
+    sys_ = cd.build_cantor_system(G1, params, validate="none")
+    check_rows(sys_, list(range(sys_.n_edges)))
+
+
+@SETTINGS
+@given(maps=st.lists(st.tuples(point, st.floats(0.05, 0.95),
+                               st.one_of(st.none(), st.floats(-3.0, 3.0))),
+                     min_size=1, max_size=5))
+def test_similarity_rows_match_chains(maps):
+    sys_ = cd.build_self_similar(
+        G1, [(p, s) if theta is None else (p, s, theta) for p, s, theta in maps])
+    check_rows(sys_, list(range(sys_.n_edges)))
+    assert not sys_.table.has_pole.any()
+    np.testing.assert_array_equal(sys_.table.r_f, [s for _, s, _ in maps])
+
+
+def _similarity_prims():
+    return st.lists(st.one_of(point.map(cd.Translate),
+                              st.floats(0.3, 3.0).map(cd.Dilate),
+                              st.floats(-3.0, 3.0).map(lambda th: cd.Rotate(theta=th))),
+                    max_size=2)
+
+
+@st.composite
+def spec_chain(draw):
+    """Primitive lists with 1-3 inversions separated by similarity parts."""
+    n_inv = draw(st.integers(1, 3))
+    prims = draw(_similarity_prims())
+    for _ in range(n_inv):
+        prims += [cd.Invert()] + draw(_similarity_prims())
+    return prims
+
+
+def well_conditioned(chain, Z, T):
+    """Points whose orbit meets every inversion at a gauge norm in [0.2, 20]."""
+    ok = np.ones(Z.shape[0], bool)
+    for prim in reversed(chain.primitives):
+        if prim.is_inversion:
+            norm = G.norm_many(G1, Z, T)
+            ok &= (norm >= 0.2) & (norm <= 20.0)
+        Z, T = prim.apply_many(G1, Z, T)
+    return ok
+
+
+@SETTINGS
+@given(chains=st.lists(spec_chain(), min_size=1, max_size=4),
+       probe=st.lists(point, min_size=4, max_size=4))
+def test_spec_chain_rows_and_normal_form(chains, probe):
+    edges = [cd.EdgeMap(id=f"e{k}", src="X", dst="X", chain=cd.ConformalChain(G1, p))
+             for k, p in enumerate(chains)]
+    v = cd.VertexSet(id="X", center=cd.origin(G1), radius=1.0)
+    sys_ = cd.GdmsSpec(G1, [v], edges, contraction=0.5, validate="none")
+    with np.errstate(all="ignore"):  # samples may sit on intermediate poles
+        check_rows(sys_, list(range(sys_.n_edges)))
+    # ||D phi(p)|| = r_f / d(p, a)^2 whatever the number of inversions
+    table = sys_.table
+    Z = np.stack([p.z for p in probe]); T = np.stack([p.t for p in probe])
+    for k in range(sys_.n_edges):
+        chain = sys_.edges[k].chain
+        with np.errstate(all="ignore"):
+            ok = well_conditioned(chain, Z, T)
+        assume(ok.any())
+        deriv = chain.deriv_norm_many(Z[ok], T[ok])
+        if table.has_pole[k]:
+            d = G.dist_many(G1, table.pole_z[k], table.pole_t[k], Z[ok], T[ok])
+            np.testing.assert_allclose(deriv, table.r_f[k] / d ** 2, rtol=1e-9)
+        else:
+            np.testing.assert_allclose(deriv, table.r_f[k], rtol=1e-9)
+
+
+def test_edges_are_lazy_views():
+    sys_ = cd.build_cf_system(G1, cd.CfSystemParams(0.5, 4.0))
+    table = sys_.table
+    built = len(table._chains)
+    e = sys_.edges[-1]
+    assert e.id.startswith("g") and e.src == e.dst == "X"
+    assert len(table._chains) == built  # ids read without building a chain
+    assert e.chain is sys_.edges[-1].chain  # built once, then cached
+    assert [x.id for x in sys_.edges[:3]] == list(table.ids[:3])
+    # another system over the same edges shares the table
+    sub = cd.GdmsSpec(G1, sys_.vertices, sys_.edges, contraction=sys_.contraction,
+                      weights=sys_.weights, validate="none")
+    assert sub.table is table and sub.weights is sys_.weights

@@ -120,15 +120,24 @@ def test_maximalize_preserves_words():
     assert hat.count_words(3) == sys_.count_words(4)
 
 
-def test_validation_catches_escaping_images():
-    g = cd.heisenberg(1)
-    v = cd.VertexSet(id="X", center=cd.origin(g), radius=1.0)
+@pytest.mark.parametrize("prims, radius, contraction, message", [
     # translate by 5 with scale 0.5 maps B(o,1) far outside itself
-    chain = cd.ConformalChain(g, [cd.Translate(cd.gpoint([5.0, 0.0], [0.0])),
-                                  cd.Dilate(0.5)])
-    edge = cd.EdgeMap(id="bad", src="X", dst="X", chain=chain)
-    with pytest.raises(ValidationError):
-        cd.GdmsSpec(g, [v], [edge], validate="sampled")
+    ([cd.Translate(cd.gpoint([5.0, 0.0], [0.0])), cd.Dilate(0.5)], 1.0, None, "escapes"),
+    # the inversion's pole o is the domain's center: samples that close underflow onto it
+    ([cd.Invert()], 1e-200, None, "blows up"),
+    # ratio 0.5 against a declared bound of 0.3
+    ([cd.Translate(cd.gpoint([0.1, 0.0], [0.0])), cd.Dilate(0.5)], 1.0, 0.3,
+     "declared contraction"),
+], ids=["escape", "blow-up", "contraction"])
+def test_validation_catches_escaping_images(prims, radius, contraction, message):
+    g = cd.heisenberg(1)
+    v = cd.VertexSet(id="X", center=cd.origin(g), radius=radius)
+    good = cd.EdgeMap(id="good", src="X", dst="X",
+                      chain=cd.ConformalChain(g, [cd.Dilate(0.25)]))
+    edge = cd.EdgeMap(id="bad", src="X", dst="X", chain=cd.ConformalChain(g, prims))
+    with np.errstate(all="ignore"), pytest.raises(ValidationError, match=message) as exc:
+        cd.GdmsSpec(g, [v], [good, edge], contraction=contraction, validate="sampled")
+    assert "'bad'" in str(exc.value)
 
 
 def test_point_cloud_io(tmp_path):

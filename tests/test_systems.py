@@ -119,6 +119,28 @@ def test_sphere_packing_validation(g):
 # Cantor systems
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("R, h_lo, h_hi", [
+    (4.0, 2.376953125, 3.13427734375),
+    (5.0, 2.5556640625, 3.25830078125),
+    (6.0, 2.63818359375, 3.29931640625),
+])
+def test_cf_dimension_brackets_pinned(g, R, h_lo, h_hi):
+    """Brackets of the per-letter chain construction, reproduced by the rows."""
+    sys_ = cd.build_cf_system(g, cd.CfSystemParams(0.5, R), distortion_seed=7)
+    db = cd.bowen_dim(sys_, tol=1e-3)
+    assert (db.h_lo, db.h_hi) == (h_lo, h_hi)
+    assert sys_.weights.distortion == pytest.approx(1.856972762235335, rel=1e-12)
+
+
+def test_cantor_dimension_bracket_pinned(g):
+    params = cd.CantorSystemParams(epsilon=2.0, shells=3, separation_scale=8.0)
+    sys_ = cd.build_cantor_system(g, params, seed=0)
+    assert np.bincount(sys_.cantor_shells).tolist() == [0, 14, 118, 417]
+    db = cd.bowen_dim(sys_, tol=1e-3)
+    assert (db.h_lo, db.h_hi) == (1.2705078125, 1.638671875)
+    assert sys_.contraction == pytest.approx(0.045897858727804636, rel=1e-12)
+
+
 def test_cantor_generic_two_points(g):
     # anchors on the x-axis: no twist term, so gauge distances stay small
     pts = [cd.gpoint([3.0, 0.0], [0.0]), cd.gpoint([3.5, 0.0], [0.0])]
