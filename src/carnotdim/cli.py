@@ -14,6 +14,7 @@ import math
 import os
 import sys as _sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -38,6 +39,22 @@ SPEC_VERSION = 1
 # Spec ingestion
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _input_errors(what: str):
+    """Report a missing key, a bad value or broken JSON in `what` as a ValidationError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"{what} is missing the key {exc.args[0]!r}") from None
+    except (TypeError, ValueError, AttributeError) as exc:  # JSONDecodeError is a ValueError
+        raise ValidationError(f"malformed {what}: {exc}") from None
+
+
+def _read_json(path: str, what: str):
+    with open(path) as fh, _input_errors(what):
+        return json.load(fh)
+
+
 def group_from_json(obj) -> GroupSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("group fragment needs a 'kind'")
@@ -54,66 +71,73 @@ def group_from_json(obj) -> GroupSpec:
 
 def parse_group_flag(text: str) -> GroupSpec:
     """--group heis_c:1 | heis_q:2 | a path to a JSON group fragment."""
-    if ":" in text and not os.path.exists(text):
-        kind, _, n = text.partition(":")
-        return group_from_json({"kind": kind, "n": int(n)})
     if os.path.exists(text):
-        with open(text) as fh:
-            return group_from_json(json.load(fh))
-    return group_from_json({"kind": text})
+        obj = _read_json(text, "group file")
+    elif ":" in text:
+        kind, _, n = text.partition(":")
+        obj = {"kind": kind, "n": n}
+    else:
+        obj = {"kind": text}
+    with _input_errors("--group"):
+        return group_from_json(obj)
 
 
 def system_from_json(obj) -> GdmsSpec:
+    """Build the system of a parsed spec; a malformed spec raises ValidationError."""
+    if not isinstance(obj, dict):
+        raise ValidationError("a system spec must be a JSON object")
     if obj.get("spec_version") != SPEC_VERSION:
         raise ValidationError(f"unsupported spec_version {obj.get('spec_version')!r}")
-    g = group_from_json(obj["group"])
     kind = obj.get("kind", "gdms")
-    if kind == "moran":
-        maps = []
-        for m in obj["maps"]:
-            coords = np.asarray(m["translate"], float)
-            p = G.gpoint(coords[:g.m1], coords[g.m1:])
-            if "rotate_theta" in m:
-                maps.append((p, float(m["scale"]), float(m["rotate_theta"])))
-            else:
-                maps.append((p, float(m["scale"])))
+    if kind not in ("moran", "gdms"):
+        raise ValidationError(f"unknown system kind {kind!r}")
+    with _input_errors("spec"):
+        g = group_from_json(obj["group"])
         incidence = obj.get("incidence")
         if incidence is not None:
             incidence = np.asarray(incidence, bool)
+        if kind == "moran":
+            maps = []
+            for m in obj["maps"]:
+                coords = np.asarray(m["translate"], float)
+                p = G.gpoint(coords[:g.m1], coords[g.m1:])
+                if "rotate_theta" in m:
+                    maps.append((p, float(m["scale"]), float(m["rotate_theta"])))
+                else:
+                    maps.append((p, float(m["scale"])))
+        else:
+            vertices = []
+            for v in obj["vertices"]:
+                coords = np.asarray(v["center"], float)
+                vertices.append(VertexSet(id=v["id"],
+                                          center=G.gpoint(coords[:g.m1], coords[g.m1:]),
+                                          radius=float(v["radius"]),
+                                          inner_radius=float(v.get("inner_radius", 0.0))))
+            edges = [EdgeMap(id=e["id"], src=e["src"], dst=e["dst"],
+                             chain=chain_from_json(g, e["chain"]))
+                     for e in obj["edges"]]
+            weights = None
+            if "weights" in obj:
+                w = obj["weights"]
+                weights = WeightTable(np.asarray(w["w_lo"], float),
+                                      np.asarray(w["w_up"], float),
+                                      distortion=float(w.get("distortion", 1.0)),
+                                      lower_is_inf=bool(w.get("lower_is_inf", False)),
+                                      exact=bool(w.get("exact", False)))
+            contraction = obj.get("contraction")
+            if contraction is not None:
+                contraction = float(contraction)
+            seed = int(obj.get("seed", 0))
+    if kind == "moran":
         return build_self_similar(g, maps, incidence=incidence)
-    if kind != "gdms":
-        raise ValidationError(f"unknown system kind {kind!r}")
-    vertices = []
-    for v in obj["vertices"]:
-        coords = np.asarray(v["center"], float)
-        vertices.append(VertexSet(id=v["id"],
-                                  center=G.gpoint(coords[:g.m1], coords[g.m1:]),
-                                  radius=float(v["radius"]),
-                                  inner_radius=float(v.get("inner_radius", 0.0))))
-    edges = [EdgeMap(id=e["id"], src=e["src"], dst=e["dst"],
-                     chain=chain_from_json(g, e["chain"]))
-             for e in obj["edges"]]
-    incidence = obj.get("incidence")
-    if incidence is not None:
-        incidence = np.asarray(incidence, bool)
-    weights = None
-    if "weights" in obj:
-        w = obj["weights"]
-        weights = WeightTable(np.asarray(w["w_lo"], float),
-                              np.asarray(w["w_up"], float),
-                              distortion=float(w.get("distortion", 1.0)),
-                              lower_is_inf=bool(w.get("lower_is_inf", False)),
-                              exact=bool(w.get("exact", False)))
     return GdmsSpec(g, vertices, edges, incidence=incidence,
-                    contraction=obj.get("contraction"), weights=weights,
-                    validate=obj.get("validate", "sampled"),
-                    seed=int(obj.get("seed", 0)))
+                    contraction=contraction, weights=weights,
+                    validate=obj.get("validate", "sampled"), seed=seed)
 
 
 def load_system(args) -> GdmsSpec:
     if getattr(args, "spec", None):
-        with open(args.spec) as fh:
-            return system_from_json(json.load(fh))
+        return system_from_json(_read_json(args.spec, "spec"))
     system = getattr(args, "system", None)
     if system == "cf":
         g = parse_group_flag(args.group)
@@ -266,8 +290,8 @@ def cmd_measure_dim(args):
         p = np.asarray([float(x) for x in args.bernoulli.split(",")])
         mu = InvariantMeasureSpec.bernoulli(p)
     elif args.markov:
-        with open(args.markov) as fh:
-            P = np.asarray(json.load(fh), float)
+        with _input_errors("--markov file"):
+            P = np.asarray(_read_json(args.markov, "--markov file"), float)
         mu = InvariantMeasureSpec.markov(P)
     else:
         raise ValidationError("measure-dim needs --bernoulli p1,p2,... or --markov FILE")
@@ -385,8 +409,8 @@ def main(argv=None) -> int:
         _sys.stderr.write(json.dumps({"error": type(exc).__name__,
                                       "message": str(exc)}) + "\n")
         return exc.exit_code
-    except FileNotFoundError as exc:
-        _sys.stderr.write(json.dumps({"error": "FileNotFoundError",
+    except OSError as exc:  # an input file that is missing, a directory, unreadable
+        _sys.stderr.write(json.dumps({"error": type(exc).__name__,
                                       "message": str(exc)}) + "\n")
         return 2
     _sys.stderr.write(f"wallclock_s={time.monotonic() - start:.3f}\n")

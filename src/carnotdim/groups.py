@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import mmap
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -352,13 +353,10 @@ def lattice_A1(g: GroupSpec) -> float:
     """Minimum nonzero gauge norm on the integer lattice (1 for Iwasawa groups)."""
     if not g.integer_structure:
         raise UnsupportedError("group has no integer structure")
-    best = math.inf
-    for Z, T in _lattice_blocks(g, 0.0, np.nextafter(1.0, 2.0), DEFAULT_LATTICE_BUDGET):
-        norms = norm_many(g, Z.astype(float), T.astype(float))
-        nz = norms[norms > 0]
-        if nz.size:
-            best = min(best, float(nz.min()))
-    return 1.0 if best is math.inf else best
+    Z, T = _lattice_points(g, 0.0, np.nextafter(1.0, 2.0), DEFAULT_LATTICE_BUDGET)
+    norms = norm_many(g, Z.astype(float), T.astype(float))
+    nz = norms[norms > 0]
+    return float(nz.min()) if nz.size else 1.0
 
 
 def _round_half_toward_zero(x: np.ndarray) -> np.ndarray:
@@ -402,12 +400,58 @@ def _z_candidates(m1: int, zmax: int) -> np.ndarray:
     return np.stack([grid.ravel() for grid in grids], axis=-1)
 
 
-def _lattice_blocks(g: GroupSpec, r_lo: float, r_hi: float, budget: int):
-    """Yield (Z, T) int64 blocks of lattice points with r_lo <= norm < r_hi.
+def _mapped_zeros(n: int, m: int) -> np.ndarray:
+    """An (n, m) int64 array of zeros in its own private anonymous memory map.
 
-    Scans the bounding box |z_j| <= r_hi, |t_j| <= r_hi^2 in lexicographic
-    order over (z, t).  The vertical scan is collapsed analytically when
-    m2 == 1; otherwise the t-box is enumerated and filtered.
+    Lattice point arrays run to hundreds of MB and live for one call.  Had
+    they come from malloc, glibc would raise its mmap threshold after each
+    release and put the next ones on its heap, where a freed array stays
+    resident; the peak memory of a call would then depend on the sizes of
+    the calls before it.  A map of its own goes back to the system when the
+    array is released, and starts zeroed.  Like numpy's own large arrays it
+    asks for huge pages, which makes first touch several times cheaper.
+    """
+    if n * m == 0:
+        return np.zeros((n, m), dtype=np.int64)
+    buf = mmap.mmap(-1, 8 * n * m, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # Linux only
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=np.int64).reshape(n, m)
+
+
+def _isqrt(n) -> np.ndarray:
+    """floor(sqrt(n)) elementwise for an integer array 0 <= n < 2**53."""
+    n = np.asarray(n, dtype=np.int64)
+    s = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    # n converts exactly and sqrt rounds correctly (hence monotonically), so
+    # the float root is never below the integer root and at most one above
+    s -= s * s > n
+    return s
+
+
+def _key_range(r_lo: float, r_hi: float):
+    """Integer keys [L, H) of the shell r_lo <= norm < r_hi.
+
+    A lattice point belongs to the shell exactly when its key
+    N = |z|^4 + |t|^2 satisfies r_lo^4 <= N < r_hi^4 in floating point; N is
+    an integer below 2^53, so this is L <= N < H with L, H the ceilings.
+    """
+    if r_lo < 0 or r_hi <= r_lo:
+        raise ValidationError("need 0 <= r_lo < r_hi")
+    lo4 = r_lo ** 4
+    hi4 = r_hi ** 4
+    if hi4 >= 2.0 ** 53:
+        raise ValidationError(f"r_hi = {r_hi:g} is too large for exact integer norm keys")
+    return math.ceil(lo4), math.ceil(hi4)
+
+
+def _lattice_points(g: GroupSpec, r_lo: float, r_hi: float, budget: int):
+    """Integer arrays (Z, T) of the lattice points with r_lo <= norm < r_hi.
+
+    Points come in lexicographic order over (z, t) from the bounding box
+    |z_j| <= r_hi, |t_j| <= r_hi^2.  When m2 == 1 each z row holds the t with
+    L <= |z|^4 + t^2 < H, two integer ranges read off integer square roots;
+    otherwise the t-box is enumerated and filtered row by row.
     """
     if r_lo < 0 or r_hi <= r_lo:
         raise ValidationError("need 0 <= r_lo < r_hi")
@@ -424,47 +468,52 @@ def _lattice_blocks(g: GroupSpec, r_lo: float, r_hi: float, budget: int):
             f"lattice scan would visit ~{cost:.2e} candidates (budget {budget:.2e})",
             estimate=cost, budget=budget)
 
-    lo4 = r_lo ** 4
-    hi4 = r_hi ** 4
+    L, H = _key_range(r_lo, r_hi)
     Zs = _z_candidates(g.m1, zmax)
-    z4 = (np.einsum("ki,ki->k", Zs, Zs).astype(float)) ** 2
-    keep = z4 < hi4
+    z2 = np.einsum("ki,ki->k", Zs, Zs)
+    z4 = z2 * z2
+    keep = z4 < H
     Zs = Zs[keep]; z4 = z4[keep]
 
     if g.m2 == 1:
-        for k in range(Zs.shape[0]):
-            zz4 = z4[k]
-            cap2 = hi4 - zz4
-            tcap = int(math.floor(math.sqrt(cap2)))
-            while tcap * tcap >= cap2:
-                tcap -= 1
-            while (tcap + 1) * (tcap + 1) < cap2:
-                tcap += 1
-            low2 = max(lo4 - zz4, 0.0)
-            tlow = int(math.ceil(math.sqrt(low2)))
-            while tlow > 0 and (tlow - 1) * (tlow - 1) >= low2:
-                tlow -= 1
-            while tlow * tlow < low2:
-                tlow += 1
-            if tlow > tcap:
-                continue
-            if tlow == 0:
-                tv = np.arange(-tcap, tcap + 1, dtype=np.int64)
-            else:
-                tv = np.concatenate([np.arange(-tcap, -tlow + 1, dtype=np.int64),
-                                     np.arange(tlow, tcap + 1, dtype=np.int64)])
-            yield np.repeat(Zs[k][None, :], tv.size, axis=0), tv[:, None]
-    else:
-        trng = np.arange(-tmax, tmax + 1, dtype=np.int64)
-        tgrids = np.meshgrid(*([trng] * g.m2), indexing="ij")
-        Ts = np.stack([grid.ravel() for grid in tgrids], axis=-1)
-        t2 = np.einsum("ki,ki->k", Ts, Ts).astype(float)
-        for k in range(Zs.shape[0]):
-            zz4 = z4[k]
-            mask = (t2 + zz4 >= lo4) & (t2 + zz4 < hi4)
-            if mask.any():
-                tv = Ts[mask]
-                yield np.repeat(Zs[k][None, :], tv.shape[0], axis=0), tv
+        # row k holds -tcap..-tlow and tlow..tcap (one range -tcap..tcap if tlow == 0)
+        tcap = _isqrt(H - 1 - z4)
+        low = L - z4
+        tlow = np.where(low > 0, _isqrt(np.maximum(low - 1, 0)) + 1, 0)
+        half = np.maximum(tcap - tlow + 1, 0)
+        counts = 2 * half - ((tlow == 0) & (half > 0))
+        rows = counts > 0
+        Zs, tcap, tlow, half, counts = Zs[rows], tcap[rows], tlow[rows], half[rows], counts[rows]
+        start = np.cumsum(counts) - counts
+        n = int(counts.sum())
+        # Z and t are running sums, built in place so that they are the only
+        # large arrays: Z steps from row to row, t steps by one except where
+        # a row starts (from the last row's tcap to -tcap) and past a row's
+        # gap (from -tlow to tlow)
+        Z = _mapped_zeros(n, g.m1)
+        Z[start] = np.diff(Zs, axis=0, prepend=0)
+        np.cumsum(Z, axis=0, out=Z)
+        T = _mapped_zeros(n, 1)
+        t = T[:, 0]
+        t += 1
+        t[start] = -tcap - np.concatenate([[0], tcap[:-1]])
+        gapped = tlow > 0
+        t[start[gapped] + half[gapped]] = 2 * tlow[gapped]
+        np.cumsum(t, out=t)
+        return Z, T
+
+    trng = np.arange(-tmax, tmax + 1, dtype=np.int64)
+    tgrids = np.meshgrid(*([trng] * g.m2), indexing="ij")
+    Ts = np.stack([grid.ravel() for grid in tgrids], axis=-1)
+    t2 = np.einsum("ki,ki->k", Ts, Ts)
+    Zb, Tb = [np.zeros((0, g.m1), dtype=np.int64)], [np.zeros((0, g.m2), dtype=np.int64)]
+    for k in range(Zs.shape[0]):
+        tv = Ts[(t2 >= L - z4[k]) & (t2 < H - z4[k])]
+        Zb.append(np.repeat(Zs[k][None, :], tv.shape[0], axis=0))
+        Tb.append(tv)
+    n = sum(b.shape[0] for b in Zb)
+    return (np.concatenate(Zb, axis=0, out=_mapped_zeros(n, g.m1)),
+            np.concatenate(Tb, axis=0, out=_mapped_zeros(n, g.m2)))
 
 
 def lattice_shell_array(g: GroupSpec, r_lo: float, r_hi: float,
@@ -472,41 +521,124 @@ def lattice_shell_array(g: GroupSpec, r_lo: float, r_hi: float,
     """All lattice points with r_lo <= gauge norm < r_hi as integer arrays (Z, T)."""
     if not g.integer_structure:
         raise UnsupportedError("lattice enumeration requires integral structure matrices")
-    Zb, Tb = [], []
-    for Z, T in _lattice_blocks(g, r_lo, r_hi, budget):
-        Zb.append(Z); Tb.append(T)
-    if not Zb:
-        return (np.zeros((0, g.m1), dtype=np.int64), np.zeros((0, g.m2), dtype=np.int64))
-    return np.concatenate(Zb, axis=0), np.concatenate(Tb, axis=0)
+    return _lattice_points(g, r_lo, r_hi, budget)
 
 
 def lattice_shell(g: GroupSpec, r_lo: float, r_hi: float,
                   budget: int = DEFAULT_LATTICE_BUDGET) -> Iterator[LatticePoint]:
     """Iterate lattice points with r_lo <= gauge norm < r_hi (deterministic order)."""
-    if not g.integer_structure:
-        raise UnsupportedError("lattice enumeration requires integral structure matrices")
-    for Z, T in _lattice_blocks(g, r_lo, r_hi, budget):
-        for k in range(Z.shape[0]):
-            yield LatticePoint(Z[k], T[k])
+    Z, T = lattice_shell_array(g, r_lo, r_hi, budget)
+    for k in range(Z.shape[0]):
+        yield LatticePoint(Z[k], T[k])
+
+
+def _square_counts(n: int, m: int) -> np.ndarray:
+    """#{x in Z^m : |x|^2 = v} for v = 0..n-1: the 1-D square counts convolved m times."""
+    one = np.zeros(n, dtype=np.int64)
+    one[np.arange(math.isqrt(n - 1) + 1) ** 2] = 2
+    one[0] = 1
+    out = one
+    for _ in range(m - 1):
+        twice, out = 2 * out, out.copy()
+        for x in range(1, math.isqrt(n - 1) + 1):
+            out[x * x:] += twice[:n - x * x]
+    return out
+
+
+def _square_counts_work(n: int, m: int) -> int:
+    """Array elements touched by _square_counts(n, m)."""
+    return n + (m - 1) * n * math.isqrt(n - 1)
+
+
+def _norm_key_cuts(x: np.ndarray, strict: bool) -> np.ndarray:
+    """Smallest integer key N with f(N) >= x (> x if strict), elementwise.
+
+    f(N) = float(N) ** 0.25 is the gauge norm exactly as norm_many evaluates
+    it for a lattice point of key N; it is nondecreasing in N.  The start
+    floor(x^4) is corrected in steps of one with the same float expression.
+    """
+    def reached(c):
+        v = c.astype(np.float64) ** 0.25
+        return v > x if strict else v >= x
+
+    c = np.maximum(np.floor(x ** 4), 0.0).astype(np.int64)
+    while (down := (c > 0) & reached(np.maximum(c - 1, 0))).any():
+        c -= down
+    while (up := ~reached(c)).any():
+        c += up
+    return c
+
+
+def _count_keys_below(g: GroupSpec, cuts: np.ndarray) -> np.ndarray:
+    """#{lattice points with |z|^4 + |t|^2 < c} for each integer cut c.
+
+    Sums mult(u) * C_t(c - 1 - u^2) over the values u = |z|^2 that occur,
+    where mult(u) counts the z with |z|^2 = u and C_t(n) the t with
+    |t|^2 <= n: 2 isqrt(n) + 1 when m2 == 1, a prefix table otherwise.
+    """
+    totals = np.zeros(cuts.shape, dtype=np.int64)
+    top = int(cuts.max(initial=0))
+    if top <= 0:
+        return totals
+    mult = _square_counts(math.isqrt(top - 1) + 1, g.m1)
+    u = np.flatnonzero(mult)
+    w, u2 = mult[u], u * u
+    if g.m2 > 1:
+        # C_t(n) = prefix[n + 1], with prefix[0] = 0 standing for n = -1
+        prefix = np.concatenate([[0], np.cumsum(_square_counts(top, g.m2))])
+    step = max(1, (1 << 16) // cuts.size)  # keep the row blocks in cache
+    for a in range(0, u.size, step):
+        n = cuts[None, :] - 1 - u2[a:a + step, None]
+        if g.m2 == 1:
+            inside = n >= 0
+            c = 2 * _isqrt(np.maximum(n, 0)) + inside
+        else:
+            c = prefix[np.maximum(n, -1) + 1]
+        totals += w[a:a + step] @ c
+    return totals
 
 
 def lattice_norm_histogram(g: GroupSpec, r_lo: float, r_hi: float, bins: int = 4096,
                            budget: int = DEFAULT_LATTICE_BUDGET):
     """Histogram of gauge norms of lattice points in [r_lo, r_hi).
 
-    Returns (edges, counts) with logarithmically spaced bin edges.  Used to
-    compress very large shells into weight histograms for partition sums.
+    Returns (edges, counts) with logarithmically spaced bin edges from
+    max(r_lo, 1 - 1e-12) to r_hi; bins are half-open except the last, which
+    is closed, as in np.histogram.  Used to compress very large shells into
+    weight histograms for partition sums.
+
+    The points are counted, not enumerated.  A point's norm and its shell
+    membership depend only on its integer key N = |z|^4 + |t|^2, so each
+    bin edge becomes an integer cut on N, and the number of points below a
+    cut is a sum over the values of |z|^2 (see _count_keys_below).  The
+    counts equal those of binning the points of lattice_shell_array with
+    norm_many and np.histogram.  The budget bounds the work: the number of
+    |z|^2 rows times the number of edges, plus the elements touched while
+    building the square-count tables (of length about r_hi^2 over z and,
+    when m2 > 1, r_hi^4 over t).
     """
     if not g.integer_structure:
         raise UnsupportedError("lattice enumeration requires integral structure matrices")
+    if bins < 1:
+        raise ValidationError("need bins >= 1")
     lo = max(r_lo, 1.0 - 1e-12)  # minimum nonzero lattice norm is >= 1 here
+    if r_hi <= lo:
+        raise ValidationError("the histogram needs r_hi > 1 - 1e-12 "
+                              "(no nonzero lattice norm is smaller)")
+    n_keys = math.ceil(r_hi ** 4)  # H of _key_range, which checks it after the budget
+    rows = math.isqrt(n_keys - 1) + 1
+    cost = rows * (bins + 1) + _square_counts_work(rows, g.m1)
+    if g.m2 > 1:
+        cost += _square_counts_work(n_keys, g.m2)
+    if cost > budget:
+        raise BudgetError(
+            f"lattice histogram would cost ~{cost:.2e} (budget {budget:.2e})",
+            estimate=cost, budget=budget)
+    L, H = _key_range(r_lo, r_hi)
     edges = np.geomspace(lo, r_hi, bins + 1)
-    counts = np.zeros(bins, dtype=np.int64)
-    for Z, T in _lattice_blocks(g, r_lo, r_hi, budget):
-        norms = norm_many(g, Z.astype(float), T.astype(float))
-        h, _ = np.histogram(norms, bins=edges)
-        counts += h
-    return edges, counts
+    cuts = np.concatenate([_norm_key_cuts(edges[:-1], strict=False),
+                           _norm_key_cuts(edges[-1:], strict=True)])
+    return edges, np.diff(_count_keys_below(g, np.clip(cuts, L, H)))
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,41 @@ def test_exit_code_2_json_error(argv, moran4_path):
     assert json.loads(err.decode().splitlines()[-1])["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("text,fragment", [
+    (json.dumps({"spec_version": 1, "group": {"kind": "heis_c", "n": 1},
+                 "edges": []}), "'vertices'"),
+    (json.dumps({**MORAN4, "maps": [{"translate": [0.0, 0.0, 0.0], "scale": "half"}]}),
+     "half"),
+    (json.dumps(MORAN4)[:40], "malformed spec"),
+], ids=["missing-vertices", "scale-not-a-number", "truncated-json"])
+def test_malformed_spec_exits_2(text, fragment, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    rc, out, err = run_cli(["dim", "--spec", str(spec)])
+    assert rc == 2 and out == b""
+    rec = json.loads(err.decode().splitlines()[-1])
+    assert rec["error"] == "ValidationError" and fragment in rec["message"]
+
+
+def test_spec_directory_exits_2(tmp_path):
+    rc, out, err = run_cli(["dim", "--spec", str(tmp_path)])
+    assert rc == 2 and out == b""
+    assert json.loads(err.decode().splitlines()[-1])["error"] == "IsADirectoryError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--radius", "300", "--shells", "8"],
+    ["--group", "heis_c:2", "--radius", "60", "--shells", "8"],
+], ids=["heis1-r300", "heis2-r60"])
+def test_theta_cf_deep(argv):
+    rc, out, err = run_cli(["theta", "--system", "cf"] + argv)
+    assert rc == 0, err.decode()
+    rec = parse(out)
+    half_q = 3.0 if "heis_c:2" in argv else 2.0
+    assert rec["theta_lo"] <= half_q <= rec["theta_hi"]
+    assert rec["shells"] == 8
+
+
 def test_system_moran_is_not_a_choice():
     # moran systems come from --spec files with "kind": "moran"
     rc, out, err = run_cli(["dim", "--system", "moran"])

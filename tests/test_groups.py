@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 import carnotdim as cd
 from carnotdim import groups as G
-from carnotdim.errors import ValidationError
+from carnotdim.errors import BudgetError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +166,106 @@ def test_lattice_histogram_totals(h1):
     Z, _ = cd.lattice_shell_array(h1, 1.0, 8.0)
     assert counts.sum() == Z.shape[0]
     assert edges.shape[0] == counts.shape[0] + 1
+
+
+# Brute force for the lattice tests: every point of the box |z_j| < r_hi,
+# |t_j| < r_hi^2 whose key |z|^4 + |t|^2 lies in [r_lo^4, r_hi^4).
+
+def _box(m, b):
+    axes = np.meshgrid(*([np.arange(-b, b + 1)] * m), indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)
+
+
+def brute_shell(g, r_lo, r_hi):
+    """Shell points in lexicographic (z, t) order, from the full box."""
+    Zs = _box(g.m1, math.ceil(r_hi) - 1)
+    Ts = _box(g.m2, math.ceil(r_hi * r_hi) - 1)
+    z2 = (Zs.astype(float) ** 2).sum(axis=1)
+    key = (z2 * z2)[:, None] + (Ts.astype(float) ** 2).sum(axis=1)[None, :]
+    iz, it = np.nonzero((key >= r_lo ** 4) & (key < r_hi ** 4))
+    return Zs[iz], Ts[it]
+
+
+def brute_histogram(g, r_lo, r_hi, bins):
+    Z, T = brute_shell(g, r_lo, r_hi)
+    edges = np.geomspace(max(r_lo, 1.0 - 1e-12), r_hi, bins + 1)
+    counts, _ = np.histogram(G.norm_many(g, Z.astype(float), T.astype(float)), bins=edges)
+    return edges, counts
+
+
+# (group, largest r_hi the brute force box can afford)
+BRUTE_GROUPS = [(cd.heisenberg(1), 10.0), (cd.heisenberg(2), 6.0),
+                (cd.quaternionic_heisenberg(1), 3.0)]
+BRUTE_IDS = ["heis1", "heis2", "quat1"]
+LATTICE_SETTINGS = settings(max_examples=60, deadline=None,
+                            suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.mark.parametrize("g,r_max", BRUTE_GROUPS, ids=BRUTE_IDS)
+@LATTICE_SETTINGS
+@given(data=st.data(), bins=st.integers(1, 700))
+@example(data=None, bins=64)
+def test_lattice_histogram_matches_brute_force(g, r_max, data, bins):
+    if data is None:  # the edge cases: a unit shell, an empty shell, r_lo = 0
+        cases = [(0.0, float(np.nextafter(1.0, 2.0))), (1.0, float(np.nextafter(1.0, 2.0))),
+                 (1.01, 1.02), (0.0, r_max), (0.5, 2.0),
+                 # key 4 has norm sqrt(2) = r_hi but sqrt(2)**4 > 4: it is in the
+                 # shell and lands in the closed last bin
+                 (1.0, math.sqrt(2.0))]
+    else:
+        r_hi = data.draw(st.floats(1.0, r_max), label="r_hi")
+        r_lo = data.draw(st.one_of(st.just(0.0), st.floats(0.0, r_hi, exclude_max=True)),
+                         label="r_lo")
+        assume(r_lo < r_hi)
+        cases = [(r_lo, r_hi)]
+    for r_lo, r_hi in cases:
+        edges, counts = G.lattice_norm_histogram(g, r_lo, r_hi, bins=bins)
+        want_edges, want_counts = brute_histogram(g, r_lo, r_hi, bins)
+        assert np.array_equal(edges, want_edges)
+        assert counts.dtype == np.int64 and np.array_equal(counts, want_counts), (r_lo, r_hi)
+
+
+def test_lattice_histogram_empty_shell(h1):
+    # no key |z|^4 + |t|^2 lies in [1.01^4, 1.02^4) = [1.04.., 1.08..)
+    edges, counts = G.lattice_norm_histogram(h1, 1.01, 1.02, bins=8)
+    assert edges.shape == (9,) and not counts.any()
+
+
+def test_lattice_histogram_rejects_bad_ranges(h1):
+    for r_lo, r_hi in [(0.0, 0.5), (2.0, 2.0), (-1.0, 3.0)]:
+        with pytest.raises(ValidationError):
+            G.lattice_norm_histogram(h1, r_lo, r_hi, bins=4)
+    with pytest.raises(ValidationError):
+        G.lattice_norm_histogram(h1, 1.0, 3.0, bins=0)
+    # 600 rows of |z|^2 times 4097 edges
+    with pytest.raises(BudgetError):
+        G.lattice_norm_histogram(h1, 1.0, 24.5, bins=4096, budget=1_000_000)
+
+
+@pytest.mark.parametrize("g,r_max", BRUTE_GROUPS, ids=BRUTE_IDS)
+@LATTICE_SETTINGS
+@given(data=st.data())
+def test_lattice_shell_array_matches_brute_force(g, r_max, data):
+    r_hi = data.draw(st.floats(0.01, r_max), label="r_hi")
+    r_lo = data.draw(st.one_of(st.just(0.0), st.floats(0.0, r_hi, exclude_max=True)),
+                     label="r_lo")
+    assume(r_lo < r_hi)
+    Z, T = cd.lattice_shell_array(g, r_lo, r_hi)
+    want_Z, want_T = brute_shell(g, r_lo, r_hi)
+    assert Z.dtype == T.dtype == np.int64
+    assert Z.flags.c_contiguous and T.flags.c_contiguous
+    assert Z.flags.writeable and T.flags.writeable
+    assert np.array_equal(Z, want_Z) and np.array_equal(T, want_T)
+
+
+def test_isqrt_exact_near_squares():
+    # float roots round up to an integer near k = 2^26 and k = sqrt(2^53)
+    k = np.concatenate([np.arange(0, 3000), np.arange(2 ** 26 - 3000, 2 ** 26 + 3000),
+                        np.arange(94_903_000, 94_906_266)])
+    n = np.concatenate([k * k - 1, k * k, k * k + 1])
+    n = n[(n >= 0) & (n < 2 ** 53)]
+    want = np.array([math.isqrt(int(v)) for v in n])
+    assert np.array_equal(G._isqrt(n), want)
 
 
 def test_sampling_shapes_and_support(h1):

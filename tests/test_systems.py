@@ -70,6 +70,23 @@ def test_cf_shell_family_theta(g):
     assert est.lo <= 2.0 <= est.hi
 
 
+def test_cf_shell_family_r60_pinned(g):
+    # counted in closed form; the values are those of enumerating and binning
+    # the 63,939,688 lattice points one by one
+    fam = cd.cf_shell_family(g, 0.5, 60.0, n_shells=8)
+    assert sum(int(c.sum()) for c in fam.counts) == 63_939_688
+    est = cd.theta_estimate(fam)
+    assert (est.lo, est.hi) == (1.9798602337983926, 2.007336301090619)
+
+
+def test_cf_shell_family_theta_heis2():
+    # theta = Q/2 = 3 on Heis^2; the r_max = 60 family has ~3.1e11 points
+    fam = cd.cf_shell_family(cd.heisenberg(2), 0.5, 60.0, n_shells=8)
+    est = cd.theta_estimate(fam)
+    assert est.lo <= 3.0 <= est.hi
+    assert est.hi - est.lo <= 0.4
+
+
 def test_cf_empty_alphabet_rejected(g):
     with pytest.raises(ValidationError):
         cd.build_cf_system(g, cd.CfSystemParams(0.5, 2.9))
