@@ -264,14 +264,7 @@ def cmd_limitset(args):
     elif args.out:
         cloud.to_csv(args.out)
     else:
-        import io
-        buf = io.StringIO()
-        buf.write(",".join(cloud.header()) + "\n")
-        for k in range(len(cloud)):
-            row = [f"{v:.17g}" for v in cloud.Z[k]] + \
-                  [f"{v:.17g}" for v in cloud.T[k]] + [f"{cloud.err[k]:.17g}"]
-            buf.write(",".join(row) + "\n")
-        _sys.stdout.write(buf.getvalue())
+        cloud.write_csv(_sys.stdout)
 
 
 def cmd_compare_dim(args):

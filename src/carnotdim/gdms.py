@@ -282,6 +282,7 @@ class GdmsSpec:
                 raise ValidationError(
                     f"incidence allows {self.edges[a].id!r}->{self.edges[b].id!r} "
                     "but t(a) != i(b)")
+            A.setflags(write=False)  # finite_irreducibility caches its result
             self.incidence = A
         else:
             self.incidence = None  # maximal: admissible iff t(a) == i(b)
@@ -289,6 +290,7 @@ class GdmsSpec:
         self.weights = weights  # optional thermo.WeightTable
         self.cantor_shells = None if cantor_shells is None else np.asarray(cantor_shells)
         self.max_diam = max(v.diameter for v in self.vertices)
+        self._irreducibility = None  # finite_irreducibility() result, once computed
 
         self._validate_geometry()
         if validate == "sampled":
@@ -569,7 +571,8 @@ class GdmsSpec:
 
         Returns ("irreducible", Phi) where Phi is a tuple of words such that
         for all edges i, j some w in Phi makes i w j admissible, or
-        ("reducible", (i, j)) exhibiting an unconnectable edge pair.
+        ("reducible", (i, j)) exhibiting an unconnectable edge pair.  The
+        result is kept on the system (its incidence array is read-only).
         """
         nE = self.n_edges
         if self.is_maximal and len(self.vertices) == 1:
@@ -577,6 +580,12 @@ class GdmsSpec:
         if nE * nE > max_pairs:
             raise BudgetError(f"irreducibility witness over {nE}^2 pairs exceeds budget",
                               estimate=nE * nE, budget=max_pairs)
+        if self._irreducibility is None:
+            self._irreducibility = self._witness_search()
+        return self._irreducibility
+
+    def _witness_search(self):
+        nE = self.n_edges
         succ = [self.successors(a) for a in range(nE)]
         phi = set()
         for i in range(nE):
@@ -652,6 +661,23 @@ def stationary_distribution(P: np.ndarray, iters: int = 100_000,
     return pi / pi.sum()
 
 
+# rows per formatting pass of the text exports; bounds the size of one string
+EXPORT_BLOCK_ROWS = 1 << 16
+
+
+def _write_rows(fh, arr: np.ndarray, sep: str):
+    """Rows of a 2-D array as `%.17g` fields joined by sep, one line each.
+
+    Each block of EXPORT_BLOCK_ROWS rows is formatted by a single `%` over
+    a repeated row template, which gives the same text as formatting every
+    value with f"{v:.17g}".
+    """
+    row = sep.join(["%.17g"] * arr.shape[1]) + "\n"
+    for start in range(0, arr.shape[0], EXPORT_BLOCK_ROWS):
+        block = arr[start:start + EXPORT_BLOCK_ROWS]
+        fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+
+
 @dataclass
 class PointCloud:
     """Limit-set sample: coordinates plus per-point error bounds."""
@@ -669,13 +695,14 @@ class PointCloud:
         return ([f"z{j+1}" for j in range(g.m1)] +
                 [f"t{j+1}" for j in range(g.m2)] + ["err"])
 
+    def write_csv(self, fh):
+        """Header and one `%.17g` row per point (z, t, err) to a text file."""
+        fh.write(",".join(self.header()) + "\n")
+        _write_rows(fh, np.column_stack([self.Z, self.T, self.err]), ",")
+
     def to_csv(self, path):
         with open(path, "w") as fh:
-            fh.write(",".join(self.header()) + "\n")
-            for k in range(len(self)):
-                row = [f"{v:.17g}" for v in self.Z[k]] + \
-                      [f"{v:.17g}" for v in self.T[k]] + [f"{self.err[k]:.17g}"]
-                fh.write(",".join(row) + "\n")
+            self.write_csv(fh)
 
     def to_ply(self, path):
         """ASCII PLY of the first three coordinates."""
@@ -687,5 +714,4 @@ class PointCloud:
             fh.write(f"element vertex {len(self)}\n")
             fh.write("property double x\nproperty double y\nproperty double z\n")
             fh.write("end_header\n")
-            for k in range(len(self)):
-                fh.write(" ".join(f"{v:.17g}" for v in coords[k, :3]) + "\n")
+            _write_rows(fh, coords[:, :3], " ")

@@ -598,24 +598,14 @@ def _count_keys_below(g: GroupSpec, cuts: np.ndarray) -> np.ndarray:
     return totals
 
 
-def lattice_norm_histogram(g: GroupSpec, r_lo: float, r_hi: float, bins: int = 4096,
-                           budget: int = DEFAULT_LATTICE_BUDGET):
-    """Histogram of gauge norms of lattice points in [r_lo, r_hi).
+def check_norm_histogram(g: GroupSpec, r_lo: float, r_hi: float, bins: int,
+                         budget: int) -> float:
+    """Raise what lattice_norm_histogram(g, r_lo, r_hi, bins, budget) raises
+    before it counts anything; return its lowest bin edge.
 
-    Returns (edges, counts) with logarithmically spaced bin edges from
-    max(r_lo, 1 - 1e-12) to r_hi; bins are half-open except the last, which
-    is closed, as in np.histogram.  Used to compress very large shells into
-    weight histograms for partition sums.
-
-    The points are counted, not enumerated.  A point's norm and its shell
-    membership depend only on its integer key N = |z|^4 + |t|^2, so each
-    bin edge becomes an integer cut on N, and the number of points below a
-    cut is a sum over the values of |z|^2 (see _count_keys_below).  The
-    counts equal those of binning the points of lattice_shell_array with
-    norm_many and np.histogram.  The budget bounds the work: the number of
-    |z|^2 rows times the number of edges, plus the elements touched while
-    building the square-count tables (of length about r_hi^2 over z and,
-    when m2 > 1, r_hi^4 over t).
+    The budget bounds the work: the number of |z|^2 rows times the number of
+    edges, plus the elements touched while building the square-count tables
+    (of length about r_hi^2 over z and, when m2 > 1, r_hi^4 over t).
     """
     if not g.integer_structure:
         raise UnsupportedError("lattice enumeration requires integral structure matrices")
@@ -634,6 +624,26 @@ def lattice_norm_histogram(g: GroupSpec, r_lo: float, r_hi: float, bins: int = 4
         raise BudgetError(
             f"lattice histogram would cost ~{cost:.2e} (budget {budget:.2e})",
             estimate=cost, budget=budget)
+    return lo
+
+
+def lattice_norm_histogram(g: GroupSpec, r_lo: float, r_hi: float, bins: int = 4096,
+                           budget: int = DEFAULT_LATTICE_BUDGET):
+    """Histogram of gauge norms of lattice points in [r_lo, r_hi).
+
+    Returns (edges, counts) with logarithmically spaced bin edges from
+    max(r_lo, 1 - 1e-12) to r_hi; bins are half-open except the last, which
+    is closed, as in np.histogram.  Used to compress very large shells into
+    weight histograms for partition sums.
+
+    The points are counted, not enumerated.  A point's norm and its shell
+    membership depend only on its integer key N = |z|^4 + |t|^2, so each
+    bin edge becomes an integer cut on N, and the number of points below a
+    cut is a sum over the values of |z|^2 (see _count_keys_below).  The
+    counts equal those of binning the points of lattice_shell_array with
+    norm_many and np.histogram.  check_norm_histogram states the budget.
+    """
+    lo = check_norm_histogram(g, r_lo, r_hi, bins, budget)
     L, H = _key_range(r_lo, r_hi)
     edges = np.geomspace(lo, r_hi, bins + 1)
     cuts = np.concatenate([_norm_key_cuts(edges[:-1], strict=False),

@@ -118,17 +118,20 @@ def cf_shell_family(g: GroupSpec, epsilon: float, r_max: float,
     norm histogram.  lattice_norm_histogram counts each bin in closed form
     (integer square roots over the values of |z|^2), so no lattice point is
     built: r_max = 60 takes about 0.1 s and r_max = 300 under a second, and
-    `budget` bounds the work of every shell.
+    `budget` bounds the work of every shell; all shells are checked against
+    it before the first is counted.
     """
     params = CfSystemParams(epsilon, r_max)
     if n_shells < 2:
         raise ValidationError("need at least 2 shells")
     radii = np.geomspace(params.delta, r_max, n_shells + 1)
+    radii[-1] = np.nextafter(radii[-1], np.inf)  # the last shell includes r_max
+    for k in range(n_shells):  # every shell within budget before any is counted
+        G.check_norm_histogram(g, radii[k], radii[k + 1], bins, budget)
     log_weights: List[np.ndarray] = []
     counts: List[np.ndarray] = []
     for k in range(n_shells):
-        hi = np.nextafter(radii[k + 1], np.inf) if k == n_shells - 1 else radii[k + 1]
-        edges_k, counts_k = G.lattice_norm_histogram(g, radii[k], hi, bins=bins,
+        edges_k, counts_k = G.lattice_norm_histogram(g, radii[k], radii[k + 1], bins=bins,
                                                      budget=budget)
         keep = counts_k > 0
         if not keep.any():

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .errors import (BudgetError, NonConvergenceError, UnsupportedError,
                      ValidationError)
@@ -25,6 +23,122 @@ BISECTION_TOL = 1e-6
 BISECTION_MAX_ITER = 200
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 100_000
+BRENT_RTOL = 4 * math.ulp(1.0)  # 4 * machine epsilon
+BRENT_MAX_ITER = 100
+
+
+# ---------------------------------------------------------------------------
+# Scalar kernels: log-sum-exp and Brent's root finder
+# ---------------------------------------------------------------------------
+
+def _logsumexp(a, b=None) -> float:
+    """log(sum(b * exp(a))) over all elements of real arrays, without overflow.
+
+    Entries with b == 0 count as -inf; the maximal entries are taken out of
+    the sum (m = their count, or the sum of their b), the rest is summed as
+    s = sum(b * exp(a - a_max)), and the result is log1p(s / m) + log(m) +
+    a_max.  Where that is not finite (all -inf, an inf or NaN entry, a
+    negative total), the direct log(sum(b * exp(a))) is returned instead.
+    These are the steps, in order, of the usual library routine for real
+    float64 input, so results agree with it bit for bit (tests/test_kernels.py),
+    except that an entry with b == 0 adds nothing to the direct sum either,
+    where the library returns NaN if its exp(a) overflows.
+    """
+    a = np.asarray(a, dtype=float).ravel()
+    if b is not None:
+        b = np.broadcast_to(np.asarray(b, dtype=float).ravel(), a.shape)
+    if a.size == 0:
+        return -math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if b is not None:
+            a = np.where(b == 0, -np.inf, a)
+        direct = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a)))
+        a_max = np.max(a)
+        top = a == a_max
+        rest = np.where(top, -np.inf, a)
+        top = top.astype(float)
+        m = np.sum(top if b is None else b * top)
+        terms = np.exp(rest - a_max)
+        s = np.sum(terms if b is None else b * terms)
+        if s != 0:
+            s = s / m
+        negative = np.sign(s + 1) * np.sign(m) < 0
+        if s < -1:
+            s = -s - 2
+        out = np.log1p(s) + np.log(np.abs(m)) + a_max
+    if negative:
+        out = math.nan
+    return float(out) if np.isfinite(out) else float(direct)
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> float:
+    """Root of f in [xa, xb] by Brent's method (inverse quadratic
+    interpolation with bisection safeguards).
+
+    The steps of the classic C brentq (tolerance xtol + BRENT_RTOL * |x|,
+    the same bracket bookkeeping and step rules), line by line, so roots
+    agree bit for bit with that library routine (tests/test_kernels.py).
+    Raises ValidationError when f(xa) and f(xb) have the same sign and
+    NonConvergenceError after BRENT_MAX_ITER steps or when f returns NaN.
+    """
+    if xtol <= 0:
+        raise ValidationError(f"xtol too small ({xtol:g} <= 0)")
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NonConvergenceError(f"root finder: f({x!r}) is NaN")
+        return fx
+
+    def signbit(x: float) -> bool:
+        return math.copysign(1.0, x) < 0
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if signbit(fpre) == signbit(fcur):
+        raise ValidationError("root finder: f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAX_ITER):
+        if fpre != 0 and fcur != 0 and signbit(fpre) != signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # den underflows to 0 only; C's x / 0 is then inf or NaN,
+                # which fails the step test below as inf does
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise NonConvergenceError(f"root finder did not converge in {BRENT_MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +279,7 @@ def log_partition_sum(sys: GdmsSpec, t: float, n: int, side: str = "upper",
     table = ensure_weights(sys)
     lw = t * np.log(table.side(side))
     if sys.is_maximal and len(sys.vertices) == 1:
-        return n * float(logsumexp(lw))
+        return n * _logsumexp(lw)
     nE = sys.n_edges
     if nE * nE * max(n - 1, 1) > 50 * budget:
         raise BudgetError("partition sum transfer-matrix pass exceeds budget",
@@ -266,7 +380,7 @@ def pressure_bracket(sys: GdmsSpec, t: float, n_max: int = 8,
     single_full = sys.is_maximal and len(sys.vertices) == 1
     if table.exact:
         if single_full:
-            p = float(logsumexp(t * np.log(table.w_up)))
+            p = _logsumexp(t * np.log(table.w_up))
         else:
             lam, _ = perron_eigenvalue(transfer_matrix(sys, t, "upper"))
             p = math.log(lam)
@@ -425,8 +539,8 @@ class ShellFamily:
     def log_shell_sum(self, k: int, t: float) -> float:
         lw = t * self.log_weights[k]
         if self.counts is None:
-            return float(logsumexp(lw))
-        return float(logsumexp(lw, b=self.counts[k].astype(float)))
+            return _logsumexp(lw)
+        return _logsumexp(lw, b=self.counts[k].astype(float))
 
 
 @dataclass
@@ -489,7 +603,7 @@ def theta_estimate(family: ShellFamily, t_max: float = 64.0) -> ThetaEstimate:
             hi *= 2.0
             if hi > t_max:
                 raise NonConvergenceError("shell sums do not decay within the t range")
-        root = float(brentq(g, hi / 2 if g(hi / 2) > 0 else 0.0, hi, xtol=1e-10))
+        root = _brentq(g, hi / 2 if g(hi / 2) > 0 else 0.0, hi, xtol=1e-10)
         slope_se = _tail_slope(family, root, n_shells, start)[1]
         dg = (g(root + 1e-4) - g(root - 1e-4)) / 2e-4
         t_se = abs(slope_se / dg) if dg != 0 else slope_se
@@ -669,7 +783,7 @@ def similarity_dimension(weights: Sequence[float], tol: float = 1e-12) -> float:
     logw = np.log(w)
 
     def f(t):
-        return float(logsumexp(t * logw))
+        return _logsumexp(t * logw)
 
     if f(0.0) <= 0:
         return 0.0
@@ -678,7 +792,7 @@ def similarity_dimension(weights: Sequence[float], tol: float = 1e-12) -> float:
         hi *= 2.0
         if hi > 1e6:
             raise NonConvergenceError("Moran equation has no root in range")
-    return float(brentq(f, 0.0, hi, xtol=tol))
+    return _brentq(f, 0.0, hi, xtol=tol)
 
 
 @dataclass

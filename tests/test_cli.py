@@ -257,3 +257,11 @@ def test_error_taxonomy_exit_codes():
     assert errors.PoleError("x", distance=0.0).exit_code == 2
     assert errors.BudgetError("x", estimate=2, budget=1).exit_code == 3
     assert errors.NonConvergenceError("x").exit_code == 4
+
+
+def test_theta_over_budget_shell_exits_3():
+    rc, out, err = run_cli(["theta", "--system", "cf", "--radius", "600", "--shells", "8"])
+    assert rc == 3 and out == b""
+    assert json.loads(err.decode()) == {
+        "error": "BudgetError",
+        "message": "lattice histogram would cost ~4.01e+08 (budget 2.00e+08)"}

@@ -153,3 +153,22 @@ def test_point_cloud_io(tmp_path):
     text = ply.read_text()
     assert text.startswith("ply\nformat ascii 1.0\n")
     assert f"element vertex {len(cloud)}" in text
+
+
+def test_finite_irreducibility_is_computed_once(monkeypatch):
+    sys_ = fib2_system()
+    first = sys_.finite_irreducibility()
+    calls = []
+    monkeypatch.setattr(cd.GdmsSpec, "_witness_search",
+                        lambda self: calls.append(1) or ("reducible", ()))
+    assert sys_.finite_irreducibility() is first
+    for t in (0.3, 0.9):
+        assert cd.pressure_bracket(sys_, t).irreducible
+    assert calls == []
+    assert fib2_system().finite_irreducibility() == ("reducible", ())  # a new system searches
+    # the cached result cannot go stale: the incidence is read-only
+    with pytest.raises(ValueError):
+        sys_.incidence[0, 0] = False
+    # the budget still applies to a cached result
+    with pytest.raises(BudgetError):
+        sys_.finite_irreducibility(max_pairs=3)

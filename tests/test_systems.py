@@ -288,3 +288,12 @@ def test_power_law_weights_stream():
     assert all(0 < x < 1 for x in w)
     with pytest.raises(ValidationError):
         next(cd.power_law_weights(0.5, -1.0))
+
+
+def test_cf_shell_family_checks_every_shell_before_counting(g, monkeypatch):
+    """An over-budget last shell fails before any shell is counted."""
+    def no_counting(*args):
+        raise AssertionError("a shell was counted")
+    monkeypatch.setattr(G, "_count_keys_below", no_counting)
+    with pytest.raises(cd.BudgetError, match=r"would cost ~4\.01e\+08 \(budget 2\.00e\+08\)"):
+        systems.cf_shell_family(g, 0.5, 600.0, n_shells=8)
