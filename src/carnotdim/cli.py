@@ -121,9 +121,7 @@ def system_from_json(obj) -> GdmsSpec:
                 w = obj["weights"]
                 weights = WeightTable(np.asarray(w["w_lo"], float),
                                       np.asarray(w["w_up"], float),
-                                      distortion=float(w.get("distortion", 1.0)),
-                                      lower_is_inf=bool(w.get("lower_is_inf", False)),
-                                      exact=bool(w.get("exact", False)))
+                                      distortion=float(w.get("distortion", 1.0)))
             contraction = obj.get("contraction")
             if contraction is not None:
                 contraction = float(contraction)
@@ -203,7 +201,7 @@ def cmd_pressure(args):
     if args.t_grid:
         rows = []
         for t in _grid(args.t_grid):
-            pb = pressure_bracket(sys, t, n_max=args.n_max, budget=args.budget)
+            pb = pressure_bracket(sys, t)
             rows.append((t, pb.lower, pb.upper))
         if args.format == "json":
             payload = {"grid": [{"t": t, "P_lo": lo, "P_hi": hi} for t, lo, hi in rows],
@@ -214,14 +212,14 @@ def cmd_pressure(args):
             lines += [f"{t:.17g},{lo:.17g},{hi:.17g}" for t, lo, hi in rows]
             _emit(args, "\n".join(lines) + "\n")
         return
-    pb = pressure_bracket(sys, args.t, n_max=args.n_max, budget=args.budget)
+    pb = pressure_bracket(sys, args.t)
     _emit(args, _record(args, "pressure", {**pb.to_json(),
                                            "distortion": pb.distortion}))
 
 
 def cmd_dim(args):
     sys = load_system(args)
-    db = bowen_dim(sys, tol=args.tol, n_max=args.n_max, budget=args.budget)
+    db = bowen_dim(sys, tol=args.tol)
     payload = {**db.to_json(), "distortion": ensure_weights(sys).distortion,
                "edges": sys.n_edges}
     _emit(args, _record(args, "dim", payload))
@@ -338,13 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, system=True)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--t-grid", dest="t_grid", default=None, help="lo:hi:step")
-    p.add_argument("--n-max", dest="n_max", type=int, default=8)
     p.set_defaults(func=cmd_pressure)
 
     p = sub.add_parser("dim", help="Bowen parameter bracket")
     _add_common(p, system=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--n-max", dest="n_max", type=int, default=8)
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("theta", help="finiteness threshold from shell sums")

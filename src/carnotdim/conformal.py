@@ -288,16 +288,21 @@ class ConformalChain:
             for prim in self.primitives:
                 r *= prim.scale()
             return r
-        # ||DF(p)|| = r_f / d(p, pole)^2, so probe at unit distance from the
-        # pole.  Inversions that cancel (J o dilate(r) o J = dilate(1/r)) leave
-        # a similarity with ||DF|| = r_f everywhere: probe near the origin.
+        # r_f = ||DF(p)|| d(p, pole)^2 at every p off the pole, and inversions
+        # that cancel (J o dilate(r) o J = dilate(1/r)) leave a similarity with
+        # ||DF|| = r_f everywhere.  Probe the unit points +-e_j, farthest from
+        # the pole first: F cancels catastrophically near a far-away pole.
         g = self.group
-        base = self.pole if self.pole is not None else origin(g)
+        probes = []
         for j in range(g.m1):
-            e = np.zeros(g.m1); e[j] = 1.0
-            probe = G.group_mul(g, base, GPoint(e, np.zeros(g.m2)))
+            for sign in (1.0, -1.0):
+                e = np.zeros(g.m1); e[j] = sign
+                probes.append(GPoint(e, np.zeros(g.m2)))
+        dist2 = [1.0 if self.pole is None else G.gauge_dist(g, p, self.pole) ** 2
+                 for p in probes]
+        for k in sorted(range(len(probes)), key=lambda k: -dist2[k]):
             try:
-                val = self.deriv_norm_at(probe)
+                val = self.deriv_norm_at(probes[k]) * dist2[k]
             except PoleError:
                 continue
             if np.isfinite(val) and val > 0:
@@ -347,41 +352,21 @@ class ConformalChain:
             raise PoleError("forward orbit hits a pole")
         return acc
 
-    def deriv_norm_sup(self, center: GPoint, radius: float,
-                       mode: str = "bracketed", k: int = 1024,
-                       seed: int = 0, distortion: float = 1.0):
-        """Bounds (lower, upper) for sup ||DF|| over the gauge ball B(center, radius).
-
-        bracketed: exact two-sided bounds r_f / (d(a, center) +- radius)^2
-        from the pole a (r_f itself for similarities).  sampled: max over k
-        seeded ball points, upper = max * distortion.
-        """
+    def deriv_norm_sup(self, center: GPoint, radius: float):
+        """Bounds (lower, upper) for sup ||DF|| over the gauge ball B(center, radius):
+        r_f / (d(a, center) +- radius)^2 from the pole a (r_f itself for
+        similarities)."""
         G._check_point(self.group, center, "center")
         if radius <= 0:
             raise ValidationError("radius must be positive")
-        if mode == "bracketed":
-            if self.is_similarity:
-                return (self.r_f, self.r_f)
-            d = G.gauge_dist(self.group, self.pole, center)
-            if d <= radius:
-                raise PoleError("pole inside the ball", distance=d)
-            lower = self.r_f / (d + radius) ** 2
-            upper = self.r_f / max(d - radius, EPS_FLOOR) ** 2
-            return (lower, upper)
-        elif mode == "sampled":
-            if self.pole is not None:
-                d = G.gauge_dist(self.group, self.pole, center)
-                if d <= radius:
-                    raise PoleError("pole inside the ball", distance=d)
-            rng = np.random.default_rng(seed)
-            Z, T = G.sample_ball(self.group, center, radius, k, rng)
-            Zs = np.concatenate([Z, center.z[None, :]], axis=0)
-            Ts = np.concatenate([T, center.t[None, :]], axis=0)
-            vals = self.deriv_norm_many(Zs, Ts)
-            vals = vals[np.isfinite(vals)]
-            found = float(vals.max())
-            return (found, found * distortion)
-        raise ValidationError(f"unknown deriv_norm_sup mode {mode!r}")
+        if self.is_similarity:
+            return (self.r_f, self.r_f)
+        d = G.gauge_dist(self.group, self.pole, center)
+        if d <= radius:
+            raise PoleError("pole inside the ball", distance=d)
+        lower = self.r_f / (d + radius) ** 2
+        upper = self.r_f / max(d - radius, EPS_FLOOR) ** 2
+        return (lower, upper)
 
     # -- algebra -----------------------------------------------------------
 

@@ -10,7 +10,7 @@ Edges live in an EdgeTable, one struct of arrays: each map is a row of
 primitive parameters under a template (its tuple of primitive types) plus
 its normal form (a pole a with ||D phi(p)|| = r_f / d(p, a)^2, or a
 similarity of ratio r_f).  ConformalChain objects are built only where a
-chain is needed (word maps, coding points, limit-set export).
+chain is needed (word maps and coding points).
 """
 
 from __future__ import annotations
@@ -500,17 +500,17 @@ class GdmsSpec:
             centers_T = np.stack([v.center.t for v in self.vertices])
             # level-k block for edge a = {phi_w(center) : w in E_A^k, w_1 = a}
             blocks = []
-            for a, e in enumerate(self.edges):
+            for a in range(self.n_edges):
                 d = self.dst_idx[a]
-                blocks.append(e.chain.apply_many(centers_Z[d][None, :],
-                                                 centers_T[d][None, :]))
+                blocks.append(self._apply_edge(a, centers_Z[d][None, :],
+                                               centers_T[d][None, :]))
             for _ in range(depth - 1):
                 new_blocks = []
                 for a in range(self.n_edges):
                     succ = self.successors(a)
                     Zs = np.concatenate([blocks[b][0] for b in succ], axis=0)
                     Ts = np.concatenate([blocks[b][1] for b in succ], axis=0)
-                    new_blocks.append(self.edges[a].chain.apply_many(Zs, Ts))
+                    new_blocks.append(self._apply_edge(a, Zs, Ts))
                 blocks = new_blocks
             Z = np.concatenate([blk[0] for blk in blocks], axis=0)
             T = np.concatenate([blk[1] for blk in blocks], axis=0)
@@ -526,10 +526,15 @@ class GdmsSpec:
                 col = words[:, j]
                 for a in np.unique(col):
                     mask = col == a
-                    Za, Ta = self.edges[int(a)].chain.apply_many(Z[mask], T[mask])
+                    Za, Ta = self._apply_edge(a, Z[mask], T[mask])
                     Z[mask] = Za; T[mask] = Ta
             return PointCloud(g, Z, T, np.full(Z.shape[0], bound))
         raise ValidationError(f"unknown limit-set mode {mode!r}")
+
+    def _apply_edge(self, a: int, Z, T):
+        """phi_a at the points (Z, T) from the edge table's row; no pole checks."""
+        FZ, FT = self.table.apply([a], Z, T)
+        return FZ[0], FT[0]
 
     def _sample_words(self, depth: int, samples: int, rng: np.random.Generator,
                       markov: Optional[np.ndarray]) -> np.ndarray:

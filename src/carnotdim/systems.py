@@ -12,9 +12,11 @@ Each builder fills the system's EdgeTable in closed form, one array
 operation for the whole alphabet: continued fractions have pole gamma^{-1}
 and r_f = 1, Cantor maps have pole o and r_f = r, similarities have no pole
 and r_f = the product of their dilations.  CF and self-similar systems get
-their WeightTable as a constructor field; shell-mode Cantor systems carry
-the shell number of each edge (`cantor_shells`); infinite-alphabet families
-have a ShellFamily for theta estimation.
+their WeightTable (closed-form pointwise brackets, distortion 1) as a
+constructor field, Cantor systems the same brackets on first use;
+shell-mode Cantor systems carry the shell number of each edge
+(`cantor_shells`); infinite-alphabet families have a ShellFamily for theta
+estimation.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import groups as G
 from .groups import DEFAULT_LATTICE_BUDGET, GPoint, GroupSpec
 from .conformal import Dilate, Invert, Rotate, Translate
 from .gdms import EdgeTable, GdmsSpec, VertexSet
-from .thermo import ShellFamily, WeightTable, edge_weight_bounds, estimate_distortion
+from .thermo import ShellFamily, WeightTable
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +90,12 @@ def build_cf_system(g: GroupSpec, params: CfSystemParams,
     """Maximal IFS of maps (inversion o translation-by-gamma) on B(o, 1/2).
 
     Edge g<coords of gamma> has pole gamma^{-1} at distance ||gamma|| >= 5/2
-    from the center and r_f = 1, so sup-norm brackets are exact:
-    w_lo = (||gamma|| + 1/2)^-2, w_up = (||gamma|| - 1/2)^-2.  Containment
-    in the domain ball holds exactly (images lie within 1/(2 + epsilon) of
-    the center), so no sampled validation is needed.
+    from the center and r_f = 1, so ||D phi(p)|| lies in
+    [w_lo, w_up] = [(||gamma|| + 1/2)^-2, (||gamma|| - 1/2)^-2] at every p of
+    the domain (distortion 1).  Containment in the domain ball holds exactly
+    (images lie within 1/(2 + epsilon) of the center), so no sampled
+    validation is needed.  `distortion_seed` is ignored; it is kept so that
+    existing callers still run.
     """
     Z, T, norms = cf_alphabet(g, params, budget)
     n = Z.shape[0]
@@ -99,13 +103,9 @@ def build_cf_system(g: GroupSpec, params: CfSystemParams,
     coords = np.concatenate([Z, T], axis=1)
     table = EdgeTable(g, _edge_ids("g", coords), "X", "X", [(Invert, Translate)], 0,
                       coords, -Z, -T, True, np.ones(n))
-    contraction = float(1.0 / (norms.min() - 0.5) ** 2)
-    sys = GdmsSpec(g, [vertex], table, contraction=contraction, validate="none")
-    w_lo, w_up = edge_weight_bounds(sys)
-    distortion = estimate_distortion(sys, w_up, seed=distortion_seed)
-    weights = WeightTable(w_lo, w_up, distortion=distortion, lower_is_inf=True, exact=False)
-    return GdmsSpec(g, [vertex], table, contraction=contraction, weights=weights,
-                    validate="none")
+    weights = WeightTable(1.0 / (norms + 0.5) ** 2, 1.0 / (norms - 0.5) ** 2)
+    return GdmsSpec(g, [vertex], table, contraction=float(weights.w_up.max()),
+                    weights=weights, validate="none")
 
 
 def cf_shell_family(g: GroupSpec, epsilon: float, r_max: float,
@@ -420,8 +420,7 @@ def build_self_similar(g: GroupSpec, maps: Sequence[Tuple],
         np.zeros((n, g.m1)), np.zeros((n, g.m2)), False, scales)
     return GdmsSpec(g, [vertex], table, incidence=incidence,
                     contraction=float(scales.max()), validate="none",
-                    weights=WeightTable(scales.copy(), scales.copy(), distortion=1.0,
-                                        lower_is_inf=True, exact=True))
+                    weights=WeightTable(scales.copy(), scales.copy()))
 
 
 def similarity_shell_family(scales_by_shell: Sequence[Sequence[float]],

@@ -2,8 +2,9 @@
 transfer-operator eigenmeasures, Gibbs checks, and invariant-measure dimension.
 
 All weight-based quantities work on two-sided per-edge bounds
-w_lo(e) <= ||D phi_e||_inf <= w_up(e) plus an empirical distortion constant
-K >= 1, and report brackets, never bare point estimates.  Large sums are
+w_lo(e) <= ||D phi_e|| <= w_up(e) (closed forms that hold at every point of
+the domain, so K = 1, unless a given table declares a distortion constant
+K > 1), and report brackets, never bare point estimates.  Large sums are
 evaluated in the log domain.
 """
 
@@ -147,19 +148,20 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> f
 
 @dataclass
 class WeightTable:
-    """Per-edge two-sided bounds on the sup derivative norms.
+    """Per-edge bounds w_lo(e) <= ||D phi_e|| <= w_up(e) and a distortion
+    constant K >= 1.
 
-    lower_is_inf marks tables whose w_lo also lower-bounds the *infimum* of
-    the pointwise norm over the domain (true for the closed-form pole
-    brackets and for exact similarity weights); such tables admit a slightly
-    tighter pressure lower bound.
+    The closed-form tables of compute_weight_table bound ||D phi_e(p)|| at
+    every point p of the domain, so by the chain rule the products along a
+    word bound ||D phi_w(p)|| at every point too, and K = 1.  K > 1 comes
+    only from a given table (a spec's `weights`) whose w_lo bounds just the
+    sup norm ||D phi_e||_inf: then the lower pressure bound is discounted
+    by t log K.  A table is exact when w_lo == w_up and K == 1.
     """
 
     w_lo: np.ndarray
     w_up: np.ndarray
     distortion: float = 1.0
-    lower_is_inf: bool = False
-    exact: bool = False
 
     def __post_init__(self):
         self.w_lo = np.asarray(self.w_lo, float)
@@ -170,6 +172,10 @@ class WeightTable:
             raise ValidationError("need w_lo <= w_up")
         if self.distortion < 1.0:
             raise ValidationError("distortion constant must be >= 1")
+
+    @property
+    def exact(self) -> bool:
+        return bool(np.array_equal(self.w_lo, self.w_up) and self.distortion == 1.0)
 
     @property
     def w_mid(self) -> np.ndarray:
@@ -186,12 +192,13 @@ class WeightTable:
 
 
 def edge_weight_bounds(sys: GdmsSpec):
-    """Per-edge (w_lo, w_up) bounds on ||D phi_e|| over its domain vertex set.
+    """Per-edge (w_lo, w_up) bounds on ||D phi_e(p)|| at every p of its domain
+    vertex set.
 
     Similarities have the exact weight r_f.  A map with pole a has
     ||D phi_e(p)|| = r_f / d(p, a)^2, so over the ball B(c, R) minus the open
-    ball of radius R_in, w_lo = r_f / (d(c, a) + R)^2 also bounds the
-    infimum and w_up = r_f / max(d(c, a) - R, R_in - d(c, a))^2.
+    ball of radius R_in, w_lo = r_f / (d(c, a) + R)^2 and
+    w_up = r_f / max(d(c, a) - R, R_in - d(c, a))^2.
     """
     table = sys.table
     cz, ct, R, inner = sys.vertex_arrays()
@@ -208,60 +215,16 @@ def edge_weight_bounds(sys: GdmsSpec):
     return w_lo, w_up
 
 
-def estimate_distortion(sys: GdmsSpec, w_up: np.ndarray, depth: int = 4,
-                        seed: int = 0, n_edges: int = 32, n_words: int = 64,
-                        n_points: int = 24) -> float:
-    """Empirical bounded-distortion constant.
-
-    Max sampled ratio of pointwise derivative norms over composed words of
-    length <= depth, times a 1.1 safety factor.  The word sample is drawn
-    from the largest-weight edges so the estimate is stable under alphabet
-    truncation (growing the alphabet only appends smaller-weight edges).
-    """
-    rng = np.random.default_rng(seed)
-    order = np.argsort(-w_up, kind="stable")[:n_edges]
-    chosen = sorted(int(x) for x in order)
-    succ = {a: [b for b in chosen if sys.admissible_pair(a, b)] for a in chosen}
-    ratio_max = 1.0
-    point_cache = {}
-    words: List[Word] = [(a,) for a in chosen]
-    for _ in range(n_words):
-        a = chosen[int(rng.integers(len(chosen)))]
-        word = [a]
-        for _ in range(int(rng.integers(1, depth))):
-            nxt = succ[word[-1]]
-            if not nxt:
-                break
-            word.append(nxt[int(rng.integers(len(nxt)))])
-        words.append(tuple(word))
-    for word in words:
-        v = sys.vertices[sys.dst_idx[word[-1]]]
-        if v.id not in point_cache:
-            point_cache[v.id] = v.sample(sys.group, n_points,
-                                         np.random.default_rng(seed + 1))
-        Z, T = point_cache[v.id]
-        chain = sys.word_map(word)
-        vals = chain.deriv_norm_many(Z, T)
-        vals = vals[np.isfinite(vals) & (vals > 0)]
-        if vals.size >= 2:
-            ratio_max = max(ratio_max, float(vals.max() / vals.min()))
-    return ratio_max * 1.1
+def compute_weight_table(sys: GdmsSpec) -> WeightTable:
+    """Closed-form pointwise weight brackets; no distortion constant (K = 1)."""
+    return WeightTable(*edge_weight_bounds(sys))
 
 
-def compute_weight_table(sys: GdmsSpec, seed: int = 0) -> WeightTable:
-    """Closed-form weight brackets; the distortion constant is estimated
-    (seeded) unless every edge is a similarity."""
-    w_lo, w_up = edge_weight_bounds(sys)
-    exact = not sys.table.has_pole.any()
-    distortion = 1.0 if exact else estimate_distortion(sys, w_up, seed=seed)
-    return WeightTable(w_lo, w_up, distortion=distortion, lower_is_inf=True, exact=exact)
-
-
-def ensure_weights(sys: GdmsSpec, seed: int = 0) -> WeightTable:
+def ensure_weights(sys: GdmsSpec) -> WeightTable:
     """The system's weight table, computed and kept on first use when the
     system was built without one."""
     if sys.weights is None:
-        sys.weights = compute_weight_table(sys, seed)
+        sys.weights = compute_weight_table(sys)
     return sys.weights
 
 
@@ -349,10 +312,8 @@ class PressureBracket:
     t: float
     lower: float
     upper: float
-    depth: int
     method: str
     distortion: float = 1.0
-    irreducible: bool = True
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-12:
@@ -360,51 +321,38 @@ class PressureBracket:
 
     def to_json(self):
         return {"t": self.t, "P_lo": self.lower, "P_hi": self.upper,
-                "depth": self.depth, "method": self.method,
-                "distortion": self.distortion}
+                "method": self.method, "distortion": self.distortion}
 
 
-def pressure_bracket(sys: GdmsSpec, t: float, n_max: int = 8,
-                     budget: int = DEFAULT_WORD_BUDGET) -> PressureBracket:
+def _log_spectral_radius(sys: GdmsSpec, t: float, side: str) -> float:
+    """log rho of the transfer matrix A * w_side^t: log sum w^t when every
+    pair of edges is admissible (single-vertex maximal system), else the log
+    of its Perron eigenvalue."""
+    if sys.is_maximal and len(sys.vertices) == 1:
+        return _logsumexp(t * np.log(ensure_weights(sys).side(side)))
+    lam, _ = perron_eigenvalue(transfer_matrix(sys, t, side))
+    return math.log(lam)
+
+
+def pressure_bracket(sys: GdmsSpec, t: float) -> PressureBracket:
     """Two-sided bounds on the topological pressure P(t).
 
-    Similarity systems are exact (log of the weighted Perron eigenvalue).
-    Single-vertex maximal systems use sub/superadditivity of the partition
-    sums; systems with a genuine incidence structure use spectral bounds
-    log lam(M_lo) - t log K <= P(t) <= log lam(M_up).
+    log rho(w_lo^t) - t log K <= P(t) <= log rho(w_up^t), with rho the
+    spectral radius of the weighted transfer matrix: the products of the
+    per-edge bounds bound ||D phi_w|| along every admissible word, and the
+    partition sums over words of length n grow like rho^n.  `method` names
+    the path: "exact" (exact table, one rho), "subadditive" (single-vertex
+    maximal system, rho = sum w^t) or "spectral" (Perron eigenvalues).
     """
     if t < 0:
         raise ValidationError("t must be >= 0")
     table = ensure_weights(sys)
-    K = table.distortion
-    single_full = sys.is_maximal and len(sys.vertices) == 1
+    upper = _log_spectral_radius(sys, t, "upper")
     if table.exact:
-        if single_full:
-            p = _logsumexp(t * np.log(table.w_up))
-        else:
-            lam, _ = perron_eigenvalue(transfer_matrix(sys, t, "upper"))
-            p = math.log(lam)
-        return PressureBracket(t, p, p, 1, "exact", 1.0)
-    if single_full:
-        upper = min(log_partition_sum(sys, t, n, "upper", budget) / n
-                    for n in range(1, n_max + 1))
-        if table.lower_is_inf:
-            lower = max((log_partition_sum(sys, t, n, "lower", budget)
-                         - t * math.log(K)) / n for n in range(1, n_max + 1))
-        else:
-            # sampled lower weights only bound the sup norm, so the product
-            # over a word can overshoot; discount by K per letter.
-            lower = max(log_partition_sum(sys, t, n, "lower", budget) / n
-                        for n in range(1, n_max + 1)) - t * math.log(K)
-        return PressureBracket(t, min(lower, upper), upper, n_max,
-                               "subadditive", K)
-    lam_up, _ = perron_eigenvalue(transfer_matrix(sys, t, "upper"))
-    lam_lo, _ = perron_eigenvalue(transfer_matrix(sys, t, "lower"))
-    lower = math.log(lam_lo) - t * math.log(K)
-    upper = math.log(lam_up)
-    kind, _ = sys.finite_irreducibility()
-    return PressureBracket(t, min(lower, upper), upper, 1, "spectral", K,
-                           irreducible=(kind == "irreducible"))
+        return PressureBracket(t, upper, upper, "exact")
+    lower = _log_spectral_radius(sys, t, "lower") - t * math.log(table.distortion)
+    method = "subadditive" if sys.is_maximal and len(sys.vertices) == 1 else "spectral"
+    return PressureBracket(t, min(lower, upper), upper, method, table.distortion)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +401,7 @@ def _bisect_root(f: Callable[[float], float], lo: float, hi: float, tol: float):
     return a, b, iters
 
 
-def bowen_dim(sys: GdmsSpec, tol: float = BISECTION_TOL, n_max: int = 8,
-              budget: int = DEFAULT_WORD_BUDGET) -> DimBracket:
+def bowen_dim(sys: GdmsSpec, tol: float = BISECTION_TOL) -> DimBracket:
     """Bracket [h_lo, h_hi] for the Bowen parameter inf{t : P(t) <= 0}.
 
     Certified by the final pressure evaluations: P_lower(h_lo) >= 0 and
@@ -465,7 +412,7 @@ def bowen_dim(sys: GdmsSpec, tol: float = BISECTION_TOL, n_max: int = 8,
 
     def press(t: float) -> PressureBracket:
         if t not in cache:
-            cache[t] = pressure_bracket(sys, t, n_max, budget)
+            cache[t] = pressure_bracket(sys, t)
         return cache[t]
 
     f_up = lambda t: press(t).upper
@@ -815,7 +762,9 @@ def subsystem_with_dimension(weight_gen, t_target: float, tol: float = 1e-4,
     "dimension < t_target after adding w" is exactly f_S(t_target) + w^t < 1
     and "dimension >= t_target - tol" is f_S(t_target - tol) >= 1, so the
     scan is O(1) per candidate.  Exact dimensions (scalar Moran roots) are
-    evaluated only for the trace and the final bracket.
+    evaluated only for the trace (after each of the first trace_points
+    accepted edges, then at power-of-two counts, so the whole run stays
+    O(n log n)) and the final bracket.
     """
     if t_target <= 0:
         raise ValidationError("target dimension must be positive")
@@ -837,7 +786,8 @@ def subsystem_with_dimension(weight_gen, t_target: float, tol: float = 1e-4,
             weights.append(w)
             s_target += w ** t_target
             s_stop += w ** t_stop
-            if len(chosen) <= trace_points or len(chosen) % 64 == 0:
+            n = len(chosen)
+            if n <= trace_points or n & (n - 1) == 0:  # then at powers of two
                 trace.append((idx, similarity_dimension(weights)))
             if s_stop >= 1.0:
                 reached = True

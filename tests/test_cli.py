@@ -23,6 +23,19 @@ def test_pressure_json(moran4_path):
     assert b"wallclock" in err and b"wallclock" not in out
 
 
+def test_spec_cannot_declare_a_loose_table_exact(tmp_path):
+    """A table is exact only when w_lo == w_up (and K == 1); a spec's "exact"
+    key is not read, so loose weights get a two-sided bracket."""
+    spec = dict(GDMS2, weights={"w_lo": [0.4, 0.4], "w_up": [0.5, 0.5], "exact": True})
+    rc, out, err = run_cli(["pressure", "--spec", write_spec(tmp_path, "w.json", spec),
+                            "--t", "1.0"])
+    assert rc == 0, err
+    rec = parse(out)
+    assert rec["method"] == "subadditive"
+    assert rec["P_lo"] == pytest.approx(math.log(0.8), rel=1e-12)
+    assert rec["P_hi"] == pytest.approx(0.0, abs=1e-15)
+
+
 def test_pressure_grid_csv(moran4_path):
     rc, out, _ = run_cli(["pressure", "--spec", moran4_path,
                           "--t-grid", "0.0:2.0:0.5", "--format", "csv"])

@@ -91,14 +91,18 @@ def test_deriv_norm_sup_bracket_example(g):
     assert np.isclose(hi, 1.0 / 16.0)
 
 
-def test_deriv_norm_sup_sampled_within_bracket(g):
-    J = cd.ConformalChain(g, [cd.Invert(),
-                              cd.Translate(cd.gpoint([3.0, 0.0], [0.0]))])
-    center = cd.origin(g)
-    lo, hi = J.deriv_norm_sup(center, 0.5)
-    s_lo, s_hi = J.deriv_norm_sup(center, 0.5, mode="sampled", k=2000, seed=0)
-    assert lo <= s_hi <= hi * (1 + 1e-9)
-    assert s_lo >= lo * (1 - 1e-9)
+@pytest.mark.parametrize("t0", [1e-3, 1e-40, 1e-80, 1.893e-143])
+def test_r_f_of_nearly_cancelling_inversions(g, t0):
+    """J o tau_(0,0,t0) o J has its pole at (0; 1/t0) and r_f = 1/t0; next to
+    that far pole the map cancels catastrophically, so r_f must be found
+    from probes near the origin."""
+    c = cd.ConformalChain(g, [cd.Invert(), cd.Translate(cd.gpoint([0.0, 0.0], [t0])),
+                              cd.Invert()])
+    assert c.pole.t[0] * t0 == pytest.approx(1.0, rel=1e-12)
+    assert c.r_f * t0 == pytest.approx(1.0, rel=1e-12)
+    p = cd.gpoint([0.3, -0.2], [0.1])
+    assert c.deriv_norm_at(p) == pytest.approx(
+        c.r_f / cd.gauge_dist(g, p, c.pole) ** 2, rel=1e-12)
 
 
 def test_rotate_validation(g):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import carnotdim as cd
@@ -98,6 +98,10 @@ def well_conditioned(chain, Z, T):
 @SETTINGS
 @given(chains=st.lists(spec_chain(), min_size=1, max_size=4),
        probe=st.lists(point, min_size=4, max_size=4))
+@example(chains=[[cd.Invert(), cd.Translate(cd.gpoint([0.0, 0.0], [1.893e-143])),
+                  cd.Invert()]],
+         probe=[cd.gpoint([1.0, 0.0], [0.0]), cd.gpoint([0.0, -1.0], [0.5]),
+                cd.gpoint([0.5, 0.5], [-0.5]), cd.gpoint([-1.5, 0.2], [1.0])])
 def test_spec_chain_rows_and_normal_form(chains, probe):
     edges = [cd.EdgeMap(id=f"e{k}", src="X", dst="X", chain=cd.ConformalChain(G1, p))
              for k, p in enumerate(chains)]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -136,17 +137,47 @@ def test_sphere_packing_validation(g):
 # Cantor systems
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("R, h_lo, h_hi", [
+def lower_moran_root(w_lo):
+    """Root of sum w_lo^t = 1 by bisection in 40-digit arithmetic."""
+    w, counts = np.unique(w_lo, return_counts=True)
+    with mpmath.workdps(40):
+        terms = [(mpmath.log(mpmath.mpf(float(x))), int(c)) for x, c in zip(w, counts)]
+        lo, hi = mpmath.mpf(0), mpmath.mpf(4)
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            if mpmath.fsum(c * mpmath.exp(mid * lx) for lx, c in terms) >= 1:
+                lo = mid
+            else:
+                hi = mid
+        return float(lo)
+
+
+def assert_lower_root(db, weights):
+    """Without a distortion constant, P_lo(t) = log sum w_lo^t exactly, so h_lo
+    is the Moran root of w_lo up to the bisection tolerance."""
+    assert weights.distortion == 1.0
+    root = lower_moran_root(weights.w_lo)
+    assert db.h_lo <= root < db.h_lo + db.tol
+
+
+# h_lo pins of the closed-form brackets.  The parametrize tuples keep the
+# former h_lo, whose lower pressure bound was discounted by a sampled
+# distortion constant (K = 1.857 here); the new h_lo may only be larger.
+CF_H_LO = {4.0: 2.4443359375, 5.0: 2.62353515625, 6.0: 2.70556640625}
+
+
+@pytest.mark.parametrize("R, h_lo_sampled_k, h_hi", [
     (4.0, 2.376953125, 3.13427734375),
     (5.0, 2.5556640625, 3.25830078125),
     (6.0, 2.63818359375, 3.29931640625),
 ])
-def test_cf_dimension_brackets_pinned(g, R, h_lo, h_hi):
+def test_cf_dimension_brackets_pinned(g, R, h_lo_sampled_k, h_hi):
     """Brackets of the per-letter chain construction, reproduced by the rows."""
     sys_ = cd.build_cf_system(g, cd.CfSystemParams(0.5, R), distortion_seed=7)
     db = cd.bowen_dim(sys_, tol=1e-3)
-    assert (db.h_lo, db.h_hi) == (h_lo, h_hi)
-    assert sys_.weights.distortion == pytest.approx(1.856972762235335, rel=1e-12)
+    assert (db.h_lo, db.h_hi) == (CF_H_LO[R], h_hi)
+    assert db.h_lo >= h_lo_sampled_k
+    assert_lower_root(db, sys_.weights)
 
 
 def test_cantor_dimension_bracket_pinned(g):
@@ -154,7 +185,9 @@ def test_cantor_dimension_bracket_pinned(g):
     sys_ = cd.build_cantor_system(g, params, seed=0)
     assert np.bincount(sys_.cantor_shells).tolist() == [0, 14, 118, 417]
     db = cd.bowen_dim(sys_, tol=1e-3)
-    assert (db.h_lo, db.h_hi) == (1.2705078125, 1.638671875)
+    assert (db.h_lo, db.h_hi) == (1.3046875, 1.638671875)
+    assert db.h_lo >= 1.2705078125  # h_lo with the former sampled distortion constant
+    assert_lower_root(db, sys_.weights)
     assert sys_.contraction == pytest.approx(0.045897858727804636, rel=1e-12)
 
 

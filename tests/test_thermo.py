@@ -1,11 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import carnotdim as cd
 from carnotdim import thermo
-from carnotdim.errors import ValidationError
+from carnotdim.errors import BudgetError, ValidationError
 
 from conftest import fib2_system, moran_system
 
@@ -27,6 +30,43 @@ def test_exact_weights_for_similarities():
     assert np.allclose(wt.w_lo, [0.5, 0.25, 0.125])
     assert np.allclose(wt.w_up, wt.w_lo)
     assert wt.distortion == 1.0
+
+
+def test_weight_table_exact_only_when_tight():
+    w = np.array([0.5, 0.25])
+    assert thermo.WeightTable(w, w.copy()).exact
+    assert not thermo.WeightTable(w, w.copy(), distortion=1.5).exact
+    assert not thermo.WeightTable(w * 0.9, w).exact
+
+
+@functools.lru_cache(maxsize=None)
+def bracketed_system(kind):
+    g = cd.heisenberg(1)
+    if kind == "cf":
+        return cd.build_cf_system(g, cd.CfSystemParams(0.5, 4.0))
+    return cd.build_cantor_system(
+        g, cd.CantorSystemParams(epsilon=2.0, shells=3, separation_scale=8.0), seed=0)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(["cf", "cantor"]),
+       letters=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_word_derivative_within_weight_products(kind, letters, seed):
+    """Chain rule with pointwise per-edge brackets: prod w_lo <= ||D phi_w(p)||
+    <= prod w_up at every domain point p, which is why the pressure bracket
+    needs no distortion constant."""
+    sys_ = bracketed_system(kind)
+    weights = thermo.ensure_weights(sys_)
+    assert weights.distortion == 1.0
+    word = tuple(k % sys_.n_edges for k in letters)
+    v = sys_.vertices[sys_.dst_idx[word[-1]]]
+    Z, T = v.sample(sys_.group, 32, np.random.default_rng(seed))
+    deriv = sys_.word_map(word).deriv_norm_many(Z, T)
+    lo = math.prod(weights.w_lo[a] for a in word)
+    up = math.prod(weights.w_up[a] for a in word)
+    assert (deriv >= lo * (1 - 1e-12)).all()
+    assert (deriv <= up * (1 + 1e-12)).all()
 
 
 def test_partition_sum_closed_forms():
@@ -56,6 +96,24 @@ def test_pressure_exact_path_is_tight():
     pb = thermo.pressure_bracket(sys_, 0.7)
     assert pb.lower == pb.upper
     assert pb.method == "exact"
+
+
+def test_spectral_pressure_on_a_large_alphabet():
+    """The spectral bracket needs no irreducibility witness, whose search over
+    |E|^2 pairs is over budget here."""
+    g = cd.heisenberg(1)
+    base = cd.build_cf_system(g, cd.CfSystemParams(0.5, 5.0))
+    rng = np.random.default_rng(0)
+    A = rng.random((base.n_edges, base.n_edges)) < 0.3
+    sys_ = cd.GdmsSpec(g, base.vertices, base.edges, incidence=A,
+                       contraction=base.contraction, weights=base.weights,
+                       validate="none")
+    assert sys_.n_edges == 2586
+    with pytest.raises(BudgetError):
+        sys_.finite_irreducibility()
+    pb = thermo.pressure_bracket(sys_, 2.0)
+    assert pb.method == "spectral"
+    assert math.isfinite(pb.lower) and pb.lower < pb.upper
 
 
 def test_bowen_dim_moran_oracle():
@@ -179,6 +237,18 @@ def test_subsystem_with_dimension_converges():
     assert res.dim.h_hi <= 0.6 + 1e-12
     assert res.dim.h_lo >= 0.6 - 1e-4 - 1e-12
     # the dimension trace is nondecreasing as edges are added
+    hs = [h for _, h in res.trace]
+    assert all(a <= b + 1e-12 for a, b in zip(hs, hs[1:]))
+
+
+def test_subsystem_trace_is_logarithmic_in_the_budget():
+    # every candidate is accepted (sum_k (0.5 k^-2)^1.3 < 1): the trace holds
+    # the first 64 accepted counts, the powers of two above, and the end
+    gen = cd.power_law_weights(0.5, 2.0)
+    res = cd.subsystem_with_dimension(gen, 1.3, tol=1e-4, budget=200_000)
+    assert res.exhausted and len(res.indices) == 200_000
+    assert len(res.trace) == 64 + 11 + 1
+    assert res.trace[-1] == (199_999, res.dim.h_lo)
     hs = [h for _, h in res.trace]
     assert all(a <= b + 1e-12 for a, b in zip(hs, hs[1:]))
 
