@@ -18,10 +18,9 @@ from .gdms import EdgeMap, EdgeTable, GdmsSpec, PointCloud, VertexSet
 from .thermo import (CylinderMeasure, DimBracket, InvariantMeasureSpec,
                      PressureBracket, ShellFamily, ThetaEstimate, WeightTable,
                      bowen_dim, compute_weight_table, ensure_weights,
-                     gibbs_check, log_partition_sum, measure_dimension,
-                     partition_sum, pressure_bracket, similarity_dimension,
-                     subsystem_with_dimension, theta_estimate,
-                     transfer_eigenmeasure)
+                     gibbs_check, measure_dimension, pressure_bracket,
+                     similarity_dimension, subsystem_with_dimension,
+                     theta_estimate, transfer_eigenmeasure)
 from .dimension import (beta_minus, beta_minus_inv, beta_plus, beta_plus_inv,
                         euclidean_dim_bounds, gauge_dim_bounds,
                         homogeneous_dim, topological_dim)

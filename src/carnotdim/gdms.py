@@ -6,6 +6,10 @@ edges carry contracting conformal maps sending the target-vertex set into
 the source-vertex set.  An incidence matrix restricts which edges may
 follow which; "maximal" incidence allows every composable pair.
 
+One successor index holds admissibility: edge a is followed by the edges
+of vertex t(a) in a maximal system (edges stably sorted by source vertex),
+by its incidence row otherwise, so a maximal system builds no |E| x |E| array.
+
 Edges live in an EdgeTable, one struct of arrays: each map is a row of
 primitive parameters under a template (its tuple of primitive types) plus
 its normal form (a pole a with ||D phi(p)|| = r_f / d(p, a)^2, or a
@@ -16,9 +20,9 @@ chain is needed (word maps and coding points).
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -32,6 +36,8 @@ from .conformal import (EPS_FLOOR, ConformalChain, apply_template, compose_all,
 Word = Tuple[int, ...]  # edge indices; () is the empty word
 
 DEFAULT_WORD_BUDGET = 1_000_000
+# words per block of word_blocks: bounds the working memory of word loops
+WORD_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -230,6 +236,23 @@ class EdgeList(Sequence):
         return EdgeMap._view(self.table, k % len(self))
 
 
+class WordList(Sequence):
+    """The words of E_A^n in lexicographic edge order, read-only, enumerated
+    again (GdmsSpec.admissible_words) on each pass instead of held."""
+
+    def __init__(self, sys: "GdmsSpec", n: int):
+        self.sys, self.n, self._len = sys, n, sys.count_words(n)
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        return self.sys.admissible_words(self.n, math.inf)
+
+    def __getitem__(self, k):
+        return list(self)[k]
+
+
 # points per batch of sampled validation: bounds its working memory
 VALIDATE_CHUNK = 1 << 15
 
@@ -396,34 +419,57 @@ class GdmsSpec:
     def is_maximal(self) -> bool:
         return self.incidence is None
 
-    def admissible_pair(self, a: int, b: int) -> bool:
+    def admissible_pair(self, a, b):
+        """Whether b may follow a; elementwise for arrays of edge indices."""
         if self.incidence is None:
             return self.dst_idx[a] == self.src_idx[b]
-        return bool(self.incidence[a, b])
+        return self.incidence[a, b]
+
+    @cached_property
+    def _index(self):
+        """The successor index (succ, row, ptr), built on first use: the edges
+        that may follow edge a are succ[ptr[r]:ptr[r + 1]], r = row[a], ascending."""
+        if self.incidence is None:  # rows t(a): the edges stably sorted by i(e)
+            succ = np.argsort(self.src_idx, kind="stable")
+            ptr = np.searchsorted(self.src_idx[succ], np.arange(len(self.vertices) + 1))
+            row = self.dst_idx
+        else:  # rows a: the incidence row by row
+            succ = np.flatnonzero(self.incidence) % self.n_edges
+            ptr = np.concatenate(([0], np.cumsum(self.incidence.sum(axis=1))))
+            row = np.arange(self.n_edges)
+        succ.setflags(write=False)  # successors() hands out views of it
+        return succ, row, ptr
 
     def successors(self, a: int) -> np.ndarray:
-        if self.incidence is None:
-            return np.flatnonzero(self.src_idx == self.dst_idx[a])
-        return np.flatnonzero(self.incidence[a])
+        """The edges that may follow a, ascending (a read-only view of the index)."""
+        succ, row, ptr = self._index
+        return succ[ptr[row[a]]:ptr[row[a] + 1]]
 
     def adjacency(self) -> np.ndarray:
-        if self.incidence is None:
-            return self.dst_idx[:, None] == self.src_idx[None, :]
-        return self.incidence
+        e = np.arange(self.n_edges)
+        return self.admissible_pair(e[:, None], e[None, :])
 
     # -- words -------------------------------------------------------------
 
     def count_words(self, n: int) -> int:
+        """|E_A^n|.  c[r] counts the words of length k that may follow an edge of
+        index row r: c = N^k 1 if maximal, N the |V| x |V| edge-count matrix."""
         if n == 0:
             return 1
-        adj = self.adjacency()
-        c = np.ones(self.n_edges, dtype=float)
+        succ, row, ptr = self._index
+        rows = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+        c = np.ones(ptr.size - 1)
         for _ in range(n - 1):
-            c = adj @ c
-        return int(round(float(c.sum())))
+            c = np.bincount(rows, weights=c[row[succ]], minlength=c.size)
+        return int(round(float(c[row].sum())))
 
-    def admissible_words(self, n: int, budget: int = DEFAULT_WORD_BUDGET) -> Iterator[Word]:
-        """Words of E_A^n in lexicographic edge order."""
+    def word_blocks(self, n: int, budget: int = DEFAULT_WORD_BUDGET
+                    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+        """The words of lengths 1..n in depth-first blocks of at most WORD_BLOCK
+        words (or of one word's successors): (k, parent, last) holds words of
+        length k, word i being word parent[i] of the latest block of length
+        k - 1 (the empty word if k = 1) followed by edge last[i].  The blocks of
+        each length list E_A^k in lexicographic edge order."""
         if n < 0:
             raise ValidationError("word length must be >= 0")
         count = self.count_words(n)
@@ -431,21 +477,45 @@ class GdmsSpec:
             raise BudgetError(f"E_A^{n} has ~{count} words (budget {budget})",
                               estimate=count, budget=budget)
         if n == 0:
-            yield ()
             return
-        succ = [self.successors(a) for a in range(self.n_edges)]
+        succ_all, row, ptr = self._index
 
-        def rec(prefix: List[int]):
-            if len(prefix) == n:
-                yield tuple(prefix)
-                return
-            options = range(self.n_edges) if not prefix else succ[prefix[-1]]
-            for b in options:
-                prefix.append(int(b))
-                yield from rec(prefix)
-                prefix.pop()
+        def extend(k, lo, cum, succ):
+            """Blocks of the extensions by succ[lo[i] + j], j < cum[i + 1] - cum[i],
+            of the words i of length k, each followed by its own extensions."""
+            p0 = 0
+            while p0 < lo.size:
+                # the next run of words with at most WORD_BLOCK extensions in all
+                p1 = max(int(np.searchsorted(cum, cum[p0] + WORD_BLOCK, "right")) - 1, p0 + 1)
+                deg = np.diff(cum[p0:p1 + 1])
+                parent = np.repeat(np.arange(p0, p1), deg)
+                last = succ[np.arange(parent.size)
+                            + np.repeat(lo[p0:p1] - (cum[p0:p1] - cum[p0]), deg)]
+                if last.size:
+                    yield k + 1, parent, last
+                    if k + 1 < n:
+                        r = row[last]
+                        cum_next = np.concatenate(([0], np.cumsum(ptr[r + 1] - ptr[r])))
+                        yield from extend(k + 1, ptr[r], cum_next, succ_all)
+                p0 = p1
 
-        yield from rec([])
+        # the empty word is followed by every edge
+        yield from extend(0, np.zeros(1, dtype=np.int64), np.array([0, self.n_edges]),
+                          np.arange(self.n_edges))
+
+    def admissible_words(self, n: int, budget: int = DEFAULT_WORD_BUDGET) -> Iterator[Word]:
+        """Words of E_A^n in lexicographic edge order."""
+        blocks = [None] * (n + 1)
+        for k, parent, last in self.word_blocks(n, budget):
+            blocks[k] = parent, last
+            if k == n:  # read the block back through the latest block of each length
+                idx, letters = np.arange(last.size), []
+                for up, letter in blocks[n:0:-1]:
+                    letters.append(letter[idx].tolist())
+                    idx = up[idx]
+                yield from zip(*letters[::-1])
+        if n == 0:
+            yield ()
 
     def check_word(self, word: Word):
         for a, b in zip(word, word[1:]):
@@ -485,19 +555,15 @@ class GdmsSpec:
         if depth < 0:
             raise ValidationError("depth must be >= 0")
         g = self.group
+        centers_Z, centers_T, _, _ = self.vertex_arrays()
         if depth == 0:
-            Z = np.stack([v.center.z for v in self.vertices])
-            T = np.stack([v.center.t for v in self.vertices])
-            err = np.full(Z.shape[0], self.max_diam)
-            return PointCloud(g, Z, T, err)
+            return PointCloud(g, centers_Z, centers_T, np.full(len(self.vertices), self.max_diam))
         bound = self.contraction ** depth * self.max_diam
         if mode == "deterministic":
             count = self.count_words(depth)
             if count > budget:
                 raise BudgetError(f"deterministic cloud needs {count} words (budget {budget})",
                                   estimate=count, budget=budget)
-            centers_Z = np.stack([v.center.z for v in self.vertices])
-            centers_T = np.stack([v.center.t for v in self.vertices])
             # level-k block for edge a = {phi_w(center) : w in E_A^k, w_1 = a}
             blocks = []
             for a in range(self.n_edges):
@@ -520,8 +586,7 @@ class GdmsSpec:
             words = self._sample_words(depth, samples, rng, markov)
             # evaluate phi_w(center) by applying edges from the innermost position out
             dst_last = self.dst_idx[words[:, -1]]
-            Z = np.stack([v.center.z for v in self.vertices])[dst_last]
-            T = np.stack([v.center.t for v in self.vertices])[dst_last]
+            Z, T = centers_Z[dst_last], centers_T[dst_last]
             for j in range(depth - 1, -1, -1):
                 col = words[:, j]
                 for a in np.unique(col):
@@ -541,24 +606,23 @@ class GdmsSpec:
         nE = self.n_edges
         words = np.empty((samples, depth), dtype=np.int64)
         if markov is None:
-            succ = [self.successors(a) for a in range(nE)]
-            for a, s in enumerate(succ):
-                if s.size == 0:
-                    raise ValidationError(f"edge {self.edges[a].id!r} has no successors")
+            _, row, ptr = self._index
+            dead = np.flatnonzero(np.diff(ptr)[row] == 0)
+            if dead.size:
+                raise ValidationError(f"edge {self.edges[dead[0]].id!r} has no successors")
             words[:, 0] = rng.integers(0, nE, size=samples)
             for j in range(1, depth):
                 prev = words[:, j - 1]
                 for a in np.unique(prev):
                     mask = prev == a
-                    words[mask, j] = rng.choice(succ[int(a)], size=int(mask.sum()))
+                    words[mask, j] = rng.choice(self.successors(a), size=int(mask.sum()))
         else:
             P = np.asarray(markov, float)
             if P.shape != (nE, nE):
                 raise ValidationError("Markov matrix must be |E| x |E|")
             if not np.allclose(P.sum(axis=1), 1.0, atol=1e-9):
                 raise ValidationError("Markov matrix rows must be stochastic")
-            adj = self.adjacency()
-            if ((P > 0) & ~adj).any():
+            if not self.admissible_pair(*np.nonzero(P > 0)).all():
                 raise ValidationError("Markov matrix support violates the incidence")
             pi = stationary_distribution(P)
             words[:, 0] = rng.choice(nE, size=samples, p=pi)
@@ -591,23 +655,19 @@ class GdmsSpec:
 
     def _witness_search(self):
         nE = self.n_edges
-        succ = [self.successors(a) for a in range(nE)]
         phi = set()
         for i in range(nE):
-            # BFS over edges reachable after i
-            parent = {int(b): None for b in succ[i]}
-            frontier = deque(int(b) for b in succ[i])
-            seen = set(parent)
-            while frontier:
-                x = frontier.popleft()
-                for y in succ[x]:
-                    y = int(y)
-                    if y not in seen:
-                        seen.add(y); parent[y] = x
-                        frontier.append(y)
-            for j in range(nE):
-                if j not in seen:
-                    return ("reducible", (self.edges[i].id, self.edges[j].id))
+            # BFS over edges reachable after i: `order` grows while it is read
+            parent = dict.fromkeys(self.successors(i).tolist())
+            order = list(parent)
+            for x in order:
+                for y in self.successors(x).tolist():
+                    if y not in parent:
+                        parent[y] = x
+                        order.append(y)
+            if len(parent) < nE:
+                j = min(set(range(nE)) - parent.keys())
+                return ("reducible", (self.edges[i].id, self.edges[j].id))
             for j in range(nE):
                 # reconstruct the connecting word between i and j (exclusive)
                 path = []
@@ -641,7 +701,7 @@ class GdmsSpec:
         new_vertices = [VertexSet(id=str(names[a]), center=GPoint(FZ[a, 0], FT[a, 0]),
                                   radius=float(radius[a]))
                         for a in range(self.n_edges)]
-        a, b = np.nonzero(self.adjacency())
+        a, b = np.array(list(self.admissible_words(2, math.inf)), dtype=np.int64).reshape(-1, 2).T
         ids = np.char.add(np.char.add(table.ids[a], "|"), table.ids[b])
         new_table = table.take(a, ids, names[a], names[b])
         return GdmsSpec(g, new_vertices, new_table, incidence=None,

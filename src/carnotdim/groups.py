@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import BudgetError, UnsupportedError, ValidationError
 
-DEFAULT_TOL = 1e-9
 DEFAULT_LATTICE_BUDGET = 200_000_000
 
 
@@ -234,10 +233,6 @@ def mul_many(g: GroupSpec, Z1, T1, Z2, T2):
     return Z, T
 
 
-def inv_many(g: GroupSpec, Z, T):
-    return -np.asarray(Z, float), -np.asarray(T, float)
-
-
 def dilate_many(g: GroupSpec, r, Z, T):
     Z = np.asarray(Z, float); T = np.asarray(T, float)
     r = np.asarray(r, float)
@@ -379,18 +374,6 @@ def lattice_round(g: GroupSpec, p: GPoint) -> LatticePoint:
     shift = np.einsum("iab,b,a->i", g.B, gz, w)
     gt = _round_half_toward_zero(p.t - shift)
     return LatticePoint(gz.astype(np.int64), gt.astype(np.int64))
-
-
-def lattice_round_many(g: GroupSpec, Z, T):
-    """Batched lattice_round; returns integer arrays (Zg, Tg)."""
-    if not g.integer_structure:
-        raise UnsupportedError("lattice_round requires integral structure matrices")
-    Z = np.asarray(Z, float); T = np.asarray(T, float)
-    Zg = _round_half_toward_zero(Z)
-    W = Z - Zg
-    shift = np.einsum("iab,...b,...a->...i", g.B, Zg, W)
-    Tg = _round_half_toward_zero(T - shift)
-    return Zg.astype(np.int64), Tg.astype(np.int64)
 
 
 def _z_candidates(m1: int, zmax: int) -> np.ndarray:

@@ -181,19 +181,6 @@ class CantorSystemParams:
         return "shell"
 
 
-def inversion_image_diameter(g: GroupSpec, vertex: VertexSet, samples: int = 2048,
-                             seed: int = 0) -> float:
-    """Sampled diameter of J(X) for a vertex set X avoiding the identity."""
-    rng = np.random.default_rng(seed)
-    Z, T = vertex.sample(g, samples, rng)
-    JZ, JT = Invert().apply_many(g, Z, T)
-    half = Z.shape[0] // 2
-    d = G.dist_many(g, JZ[:half], JT[:half], JZ[half:2 * half], JT[half:2 * half])
-    ref = G.dist_many(g, JZ, JT, JZ[:1].repeat(Z.shape[0], 0),
-                      JT[:1].repeat(Z.shape[0], 0))
-    return float(max(d.max(), 2 * ref.max()))
-
-
 def sphere_packing(g: GroupSpec, radius: float, separation: float, seed: int,
                    oversample: int = 16, max_points: int = 2_000_000):
     """Greedy packing of the gauge sphere of the given radius at the given

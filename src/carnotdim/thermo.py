@@ -1,11 +1,12 @@
-"""Partition functions, bracketed pressure, Bowen parameter, theta-number,
-transfer-operator eigenmeasures, Gibbs checks, and invariant-measure dimension.
+"""Bracketed pressure, Bowen parameter, theta-number, transfer-operator
+eigenmeasures, Gibbs checks, and invariant-measure dimension.
 
 All weight-based quantities work on two-sided per-edge bounds
 w_lo(e) <= ||D phi_e|| <= w_up(e) (closed forms that hold at every point of
 the domain, so K = 1, unless a given table declares a distortion constant
-K > 1), and report brackets, never bare point estimates.  Large sums are
-evaluated in the log domain.
+K > 1), and report brackets, never bare point estimates.  The pressure is
+log rho(A * diag(w^t)): a log-sum-exp for one vertex, else through the |V| x |V|
+vertex matrix if maximal, the dense |E| x |E| matrix for an explicit incidence.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (BudgetError, NonConvergenceError, UnsupportedError,
-                     ValidationError)
-from .gdms import DEFAULT_WORD_BUDGET, GdmsSpec, Word, stationary_distribution
+from .errors import NonConvergenceError, ValidationError
+from .gdms import (DEFAULT_WORD_BUDGET, GdmsSpec, Word, WordList,
+                   stationary_distribution)
 
 BISECTION_TOL = 1e-6
 BISECTION_MAX_ITER = 200
@@ -191,9 +192,9 @@ class WeightTable:
         raise ValidationError(f"unknown weight side {which!r}")
 
 
-def edge_weight_bounds(sys: GdmsSpec):
-    """Per-edge (w_lo, w_up) bounds on ||D phi_e(p)|| at every p of its domain
-    vertex set.
+def compute_weight_table(sys: GdmsSpec) -> WeightTable:
+    """Per-edge bounds w_lo <= ||D phi_e(p)|| <= w_up at every p of its domain
+    vertex set; no distortion constant (K = 1).
 
     Similarities have the exact weight r_f.  A map with pole a has
     ||D phi_e(p)|| = r_f / d(p, a)^2, so over the ball B(c, R) minus the open
@@ -210,14 +211,8 @@ def edge_weight_bounds(sys: GdmsSpec):
     if touch.any():
         k = int(np.flatnonzero(touch)[0])
         raise ValidationError(f"edge {table.ids[k]!r}: pole touches the domain")
-    w_lo = np.where(table.has_pole, table.r_f / dmax ** 2, table.r_f)
-    w_up = np.where(table.has_pole, table.r_f / dmin ** 2, table.r_f)
-    return w_lo, w_up
-
-
-def compute_weight_table(sys: GdmsSpec) -> WeightTable:
-    """Closed-form pointwise weight brackets; no distortion constant (K = 1)."""
-    return WeightTable(*edge_weight_bounds(sys))
+    return WeightTable(np.where(table.has_pole, table.r_f / dmax ** 2, table.r_f),
+                       np.where(table.has_pole, table.r_f / dmin ** 2, table.r_f))
 
 
 def ensure_weights(sys: GdmsSpec) -> WeightTable:
@@ -229,48 +224,8 @@ def ensure_weights(sys: GdmsSpec) -> WeightTable:
 
 
 # ---------------------------------------------------------------------------
-# Partition sums and pressure
+# Transfer operator and pressure
 # ---------------------------------------------------------------------------
-
-def log_partition_sum(sys: GdmsSpec, t: float, n: int, side: str = "upper",
-                      budget: int = DEFAULT_WORD_BUDGET) -> float:
-    """log Z_n(t) with per-edge side weights multiplied along admissible words."""
-    if t < 0:
-        raise ValidationError("t must be >= 0")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    table = ensure_weights(sys)
-    lw = t * np.log(table.side(side))
-    if sys.is_maximal and len(sys.vertices) == 1:
-        return n * _logsumexp(lw)
-    nE = sys.n_edges
-    if nE * nE * max(n - 1, 1) > 50 * budget:
-        raise BudgetError("partition sum transfer-matrix pass exceeds budget",
-                          estimate=nE * nE * (n - 1), budget=50 * budget)
-    adj = sys.adjacency().astype(float)
-    c = float(lw.max())
-    ew = np.exp(lw - c)
-    v = np.ones(nE)
-    log_scale = 0.0
-    for _ in range(n - 1):
-        v = adj @ (ew * v)
-        m = v.max()
-        if m <= 0:
-            return -math.inf
-        v /= m
-        log_scale += math.log(m) + c
-    return float(np.log((ew * v).sum()) + log_scale + c)
-
-
-def partition_sum(sys: GdmsSpec, t: float, n: int, side: str = "upper",
-                  budget: int = DEFAULT_WORD_BUDGET) -> float:
-    """Z_n(t); +inf on overflow (the log version is used internally)."""
-    lz = log_partition_sum(sys, t, n, side, budget)
-    try:
-        return math.exp(lz)
-    except OverflowError:
-        return math.inf
-
 
 def perron_eigenvalue(M: np.ndarray, tol: float = POWER_TOL,
                       max_iter: int = POWER_MAX_ITER):
@@ -282,12 +237,13 @@ def perron_eigenvalue(M: np.ndarray, tol: float = POWER_TOL,
     M = np.asarray(M, float)
     if (M < 0).any():
         raise ValidationError("matrix must be nonnegative")
-    nE = M.shape[0]
+    n = M.shape[0]
     sigma = 0.05 * float(M.max())
     if sigma == 0:
         raise ValidationError("zero matrix has no Perron data")
-    Ms = M + sigma * np.eye(nE)
-    v = np.ones(nE)
+    Ms = M.copy()
+    Ms.flat[::n + 1] += sigma
+    v = np.ones(n)
     lam = 0.0
     for _ in range(max_iter):
         w = Ms @ v
@@ -301,10 +257,18 @@ def perron_eigenvalue(M: np.ndarray, tol: float = POWER_TOL,
     raise NonConvergenceError("power iteration did not converge")
 
 
-def transfer_matrix(sys: GdmsSpec, t: float, side: str) -> np.ndarray:
-    table = ensure_weights(sys)
-    w = table.side(side)
-    return sys.adjacency().astype(float) * (w[None, :] ** t)
+def _transfer_perron(sys: GdmsSpec, w_t: np.ndarray):
+    """Perron eigenvalue and right eigenvector (one entry per edge) of A * diag(w_t).
+
+    A maximal system has A diag(w_t) = S T with S_av = [t(a) = v] and
+    T_vb = [i(b) = v] w_t(b); M = T S (M_uv = sum of w_t(e), i(e) = u, t(e) = v)
+    has the same eigenvalue and eigenvector u with v_e = u[t(e)]."""
+    if sys.incidence is not None:
+        return perron_eigenvalue(sys.incidence * w_t[None, :])
+    nV = len(sys.vertices)
+    M = np.bincount(sys.src_idx * nV + sys.dst_idx, weights=w_t, minlength=nV * nV)
+    lam, u = perron_eigenvalue(M.reshape(nV, nV))
+    return lam, u[sys.dst_idx]
 
 
 @dataclass
@@ -328,10 +292,10 @@ def _log_spectral_radius(sys: GdmsSpec, t: float, side: str) -> float:
     """log rho of the transfer matrix A * w_side^t: log sum w^t when every
     pair of edges is admissible (single-vertex maximal system), else the log
     of its Perron eigenvalue."""
+    w = ensure_weights(sys).side(side)
     if sys.is_maximal and len(sys.vertices) == 1:
-        return _logsumexp(t * np.log(ensure_weights(sys).side(side)))
-    lam, _ = perron_eigenvalue(transfer_matrix(sys, t, side))
-    return math.log(lam)
+        return _logsumexp(t * np.log(w))
+    return math.log(_transfer_perron(sys, w ** t)[0])
 
 
 def pressure_bracket(sys: GdmsSpec, t: float) -> PressureBracket:
@@ -578,11 +542,12 @@ class CylinderMeasure:
 
     Masses follow m([w]) = w_mid(w)^t * v(w_n) * lam^-|w| / Z with v the
     (right) Perron eigenvector of M_ab = A_ab w_mid(b)^t; this choice makes
-    children masses sum exactly to the parent mass.
+    children masses sum exactly to the parent mass.  masses[k] is the mass
+    of words[k], the depth-n words in lexicographic order.
     """
 
     depth: int
-    words: List[Word]
+    words: WordList
     masses: np.ndarray
     eigenvalue: float
     t: float
@@ -605,18 +570,20 @@ def transfer_eigenmeasure(sys: GdmsSpec, t: float, depth: int,
     kind, _ = sys.finite_irreducibility()
     if kind != "irreducible":
         raise ValidationError("transfer eigenmeasure requires an irreducible system")
-    table = ensure_weights(sys)
-    lam, v = perron_eigenvalue(transfer_matrix(sys, t, "mid"))
-    w_t = table.w_mid ** t
+    w_t = ensure_weights(sys).w_mid ** t
+    lam, v = _transfer_perron(sys, w_t)
     Zc = float((w_t * v).sum() / lam)  # depth-independent normalization
-    words = list(sys.admissible_words(depth, budget))
-    masses = np.empty(len(words))
-    for k, word in enumerate(words):
-        masses[k] = math.prod(w_t[a] for a in word) * v[word[-1]] / (lam ** depth * Zc)
+    prod = [np.ones(1)] + [None] * depth  # per length: products along the latest block
+    masses = []
+    for k, parent, last in sys.word_blocks(depth, budget):
+        prod[k] = prod[k - 1][parent] * w_t[last]  # left to right along each word
+        if k == depth:
+            masses.append(prod[k] * v[last] / (lam ** depth * Zc))
+    masses = np.concatenate(masses)
     total = masses.sum()
     if abs(total - 1.0) > 1e-9:
         masses = masses / total
-    return CylinderMeasure(depth=depth, words=words, masses=masses,
+    return CylinderMeasure(depth=depth, words=WordList(sys, depth), masses=masses,
                            eigenvalue=lam, t=t, eigenvector=v, norm_const=Zc)
 
 
@@ -629,17 +596,18 @@ def gibbs_check(measure: CylinderMeasure, sys: GdmsSpec, t: float,
     weights it is identically 1 up to floating-point rounding.
     """
     table = ensure_weights(sys)
-    w_t = table.side(side) ** t
     lam, v, Zc = measure.eigenvalue, measure.eigenvector, measure.norm_const
-    w_mid_t = table.w_mid ** t
+    # columns: w_mid^t, which gives the cylinder masses, and w_side^t
+    w_t = np.column_stack([table.w_mid ** t, table.side(side) ** t])
+    prod = [np.ones((1, 2))] + [None] * measure.depth
     lo, hi = math.inf, -math.inf
-    for n in range(1, measure.depth + 1):
-        for word in sys.admissible_words(n, budget):
-            # cylinder mass from the consistent family (children sum to parent)
-            m = math.prod(w_mid_t[a] for a in word) * v[word[-1]] / (lam ** n * Zc)
-            pred = math.prod(w_t[a] for a in word) * v[word[-1]] / (lam ** n * Zc)
-            r = m / pred
-            lo, hi = min(lo, r), max(hi, r)
+    for k, parent, last in sys.word_blocks(measure.depth, budget):
+        prod[k] = prod[k - 1][parent] * w_t[last]
+        # column 0: masses of the consistent family; column 1: their predictions
+        m = prod[k] * v[last, None] / (lam ** k * Zc)
+        r = m[:, 0] / m[:, 1]
+        # fmin/fmax skip NaN ratios (0/0 after underflow), as builtin min/max do
+        lo, hi = min(lo, np.fmin.reduce(r)), max(hi, np.fmax.reduce(r))
     return lo, hi
 
 
@@ -683,24 +651,25 @@ def measure_dimension(sys: GdmsSpec, mu: InvariantMeasureSpec, depth: int = 8) -
     table = ensure_weights(sys)
     logw = np.log(table.w_mid)
     nE = sys.n_edges
-    adj = sys.adjacency()
     if mu.kind == "bernoulli":
         p = mu.probs
         if p.shape != (nE,):
             raise ValidationError(f"need {nE} Bernoulli probabilities")
         support = np.flatnonzero(p > 0)
-        for a in support:
-            for b in support:
-                if not adj[a, b]:
-                    raise ValidationError(
-                        "Bernoulli support contains an inadmissible transition")
+        if sys.is_maximal:  # every pair admissible iff all its edges are loops at one vertex
+            ok = np.unique(np.concatenate([sys.src_idx[support],
+                                           sys.dst_idx[support]])).size == 1
+        else:
+            ok = sys.incidence[np.ix_(support, support)].all()
+        if not ok:
+            raise ValidationError("Bernoulli support contains an inadmissible transition")
         h = float(-(p[support] * np.log(p[support])).sum())
         freq = p
     elif mu.kind == "markov":
         P, pi = mu.P, mu.pi
         if P.shape != (nE, nE):
             raise ValidationError(f"Markov matrix must be {nE} x {nE}")
-        if ((P > 0) & ~adj).any():
+        if not sys.admissible_pair(*np.nonzero(P > 0)).all():
             raise ValidationError("Markov support violates the incidence")
         with np.errstate(divide="ignore", invalid="ignore"):
             plogp = np.where(P > 0, P * np.log(P), 0.0)

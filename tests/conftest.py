@@ -87,6 +87,17 @@ def fib2_system():
         incidence=np.array([[1, 1], [1, 0]], bool))
 
 
+def separated_fib2_system():
+    """Golden-mean shift on two maps of ratio 0.1 whose images are far
+    apart, so its hat system (maximalize) has disjoint vertex balls."""
+    g = cd.heisenberg(1)
+    return cd.build_self_similar(
+        g,
+        [(cd.gpoint([-2.0, 0.0], [0.0]), 0.1),
+         (cd.gpoint([2.0, 0.0], [0.0]), 0.1)],
+        incidence=np.array([[1, 1], [1, 0]], bool))
+
+
 def moran_system(scales, seed=0):
     """Maximal similarity IFS with the given contraction ratios."""
     g = cd.heisenberg(1)

@@ -1,10 +1,13 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import carnotdim as cd
 from carnotdim.errors import BudgetError, ValidationError
 
-from conftest import fib2_system, moran_system
+from conftest import fib2_system, moran_system, separated_fib2_system
 
 
 def test_word_counts_fibonacci():
@@ -105,12 +108,7 @@ def test_reducible_detected():
 
 
 def test_maximalize_preserves_words():
-    # well-separated images so the hat vertices are disjoint balls
-    g = cd.heisenberg(1)
-    maps = [(cd.gpoint([-2.0, 0.0], [0.0]), 0.1),
-            (cd.gpoint([2.0, 0.0], [0.0]), 0.1)]
-    sys_ = cd.build_self_similar(g, maps,
-                                 incidence=np.array([[1, 1], [1, 0]], bool))
+    sys_ = separated_fib2_system()
     hat = sys_.maximalize()
     assert hat.is_maximal
     assert len(hat.vertices) == sys_.n_edges
@@ -172,3 +170,68 @@ def test_finite_irreducibility_is_computed_once(monkeypatch):
     # the budget still applies to a cached result
     with pytest.raises(BudgetError):
         sys_.finite_irreducibility(max_pairs=3)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 1024])
+def test_admissible_words_match_filtered_product(monkeypatch, block):
+    """Word blocks against the filtered product of the alphabet, on random
+    incidences with edges that nothing may follow."""
+    monkeypatch.setattr(cd.gdms, "WORD_BLOCK", block)
+    g = cd.heisenberg(1)
+    rng = np.random.default_rng(block)
+    for k in (1, 3, 5):
+        maps = [(cd.gpoint(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 1)), 0.2)
+                for _ in range(k)]
+        A = rng.random((k, k)) < 0.5
+        sys_ = cd.build_self_similar(g, maps, incidence=A)
+        for n in range(5):
+            want = [w for w in itertools.product(range(k), repeat=n)
+                    if all(A[a, b] for a, b in zip(w, w[1:]))]
+            assert list(sys_.admissible_words(n)) == want
+            assert sys_.count_words(n) == len(want)
+
+
+def test_maximal_and_explicit_twins_agree(monkeypatch):
+    """A maximal system and a copy of it with its adjacency as an explicit
+    incidence: the vertex-index paths and the edge-index paths agree."""
+    monkeypatch.setattr(cd.gdms, "WORD_BLOCK", 3)  # words come in several blocks
+    hat = separated_fib2_system().maximalize()
+    twin = cd.GdmsSpec(hat.group, hat.vertices, hat.edges, incidence=hat.adjacency(),
+                       contraction=hat.contraction, validate="none")
+    for a in range(hat.n_edges):
+        assert hat.successors(a).tolist() == twin.successors(a).tolist()
+    words = list(hat.admissible_words(4))
+    assert words == list(twin.admissible_words(4))
+    assert words == [w for w in itertools.product(range(hat.n_edges), repeat=4)
+                     if all(hat.admissible_pair(a, b) for a, b in zip(w, w[1:]))]
+    assert [hat.count_words(n) for n in range(1, 7)] == [twin.count_words(n)
+                                                        for n in range(1, 7)]
+    for t in (0.0, 0.3, 0.8, 2.0):
+        p, q = cd.pressure_bracket(hat, t), cd.pressure_bracket(twin, t)
+        assert np.allclose([p.lower, p.upper], [q.lower, q.upper], rtol=1e-12, atol=0)
+    m, n = cd.transfer_eigenmeasure(hat, 0.6, 5), cd.transfer_eigenmeasure(twin, 0.6, 5)
+    assert list(m.words) == list(n.words) == list(hat.admissible_words(5))
+    assert m.words[0] == (0,) * 5 and m.words[-1] == (2, 1, 2, 1, 2)
+    assert np.allclose(m.masses, n.masses, rtol=1e-12, atol=0)
+
+
+def test_maximal_system_builds_no_edge_pair_arrays():
+    """On CF R=6 (5.9k edges) an |E| x |E| array would take 35 MB as bool and
+    280 MB as float; word counts, the eigenmeasure and chaos sampling read
+    the successor index and the vertex matrix instead."""
+    sys_ = cd.build_cf_system(cd.heisenberg(1), cd.CfSystemParams(0.5, 6.0))
+    assert sys_.n_edges > 5000
+    calls = {
+        "count_words": lambda: (sys_.count_words(1), sys_.count_words(3)),
+        "eigenmeasure": lambda: cd.transfer_eigenmeasure(sys_, 3.0, 1),
+        "chaos": lambda: sys_.limit_set_cloud(4, mode="chaos", samples=1000, seed=0),
+    }
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            tracemalloc.reset_peak()
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+            assert peak < 64 * 2 ** 20, (name, peak)
+    finally:
+        tracemalloc.stop()

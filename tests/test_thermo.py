@@ -10,7 +10,7 @@ import carnotdim as cd
 from carnotdim import thermo
 from carnotdim.errors import BudgetError, ValidationError
 
-from conftest import fib2_system, moran_system
+from conftest import fib2_system, moran_system, separated_fib2_system
 
 
 def test_weight_table_mid_and_sides():
@@ -70,14 +70,15 @@ def test_word_derivative_within_weight_products(kind, letters, seed):
 
 
 def test_partition_sum_closed_forms():
-    sys_ = moran_system([0.25, 0.25, 0.25, 0.25])
-    # Z_n(1) = (4 * 1/4)^n = 1 for all n
-    for n in (1, 2, 3):
-        assert np.isclose(thermo.partition_sum(sys_, 1.0, n), 1.0)
-    # Z_n(0) = number of admissible words
-    assert np.isclose(thermo.partition_sum(sys_, 0.0, 3), sys_.count_words(3))
+    # Z_n(t) grows like exp(n P(t)): Z_n(1) = (4 * 1/4)^n = 1, so P(1) = 0
+    pb = thermo.pressure_bracket(moran_system([0.25, 0.25, 0.25, 0.25]), 1.0)
+    assert pb.lower == pb.upper and abs(pb.upper) <= 1e-15
+    # Z_n(0) counts the golden-mean words (Fibonacci numbers): P(0) = log phi
     fib = fib2_system()
-    assert np.isclose(thermo.partition_sum(fib, 0.0, 5), fib.count_words(5))
+    pb = thermo.pressure_bracket(fib, 0.0)
+    golden = math.log((1 + math.sqrt(5)) / 2)
+    assert np.isclose(pb.lower, golden, rtol=1e-12) and np.isclose(pb.upper, golden, rtol=1e-12)
+    assert fib.count_words(5) == 13
 
 
 def test_pressure_monotone_and_convex():
@@ -185,6 +186,11 @@ def test_eigenmeasure_children_sum_to_parent():
     for w in sys_.admissible_words(4):
         children = sum(m.mass(w + (b,)) for b in sys_.successors(w[-1]))
         assert np.isclose(m4.mass(w), children, rtol=1e-12)
+    # every mass is the per-word product formula, to the bit
+    w_t = thermo.ensure_weights(sys_).w_mid ** t
+    lam, v, Zc = m.eigenvalue, m.eigenvector, m.norm_const
+    assert m.masses.tolist() == [math.prod(w_t[a] for a in w) * v[w[-1]] / (lam ** 5 * Zc)
+                                 for w in m.words]
 
 
 def test_gibbs_exact_for_similarities():
@@ -222,6 +228,11 @@ def test_measure_dimension_rejects_bad_support():
     mu = thermo.InvariantMeasureSpec.bernoulli([0.5, 0.5])
     with pytest.raises(ValidationError):
         cd.measure_dimension(sys_, mu)
+    # maximal hat system: edge 0 is a loop at v[0], edge 1 goes on to v[1]
+    hat = separated_fib2_system().maximalize()
+    assert cd.measure_dimension(hat, thermo.InvariantMeasureSpec.bernoulli([1, 0, 0])) == 0.0
+    with pytest.raises(ValidationError, match="inadmissible"):
+        cd.measure_dimension(hat, thermo.InvariantMeasureSpec.bernoulli([0.5, 0.5, 0]))
 
 
 def test_dirac_measure_has_dimension_zero():
