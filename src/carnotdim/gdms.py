@@ -588,11 +588,8 @@ class GdmsSpec:
             dst_last = self.dst_idx[words[:, -1]]
             Z, T = centers_Z[dst_last], centers_T[dst_last]
             for j in range(depth - 1, -1, -1):
-                col = words[:, j]
-                for a in np.unique(col):
-                    mask = col == a
-                    Za, Ta = self._apply_edge(a, Z[mask], T[mask])
-                    Z[mask] = Za; T[mask] = Ta
+                Z, T = self.table.apply(words[:, j], Z[:, None], T[:, None])
+                Z, T = Z[:, 0], T[:, 0]
             return PointCloud(g, Z, T, np.full(Z.shape[0], bound))
         raise ValidationError(f"unknown limit-set mode {mode!r}")
 

@@ -582,9 +582,13 @@ def _count_keys_below(g: GroupSpec, cuts: np.ndarray) -> np.ndarray:
 
 
 def check_norm_histogram(g: GroupSpec, r_lo: float, r_hi: float, bins: int,
-                         budget: int) -> float:
+                         budget: int) -> np.ndarray:
     """Raise what lattice_norm_histogram(g, r_lo, r_hi, bins, budget) raises
-    before it counts anything; return its lowest bin edge.
+    before it counts anything; return its bin edges.
+
+    The edges are logarithmically spaced from max(r_lo, 1 - 1e-12) to r_hi
+    and must increase strictly: a range only a few ulps wide makes
+    np.geomspace round them into a flat or decreasing run, which is rejected.
 
     The budget bounds the work: the number of |z|^2 rows times the number of
     edges, plus the elements touched while building the square-count tables
@@ -607,7 +611,11 @@ def check_norm_histogram(g: GroupSpec, r_lo: float, r_hi: float, bins: int,
         raise BudgetError(
             f"lattice histogram would cost ~{cost:.2e} (budget {budget:.2e})",
             estimate=cost, budget=budget)
-    return lo
+    edges = np.geomspace(lo, r_hi, bins + 1)
+    if not (np.diff(edges) > 0).all():
+        raise ValidationError(f"histogram range [{lo!r}, {r_hi!r}] is too narrow "
+                              f"for {bins} bins: the bin edges do not increase")
+    return edges
 
 
 def lattice_norm_histogram(g: GroupSpec, r_lo: float, r_hi: float, bins: int = 4096,
@@ -626,9 +634,8 @@ def lattice_norm_histogram(g: GroupSpec, r_lo: float, r_hi: float, bins: int = 4
     counts equal those of binning the points of lattice_shell_array with
     norm_many and np.histogram.  check_norm_histogram states the budget.
     """
-    lo = check_norm_histogram(g, r_lo, r_hi, bins, budget)
+    edges = check_norm_histogram(g, r_lo, r_hi, bins, budget)
     L, H = _key_range(r_lo, r_hi)
-    edges = np.geomspace(lo, r_hi, bins + 1)
     cuts = np.concatenate([_norm_key_cuts(edges[:-1], strict=False),
                            _norm_key_cuts(edges[-1:], strict=True)])
     return edges, np.diff(_count_keys_below(g, np.clip(cuts, L, H)))

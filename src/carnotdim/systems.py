@@ -4,7 +4,10 @@
   with translation by a deep lattice point, acting on the closed ball of
   radius 1/2 around the identity.
 * Conformal Cantor systems: inversion-conjugated similarities anchored at a
-  prescribed (or shell-packed) point configuration away from the identity.
+  prescribed (or shell-packed) point configuration away from the identity,
+  with containment and contraction certified in closed form by the
+  Koranyi-Reimann identity; shell points come from a greedy sphere packing
+  settled in array blocks.
 * Self-similar iterated function systems built from translations, rotations
   and dilations, with exact weights.
 
@@ -181,15 +184,31 @@ class CantorSystemParams:
         return "shell"
 
 
+# candidates settled per block of sphere_packing: the first block is small,
+# and each later one twice the size of the one before, up to PACKING_BLOCK
+PACKING_FIRST_BLOCK, PACKING_BLOCK = 64, 4096
+# neighbour-cell lookups per searchsorted call of _near_pairs
+_LOOKUP_CHUNK = 1 << 18
+
+
 def sphere_packing(g: GroupSpec, radius: float, separation: float, seed: int,
                    oversample: int = 16, max_points: int = 2_000_000):
     """Greedy packing of the gauge sphere of the given radius at the given
     gauge separation.
 
-    Candidates are seeded sphere samples inserted in order whenever they
-    keep all pairwise gauge distances >= separation; a horizontal-coordinate
-    grid (cell size = separation) limits each insertion to a constant number
-    of exact distance checks, since |z(p) - z(q)| <= d(p, q).
+    Candidates are seeded sphere samples, taken in index order: a candidate
+    is accepted when its gauge distance to every earlier accepted point is
+    >= separation.  A grid on (z / sep, t / h_t) limits the distance checks
+    to the 3^(m1+m2) cells around each candidate, since |z(p) - z(q)| <=
+    d(p, q) and conflicting pairs have |t(p) - t(q)| <= h_t.
+
+    The candidates are settled in blocks of PACKING_FIRST_BLOCK, twice that,
+    and so on up to PACKING_BLOCK: a block is first tested against the points
+    accepted so far, and its survivors then settle their own conflicts in
+    index order, by one pass over the survivors in which each accepted one
+    rejects its later conflicts.  Every pair gets the same floating-point
+    operations in the same order as in a one-candidate-at-a-time loop, so
+    the result is that loop's, whatever the block sizes.
     """
     if not (0 < separation < 2 * radius):
         raise ValidationError("separation must be in (0, 2*radius)")
@@ -204,53 +223,125 @@ def sphere_packing(g: GroupSpec, radius: float, separation: float, seed: int,
     h_t = separation ** 2 + bnorm * radius * separation
     keys = np.concatenate([np.floor(Z / separation), np.floor(T / h_t)],
                           axis=1).astype(np.int64)
-    dims = g.m1 + g.m2
-    deltas = np.stack(np.meshgrid(*([[-1, 0, 1]] * dims), indexing="ij"),
-                      axis=-1).reshape(-1, dims)
-    B = [[list(row) for row in Bi] for Bi in g.B]  # python floats: fast scalar math
-    sep4 = separation ** 4
-    cell = {}
-    accepted: List[int] = []
-    Zl, Tl = Z.tolist(), T.tolist()
-    keyl = [tuple(k) for k in keys.tolist()]
-    deltal = [tuple(d) for d in deltas.tolist()]
-    m1, m2 = g.m1, g.m2
-    for i in range(n_cand):
-        key = keyl[i]
-        zi, ti = Zl[i], Tl[i]
-        ok = True
-        for dk in deltal:
-            bucket = cell.get(tuple(a + b for a, b in zip(key, dk)))
-            if not bucket:
-                continue
-            for j in bucket:
-                zj, tj = Zl[j], Tl[j]
-                z2 = 0.0
-                for a in range(m1):
-                    v = zj[a] - zi[a]
-                    z2 += v * v
-                t2 = 0.0
-                for s in range(m2):
-                    tau = tj[s] - ti[s]
-                    Bs = B[s]
-                    for a in range(m1):
-                        row = Bs[a]
-                        zja = zj[a]
-                        for b in range(m1):
-                            tau -= row[b] * zi[b] * zja
-                    t2 += tau * tau
-                if z2 * z2 + t2 < sep4:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            cell.setdefault(key, []).append(i)
-            accepted.append(i)
-    if not accepted:
+    codes, offsets, exact = _cell_codes(keys)
+    conflicts = _ConflictTest(g, Z, T, separation ** 4, None if exact else keys)
+    acc_codes = np.empty(0, np.uint64)   # accepted points by cell code
+    acc_rows = np.empty(0, np.int64)
+    lo, size = 0, PACKING_FIRST_BLOCK
+    while lo < n_cand:
+        block = np.arange(lo, min(lo + size, n_cand))
+        lo, size = block[-1] + 1, min(2 * size, PACKING_BLOCK)
+        # 1. against the points accepted in earlier blocks
+        q, j = _near_pairs(codes[block], offsets, acc_codes, acc_rows)
+        hit = q[conflicts(block[q], j)]
+        surv = np.delete(block, hit)
+        # 2. among the survivors, in index order
+        order = np.argsort(codes[surv], kind="stable")
+        q, j = _near_pairs(codes[surv], offsets, codes[surv][order], order)
+        q, j = q[j < q], j[j < q]
+        hit = conflicts(surv[q], surv[j])
+        later, earlier = q[hit], j[hit]
+        by = np.argsort(earlier, kind="stable")
+        later = later[by]
+        ptr = np.searchsorted(earlier[by], np.arange(surv.size + 1))
+        ok = np.ones(surv.size, dtype=bool)
+        for k in range(surv.size):
+            if ok[k]:
+                ok[later[ptr[k]:ptr[k + 1]]] = False
+        new = surv[ok]
+        # 3. merge the block's accepted points into the sorted lookup
+        order = np.argsort(codes[new], kind="stable")
+        at = np.searchsorted(acc_codes, codes[new][order], side="right")
+        acc_codes = np.insert(acc_codes, at, codes[new][order])
+        acc_rows = np.insert(acc_rows, at, new[order])
+    if not acc_rows.size:
         raise ValidationError("packing produced no points")
-    idx = np.asarray(accepted)
+    idx = np.sort(acc_rows)
     return Z[idx], T[idx]
+
+
+def _cell_codes(keys: np.ndarray):
+    """One uint64 code per grid cell of the integer keys (n, d), and the code
+    offsets that reach its 3^d neighbourhood as 3^(d-1) runs of three
+    consecutive codes.
+
+    The code is k_0 + 2^s * h, with k_0 the first key shifted into
+    [1, 2^s - 2] (so the cells k_0 - 1, k_0, k_0 + 1 are consecutive codes)
+    and h the mixed-radix number of the other keys over their box padded by
+    one cell, taken modulo 2^(64 - s).  Returns (codes, offsets, exact): the
+    run of a neighbourhood offset starts at codes - 1 + offset.  When the
+    box is too large for 64 bits h wraps, neighbours still map to
+    neighbours, but distinct cells may share a code, and `exact` is False.
+    """
+    kmin = keys.min(axis=0) - 1
+    span = keys.max(axis=0) - kmin + 2
+    k = (keys - kmin).astype(np.uint64)
+    shift = np.uint64(int(span[0]).bit_length())
+    stride = np.cumprod(np.concatenate([[1], span[1:-1]]).astype(np.uint64))
+    exact = math.prod(int(s) for s in span[1:]) <= 2 ** (64 - int(shift))
+    codes = ((k[:, 1:] * stride).sum(axis=1, dtype=np.uint64) << shift) | k[:, 0]
+    d = keys.shape[1] - 1
+    deltas = np.stack(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    offsets = (deltas.astype(np.uint64) * stride).sum(axis=1, dtype=np.uint64) << shift
+    return codes, offsets, exact
+
+
+def _near_pairs(qcodes, offsets, sorted_codes, sorted_rows):
+    """All (q, row): q indexes qcodes, and row = sorted_rows[k] for every k
+    with sorted_codes[k] in a neighbourhood run qcodes[q] - 1 + offsets[i]
+    + {0, 1, 2} (see _cell_codes)."""
+    qs, rows = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    step = max(_LOOKUP_CHUNK // offsets.size, 1)
+    for s in range(0, qcodes.size, step):
+        start = ((qcodes[s:s + step] - np.uint64(1))[:, None] + offsets[None, :]).ravel()
+        lo = np.searchsorted(sorted_codes, start)
+        n = np.searchsorted(sorted_codes, start + np.uint64(3)) - lo
+        total = int(n.sum())
+        if not total:
+            continue
+        first = np.cumsum(n) - n
+        pos = np.repeat(lo - first, n) + np.arange(total)
+        qs.append(s + np.repeat(np.arange(start.size) // offsets.size, n))
+        rows.append(sorted_rows[pos])
+    return np.concatenate(qs), np.concatenate(rows)
+
+
+class _ConflictTest:
+    """The packing's conflict test d(q, p)^4 < sep^4 between candidates i and
+    earlier points j, vectorized over pairs: z2 = sum_a (z_j - z_i)_a^2 and
+    t2 = sum_s tau_s^2 with tau_s = t_j,s - t_i,s - sum_{a,b} B[s,a,b] z_i,b
+    z_j,a, accumulated term by term in that order; zero entries of B are
+    skipped, which leaves every sum unchanged.  With `keys` given (cell
+    codes that may collide), pairs outside neighbouring cells never conflict.
+    """
+
+    def __init__(self, g: GroupSpec, Z, T, sep4: float, keys: Optional[np.ndarray]):
+        self.Z, self.T, self.sep4, self.keys = Z, T, sep4, keys
+        self.terms = [[(a, b, g.B[s][a, b]) for a in range(g.m1) for b in range(g.m1)
+                       if g.B[s][a, b] != 0] for s in range(g.m2)]
+
+    def __call__(self, i, j) -> np.ndarray:
+        Z, T = self.Z, self.T
+        z2 = np.zeros(i.size)
+        for a in range(Z.shape[1]):
+            v = Z[j, a] - Z[i, a]
+            z2 += v * v
+        z4 = z2 * z2
+        # t2 >= 0 and rounding is monotone, so z4 + t2 rounds to >= z4: pairs
+        # with z4 >= sep^4 cannot conflict and skip the t terms
+        near = np.flatnonzero(z4 < self.sep4)
+        i, j = i[near], j[near]
+        t2 = np.zeros(near.size)
+        for s, terms in enumerate(self.terms):
+            tau = T[j, s] - T[i, s]
+            for a, b, c in terms:
+                tau -= c * Z[i, b] * Z[j, a]
+            t2 += tau * tau
+        hit = np.zeros(z2.size, dtype=bool)
+        hit[near] = z4[near] + t2 < self.sep4
+        if self.keys is not None:
+            hit[near] &= (np.abs(self.keys[i] - self.keys[j]) <= 1).all(axis=1)
+        return hit
 
 
 def packing_maximality(g: GroupSpec, Z: np.ndarray, T: np.ndarray, radius: float,
@@ -278,23 +369,38 @@ def _cross_dist(g: GroupSpec, Z1, T1, Z2, T2):
 
 
 def build_cantor_system(g: GroupSpec, params: CantorSystemParams,
-                        seed: int = 0, validate: str = "sampled",
-                        samples: int = 1000) -> GdmsSpec:
-    """Cantor-type maximal IFS of inversion-anchored similarities.
+                        seed: int = 0, validate: str = "closed_form") -> GdmsSpec:
+    """Cantor-type maximal IFS of inversion-anchored similarities
+    phi_e = tau_p delta_r tau_{J(p)^-1} J, which fix their anchor p.
 
-    Explicit mode takes the point/radius configuration as given (sampled
-    validation catches escapes).  Shell mode places the points by greedy
-    packing of the gauge spheres of radii d_n = sum_{j<=n} j^-epsilon at
-    separation (n+2)^-epsilon, with map radii separation_n / (10 d0) where
-    d0 bounds the diameter of the inverted domain; the domain is the
-    annulus around the shells, which keeps the inversion pole (the
-    identity) outside.
+    Explicit mode takes the point/radius configuration and the domain ball
+    B(c, R) (with ||c|| > R) as given.  Shell mode places the points by
+    greedy packing of the gauge spheres of radii d_n = sum_{j<=n} j^-epsilon
+    at separation (n+2)^-epsilon, with map radii separation_n / (10 d0)
+    where d0 = 2 / inner bounds the diameter of the inverted domain; the
+    domain is the annulus inner <= ||x|| <= outer around the shells, which
+    keeps the inversion pole (the identity) outside.
+
+    Containment and contraction are certified in closed form by the
+    Koranyi-Reimann identity d(Jx, Jy) = d(x, y) / (||x|| ||y||), which
+    gives d(phi_e x, p) = r d(x, p) / (||x|| ||p||) and d(phi_e x, phi_e y)
+    = r d(x, y) / (||x|| ||y||).  Every image phi_e(X) lies in B(p, rho_e):
+    shell mode has rho_e = r (1/||p|| + 1/inner) and needs inner <= ||p|| -
+    rho_e and ||p|| + rho_e <= outer; explicit mode has rho_e = r (R +
+    d(c, p)) / ((||c|| - R) ||p||) and needs d(c, p) + rho_e <= R.  The
+    contraction bound is max r / m^2 with m = inner, resp. ||c|| - R, the
+    least norm on the domain.  validate="closed_form" raises ValidationError
+    naming the first edge whose ball leaves the domain; validate="none" skips
+    that check (the contraction bound holds either way).
     """
+    if validate not in ("closed_form", "none"):
+        raise ValidationError(f"unknown validation mode {validate!r}")
     mode = params.mode
     if mode == "generic":
         center, radius = params.domain_center, params.domain_radius
         vertex = VertexSet(id="X", center=center, radius=radius)
-        if G.gauge_norm(g, center) <= radius:
+        m = G.gauge_norm(g, center) - radius  # least norm on the domain
+        if m <= 0:
             raise ValidationError("domain must not contain the identity (inversion pole)")
         if not params.points:
             raise ValidationError("explicit mode needs at least one point")
@@ -311,6 +417,7 @@ def build_cantor_system(g: GroupSpec, params: CantorSystemParams,
         outer = d[-1] + 0.1
         vertex = VertexSet(id="X", center=G.origin(g), radius=outer,
                            inner_radius=inner)
+        m = inner
         d0 = 2.0 / inner  # diam J(X) <= 2 / inner for the annulus around o
         if params.separation_scale < 1.0:
             raise ValidationError("separation_scale must be >= 1")
@@ -326,19 +433,32 @@ def build_cantor_system(g: GroupSpec, params: CantorSystemParams,
     bad = ~((radii > 0) & (radii < 1))
     if bad.any():
         raise ValidationError(f"map radius {radii[bad][0]:g} out of (0,1)")
-    if (G.norm_many(g, Z, T) == 0).any():
+    norms = G.norm_many(g, Z, T)
+    if (norms == 0).any():
         raise ValidationError("anchor points must avoid the identity (inversion pole)")
+    ids = _edge_ids("c", np.arange(Z.shape[0])[:, None])
+    if validate == "closed_form":
+        if mode == "generic":
+            dc = G.dist_many(g, center.z, center.t, Z, T)
+            rho = radii * (radius + dc) / (m * norms)
+            bad = dc + rho > radius
+        else:
+            rho = radii * (1.0 / norms + 1.0 / inner)
+            bad = (norms - rho < inner) | (norms + rho > outer)
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            raise ValidationError(
+                f"edge {str(ids[k])!r}: image ball B(p, {rho[k]:g}) around its anchor "
+                f"(norm {norms[k]:g}) leaves the domain")
     # translate(p) o dilate(r) o translate(J(p)^{-1}) o J fixes p; pole o, r_f = r
     JZ, JT = Invert().apply_many(g, Z, T)
     n = Z.shape[0]
-    table = EdgeTable(g, _edge_ids("c", np.arange(n)[:, None]), "X", "X",
+    table = EdgeTable(g, ids, "X", "X",
                       [(Translate, Dilate, Translate, Invert)], 0,
                       np.concatenate([Z, T, radii[:, None], -JZ, -JT], axis=1),
                       np.zeros((n, g.m1)), np.zeros((n, g.m2)), True, radii)
-    return GdmsSpec(g, [vertex], table, incidence=None, validate=validate,
-                    samples=samples, seed=seed,
-                    contraction=None if validate == "sampled" else 0.9,
-                    cantor_shells=shell_of)
+    return GdmsSpec(g, [vertex], table, incidence=None, validate="none",
+                    contraction=float(radii.max() / (m * m)), cantor_shells=shell_of)
 
 
 def cantor_shell_family(sys: GdmsSpec) -> ShellFamily:

@@ -207,6 +207,40 @@ def test_theta_cf_deep(argv):
     assert rec["shells"] == 8
 
 
+CANTOR_SHELLS2_DIM = """{
+  "distortion": 1.0,
+  "edges": 46669,
+  "h_hi": 1.9261927604675293,
+  "h_lo": 1.6804285049438477,
+  "iterations": 46,
+  "note": "pressure bracket width dominates (slack 0.246)",
+  "op": "dim",
+  "params": {
+    "budget": 1000000,
+    "command": "dim",
+    "epsilon": 2.0,
+    "group": "heis_c:1",
+    "lattice_budget": 200000000,
+    "radius": 8.0,
+    "seed": 0,
+    "shells": 2,
+    "system": "cantor",
+    "tol": 1e-06
+  },
+  "slack": 0.24576325552368164,
+  "tol": 1e-06
+}
+"""
+
+
+def test_dim_cantor_full_separation():
+    """separation_scale 1 packs 46,669 maps from 139,664 candidates; the
+    output is the one the one-candidate-at-a-time packing loop gave."""
+    rc, out, err = run_cli(["dim", "--system", "cantor", "--epsilon", "2", "--shells", "2"])
+    assert rc == 0, err.decode()
+    assert out.decode() == CANTOR_SHELLS2_DIM
+
+
 def test_system_moran_is_not_a_choice():
     # moran systems come from --spec files with "kind": "moran"
     rc, out, err = run_cli(["dim", "--system", "moran"])

@@ -82,6 +82,43 @@ def test_limit_set_chaos_close_to_deterministic():
         assert D.min() <= 2 * chaos.err[0] + 1e-9
 
 
+def per_letter_chaos(sys_, depth, samples, seed):
+    """Chaos cloud with one edge-table apply per distinct letter and position."""
+    words = sys_._sample_words(depth, samples, np.random.default_rng(seed), None)
+    CZ, CT, _, _ = sys_.vertex_arrays()
+    Z, T = CZ[sys_.dst_idx[words[:, -1]]], CT[sys_.dst_idx[words[:, -1]]]
+    for j in range(depth - 1, -1, -1):
+        for a in np.unique(words[:, j]):
+            mask = words[:, j] == a
+            FZ, FT = sys_.table.apply([a], Z[mask], T[mask])
+            Z[mask], T[mask] = FZ[0], FT[0]
+    return Z, T
+
+
+@pytest.mark.parametrize("kind", ["moran4", "cf", "cantor"])
+def test_chaos_cloud_matches_per_letter_apply(kind):
+    g = cd.heisenberg(1)
+    sys_ = {
+        "moran4": lambda: moran_system([0.5] * 4),
+        "cf": lambda: cd.build_cf_system(g, cd.CfSystemParams(0.5, 6.0)),
+        # explicit mode: the center of a shell-mode annulus is the inversion pole
+        "cantor": lambda: cd.build_cantor_system(g, cd.CantorSystemParams(
+            points=[cd.gpoint([2.75 + 0.05 * k, 0.01 * k], [0.02 * k - 0.1])
+                    for k in range(10)],
+            radii=[0.02] * 10, domain_center=cd.gpoint([3.0, 0.0], [0.0]),
+            domain_radius=1.0)),
+    }[kind]()
+    depth, samples = (8, 4096) if kind == "moran4" else (4, 1000)
+    cloud = sys_.limit_set_cloud(depth, mode="chaos", samples=samples, seed=2)
+    Z, T = per_letter_chaos(sys_, depth, samples, seed=2)
+    if kind == "cantor":  # batched inversions may differ in the last bits
+        scale = np.abs(np.concatenate([Z, T], axis=1)).max()
+        assert np.abs(cloud.Z - Z).max() <= 1e-12 * scale
+        assert np.abs(cloud.T - T).max() <= 1e-12 * scale
+    else:
+        assert np.array_equal(cloud.Z, Z) and np.array_equal(cloud.T, T)
+
+
 def test_finite_irreducibility():
     sys_ = fib2_system()
     kind, phi = sys_.finite_irreducibility()

@@ -205,13 +205,17 @@ LATTICE_SETTINGS = settings(max_examples=60, deadline=None,
 @LATTICE_SETTINGS
 @given(data=st.data(), bins=st.integers(1, 700))
 @example(data=None, bins=64)
+@example(data=None, bins=3)
 def test_lattice_histogram_matches_brute_force(g, r_max, data, bins):
     if data is None:  # the edge cases: a unit shell, an empty shell, r_lo = 0
         cases = [(0.0, float(np.nextafter(1.0, 2.0))), (1.0, float(np.nextafter(1.0, 2.0))),
                  (1.01, 1.02), (0.0, r_max), (0.5, 2.0),
                  # key 4 has norm sqrt(2) = r_hi but sqrt(2)**4 > 4: it is in the
                  # shell and lands in the closed last bin
-                 (1.0, math.sqrt(2.0))]
+                 (1.0, math.sqrt(2.0)),
+                 # a range a few ulps wide: np.geomspace gives edges that do
+                 # not increase, and np.histogram rejects them
+                 (6.5970781141690065, 6.597078114169008)]
     else:
         r_hi = data.draw(st.floats(1.0, r_max), label="r_hi")
         r_lo = data.draw(st.one_of(st.just(0.0), st.floats(0.0, r_hi, exclude_max=True)),
@@ -219,6 +223,11 @@ def test_lattice_histogram_matches_brute_force(g, r_max, data, bins):
         assume(r_lo < r_hi)
         cases = [(r_lo, r_hi)]
     for r_lo, r_hi in cases:
+        want_edges = np.geomspace(max(r_lo, 1.0 - 1e-12), r_hi, bins + 1)
+        if not (np.diff(want_edges) > 0).all():
+            with pytest.raises(ValidationError):
+                G.lattice_norm_histogram(g, r_lo, r_hi, bins=bins)
+            continue
         edges, counts = G.lattice_norm_histogram(g, r_lo, r_hi, bins=bins)
         want_edges, want_counts = brute_histogram(g, r_lo, r_hi, bins)
         assert np.array_equal(edges, want_edges)

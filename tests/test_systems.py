@@ -1,8 +1,11 @@
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import carnotdim as cd
 from carnotdim import groups as G
@@ -133,6 +136,103 @@ def test_sphere_packing_validation(g):
         cd.sphere_packing(g, 1.0, 3.0, seed=0)   # separation >= diameter
 
 
+def loop_packing(g, radius, separation, seed, oversample=16, max_points=2_000_000):
+    """The sequential greedy loop that sphere_packing replaces: one candidate
+    at a time, checked against the accepted points of its 3^(m1+m2) cells."""
+    rng = np.random.default_rng(seed)
+    area = (radius / separation) ** (g.Q - 1)
+    n_cand = int(min(max(oversample * area, 1024), max_points))
+    Z, T = G.sample_sphere(g, G.origin(g), radius, n_cand, rng)
+    bnorm = max(float(np.linalg.norm(Bi, 2)) for Bi in g.B)
+    h_t = separation ** 2 + bnorm * radius * separation
+    keys = np.concatenate([np.floor(Z / separation), np.floor(T / h_t)],
+                          axis=1).astype(np.int64)
+    dims = g.m1 + g.m2
+    deltas = np.stack(np.meshgrid(*([[-1, 0, 1]] * dims), indexing="ij"),
+                      axis=-1).reshape(-1, dims)
+    B = [[list(row) for row in Bi] for Bi in g.B]
+    sep4 = separation ** 4
+    cell = {}
+    accepted = []
+    Zl, Tl = Z.tolist(), T.tolist()
+    keyl = [tuple(k) for k in keys.tolist()]
+    deltal = [tuple(d) for d in deltas.tolist()]
+    m1, m2 = g.m1, g.m2
+    for i in range(n_cand):
+        key = keyl[i]
+        zi, ti = Zl[i], Tl[i]
+        ok = True
+        for dk in deltal:
+            bucket = cell.get(tuple(a + b for a, b in zip(key, dk)))
+            if not bucket:
+                continue
+            for j in bucket:
+                zj, tj = Zl[j], Tl[j]
+                z2 = 0.0
+                for a in range(m1):
+                    v = zj[a] - zi[a]
+                    z2 += v * v
+                t2 = 0.0
+                for s in range(m2):
+                    tau = tj[s] - ti[s]
+                    Bs = B[s]
+                    for a in range(m1):
+                        row = Bs[a]
+                        zja = zj[a]
+                        for b in range(m1):
+                            tau -= row[b] * zi[b] * zja
+                    t2 += tau * tau
+                if z2 * z2 + t2 < sep4:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            cell.setdefault(key, []).append(i)
+            accepted.append(i)
+    idx = np.asarray(accepted)
+    return Z[idx], T[idx]
+
+
+PACKING_GROUPS = [cd.heisenberg(1), cd.heisenberg(2), cd.quaternionic_heisenberg(1)]
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(gk=st.integers(0, 2), shell=st.integers(1, 4), scale=st.sampled_from([1.0, 8.0]),
+       seed=st.integers(0, 2 ** 16), max_points=st.integers(1, 2500),
+       block=st.sampled_from([256, systems.PACKING_BLOCK]))
+def test_sphere_packing_matches_sequential_loop(gk, shell, scale, seed, max_points, block):
+    """The blocked packing accepts exactly the points of the sequential loop,
+    at the Cantor shells' radii and separations (separation_scale 1 and 8);
+    up to 2,500 candidates cross the block boundaries 64, 192, 448, 960, 1984,
+    and blocks capped at 256 reach their full size.  The loop is slow in the
+    7-dimensional cells of quaternionic_heisenberg(1), so it gets at most
+    1,000 candidates."""
+    g = PACKING_GROUPS[gk]
+    max_points = min(max_points, [2500, 2500, 1000][gk])
+    radius = float(np.sum(np.arange(1, shell + 1, dtype=float) ** -2.0))
+    sep = scale * (shell + 2.0) ** -2.0
+    with mock.patch.object(systems, "PACKING_BLOCK", block):
+        Z, T = cd.sphere_packing(g, radius, sep, seed, max_points=max_points)
+    Zo, To = loop_packing(g, radius, sep, seed, max_points=max_points)
+    assert np.array_equal(Z, Zo) and np.array_equal(T, To)
+
+
+@pytest.mark.parametrize("gk, sep, n", [(0, 1e-7, 1500), (2, 1e-3, 300)])
+def test_sphere_packing_wrapped_cell_codes(monkeypatch, gk, sep, n):
+    """A key box with more than 2^64 cells wraps the cell codes; the packing
+    still equals the loop's."""
+    g = PACKING_GROUPS[gk]
+    exact = []
+    cell_codes = systems._cell_codes
+    monkeypatch.setattr(systems, "_cell_codes",
+                        lambda keys: exact.append(cell_codes(keys)[2]) or cell_codes(keys))
+    Z, T = cd.sphere_packing(g, 1.0, sep, seed=3, max_points=n)
+    assert exact == [False]
+    Zo, To = loop_packing(g, 1.0, sep, seed=3, max_points=n)
+    assert np.array_equal(Z, Zo) and np.array_equal(T, To)
+
+
 # ---------------------------------------------------------------------------
 # Cantor systems
 # ---------------------------------------------------------------------------
@@ -188,7 +288,94 @@ def test_cantor_dimension_bracket_pinned(g):
     assert (db.h_lo, db.h_hi) == (1.3046875, 1.638671875)
     assert db.h_lo >= 1.2705078125  # h_lo with the former sampled distortion constant
     assert_lower_root(db, sys_.weights)
-    assert sys_.contraction == pytest.approx(0.045897858727804636, rel=1e-12)
+    # closed-form Lipschitz bound max r_e / inner^2 = 0.04 / 0.81; the former
+    # sampled ratio times 1.05 was smaller, so it was not a bound
+    assert sys_.contraction == 0.04938271604938271
+    assert sys_.contraction >= 0.045897858727804636
+
+
+def image_balls(sys_, inner, m):
+    """(anchor Z, T, radius rho_e) of the certified image balls of a Cantor
+    system, from d(phi_e x, p) = r d(x, p) / (||x|| ||p||) and d(x, p) <= the
+    bound below; m is the least norm on the domain."""
+    tab = sys_.table
+    g = sys_.group
+    Z, T = tab.params[:, :g.m1], tab.params[:, g.m1:g.m1 + g.m2]
+    norms = G.norm_many(g, Z, T)
+    if inner is not None:    # annulus: d(x, p) <= ||x|| + ||p||
+        rho = tab.r_f * (1.0 / norms + 1.0 / inner)
+    else:                    # ball B(c, R): d(x, p) <= R + d(c, p)
+        v = sys_.vertices[0]
+        dc = G.dist_many(g, v.center.z, v.center.t, Z, T)
+        rho = tab.r_f * (v.radius + dc) / (m * norms)
+    return Z, T, rho
+
+
+def check_certificate(sys_, inner, m, n_points=200, seed=0):
+    """Sampled domain points land in their certified image balls, and pair
+    ratios d(phi x, phi y) / d(x, y) stay below the closed-form contraction."""
+    g, v = sys_.group, sys_.vertices[0]
+    XZ, XT = v.sample(g, 2 * n_points, np.random.default_rng(seed))
+    PZ, PT, rho = image_balls(sys_, inner, m)
+    FZ, FT = sys_.table.apply(np.arange(sys_.n_edges), XZ, XT)
+    d = G.dist_many(g, PZ[:, None, :], PT[:, None, :], FZ, FT)
+    assert (d <= rho[:, None] * (1 + 1e-12)).all()
+    assert v.contains(g, FZ, FT, pad=1e-12).all()
+    dxy = G.dist_many(g, XZ[:n_points], XT[:n_points], XZ[n_points:], XT[n_points:])
+    dF = G.dist_many(g, FZ[:, :n_points], FT[:, :n_points],
+                     FZ[:, n_points:], FT[:, n_points:])
+    assert (dF <= sys_.contraction * dxy * (1 + 1e-12)).all()
+
+
+def test_cantor_shell_certificate_holds_at_samples(g):
+    params = cd.CantorSystemParams(epsilon=2.0, shells=3, separation_scale=8.0)
+    sys_ = cd.build_cantor_system(g, params, seed=0)
+    inner = sys_.vertices[0].inner_radius
+    assert sys_.contraction == sys_.table.r_f.max() / inner ** 2
+    check_certificate(sys_, inner, inner)
+
+
+@settings(max_examples=20, deadline=None)
+@given(anchors=st.lists(st.tuples(st.floats(2.2, 3.8), st.floats(-0.3, 0.3),
+                                  st.floats(-0.3, 0.3)), min_size=1, max_size=4),
+       r=st.floats(1e-3, 0.2))
+def test_cantor_explicit_certificate_holds_at_samples(anchors, r):
+    g = cd.heisenberg(1)
+    pts = [cd.gpoint(a[:2], a[2:]) for a in anchors]
+    center = cd.gpoint([3.0, 0.0], [0.0])
+    params = cd.CantorSystemParams(points=pts, radii=[r] * len(pts),
+                                   domain_center=center, domain_radius=1.0)
+    try:
+        sys_ = cd.build_cantor_system(g, params)
+    except ValidationError as exc:  # then some certified ball leaves the domain
+        _, _, rho = image_balls(cd.build_cantor_system(g, params, validate="none"),
+                                None, 2.0)
+        dc = G.dist_many(g, center.z, center.t, np.stack([p.z for p in pts]),
+                         np.stack([p.t for p in pts]))
+        k = int(np.flatnonzero(dc + rho > 1.0)[0])
+        assert f"'c{k}'" in str(exc)
+        return
+    assert sys_.contraction == pytest.approx(r / 4.0, rel=1e-15)
+    check_certificate(sys_, None, 2.0, n_points=100)
+
+
+def test_cantor_containment_failures_raise(g):
+    # shell mode: separation_scale 10 gives shell 1 maps of radius 0.05, whose
+    # image balls (rho = 0.105..) reach below inner = 0.9
+    with pytest.raises(ValidationError, match="'c0'.*leaves the domain"):
+        cd.build_cantor_system(g, cd.CantorSystemParams(
+            epsilon=2.0, shells=2, separation_scale=10.0), seed=0)
+    # explicit mode: an anchor near the boundary of B(c, 1) with a large ratio
+    pts = [cd.gpoint([3.0, 0.0], [0.0]), cd.gpoint([3.9, 0.0], [0.0])]
+    params = cd.CantorSystemParams(points=pts, radii=[0.05, 0.5],
+                                   domain_center=cd.gpoint([3.0, 0.0], [0.0]),
+                                   domain_radius=1.0)
+    with pytest.raises(ValidationError, match="'c1'.*leaves the domain"):
+        cd.build_cantor_system(g, params)
+    sys_ = cd.build_cantor_system(g, params, validate="none")
+    assert sys_.contraction == 0.5 / 4.0
+    with pytest.raises(ValidationError, match="unknown validation mode"):
+        cd.build_cantor_system(g, params, validate="sampled")
 
 
 def test_cantor_generic_two_points(g):
