@@ -125,12 +125,11 @@ def system_from_json(obj) -> GdmsSpec:
             contraction = obj.get("contraction")
             if contraction is not None:
                 contraction = float(contraction)
-            seed = int(obj.get("seed", 0))
     if kind == "moran":
         return build_self_similar(g, maps, incidence=incidence)
     return GdmsSpec(g, vertices, edges, incidence=incidence,
                     contraction=contraction, weights=weights,
-                    validate=obj.get("validate", "sampled"), seed=seed)
+                    validate=obj.get("validate", "closed_form"))
 
 
 def load_system(args) -> GdmsSpec:
@@ -257,6 +256,8 @@ def cmd_limitset(args):
     cloud = sys.limit_set_cloud(args.depth, mode=args.mode,
                                 samples=args.samples, seed=args.seed,
                                 budget=args.budget)
+    if not (np.isfinite(cloud.Z).all() and np.isfinite(cloud.T).all()):
+        raise NonConvergenceError("limit-set cloud has a non-finite coordinate")
     if args.out and args.out.endswith(".ply"):
         cloud.to_ply(args.out)
     elif args.out:

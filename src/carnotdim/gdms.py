@@ -6,6 +6,10 @@ edges carry contracting conformal maps sending the target-vertex set into
 the source-vertex set.  An incidence matrix restricts which edges may
 follow which; "maximal" incidence allows every composable pair.
 
+Every system is certified in closed form when it is built: from the normal
+form of each map, its image ball (GdmsSpec.image_balls) holds phi_e(X_t(e)),
+and max_e r_f / gap_e^2 (GdmsSpec.w_up) is a uniform contraction bound.
+
 One successor index holds admissibility: edge a is followed by the edges
 of vertex t(a) in a maximal system (edges stably sorted by source vertex),
 by its incidence row otherwise, so a maximal system builds no |E| x |E| array.
@@ -27,11 +31,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BudgetError, PoleError, ValidationError
+from .errors import BudgetError, ValidationError
 from . import groups as G
 from .groups import GPoint, GroupSpec
-from .conformal import (EPS_FLOOR, ConformalChain, apply_template, compose_all,
-                        template_offsets)
+from .conformal import (EPS_FLOOR, ConformalChain, Invert, apply_template,
+                        compose_all, template_offsets)
 
 Word = Tuple[int, ...]  # edge indices; () is the empty word
 
@@ -66,6 +70,15 @@ class VertexSet:
         if self.inner_radius > 0:
             ok &= d >= self.inner_radius - pad
         return ok
+
+    def anchor(self, g: GroupSpec) -> GPoint:
+        """A point of the set: the center of a ball, c * (delta e_1; 0) with
+        delta = (inner_radius + radius) / 2 for an annulus."""
+        if self.inner_radius == 0:
+            return self.center
+        e = np.zeros(g.m1)
+        e[0] = (self.inner_radius + self.radius) / 2
+        return G.group_mul(g, self.center, GPoint(e, np.zeros(g.m2)))
 
     def sample(self, g: GroupSpec, k: int, rng: np.random.Generator):
         if self.inner_radius == 0:
@@ -213,10 +226,31 @@ class EdgeTable:
             FZ[sel], FT[sel] = apply_template(g, self.templates[j], P[sel], Z[sel], T[sel])
         return FZ, FT
 
-    def pole_distance(self, cz, ct) -> np.ndarray:
-        """d(a_e, c_e) per row for points (cz, ct) of shape (rows, .);
-        meaningful where has_pole."""
-        return G.dist_many(self.group, self.pole_z, self.pole_t, cz, ct)
+    def image_of_infinity(self, rows):
+        """phi_e(infinity) of each given row as arrays (rows, m1) and (rows, m2),
+        inf where phi_e fixes infinity.  Each template is walked from its
+        innermost primitive: translations, rotations and dilations fix
+        infinity, and J swaps infinity and o."""
+        g, rows = self.group, np.asarray(rows, dtype=np.int64)
+        Z, T = np.zeros((rows.size, g.m1)), np.zeros((rows.size, g.m2))
+        at_inf = np.ones(rows.size, dtype=bool)
+        tpl_of = self.template[rows]
+        for j in np.flatnonzero(np.bincount(tpl_of, minlength=len(self.templates))):
+            sel = np.flatnonzero(tpl_of == j)
+            tpl = self.templates[j]
+            off = template_offsets(g, tpl)
+            z, t, inf = Z[sel], T[sel], at_inf[sel]
+            for k in range(len(tpl) - 1, -1, -1):
+                if issubclass(tpl[k], Invert):
+                    at_o = ~inf & (G.norm_many(g, z, t) == 0)
+                    z, t = Invert.apply_rows(g, None, z, t)
+                    z[inf], t[inf] = 0.0, 0.0  # J(infinity) = o
+                    inf = at_o
+                else:
+                    z, t = tpl[k].apply_rows(g, self.params[rows[sel], off[k]:off[k + 1]], z, t)
+            Z[sel], T[sel], at_inf[sel] = z, t, inf
+        Z[at_inf], T[at_inf] = np.inf, np.inf
+        return Z, T
 
 
 class EdgeList(Sequence):
@@ -253,27 +287,31 @@ class WordList(Sequence):
         return list(self)[k]
 
 
-# points per batch of sampled validation: bounds its working memory
-VALIDATE_CHUNK = 1 << 15
-
-
 class GdmsSpec:
     """Immutable graph directed Markov system.
 
     `edges` is a sequence of EdgeMap (each with its chain), the `edges` of
     another system, or an EdgeTable.  The system stores its edges as one
     EdgeTable (`table`); `edges[k]` is a view whose chain is built on first
-    access.  Sampled validation, weight brackets and maximalization work on
+    access.  The certificate, weight brackets and maximalization work on
     the table's rows without building chains.  `weights` (a thermo
     WeightTable, computed on first use by thermo.ensure_weights when None)
     and `cantor_shells` (the shell number of each edge of a shell-mode
     Cantor system) are constructor fields.
+
+    The contraction bound is certified from the normal forms: max_e r_f /
+    gap_e^2 (`w_up`), which bounds ||D phi_e|| on X_t(e).  A declared
+    `contraction` below it raises ValidationError.  validate="closed_form"
+    (the default) also checks that each image ball (`image_balls`) lies in
+    X_i(e).  validate="none" skips the containment test and takes a declared
+    `contraction` as given (systems built from a certified one, such as the
+    hat system of `maximalize`).
     """
 
     def __init__(self, group: GroupSpec, vertices: Sequence[VertexSet],
                  edges, incidence: Optional[np.ndarray] = None,
                  contraction: Optional[float] = None, weights=None,
-                 validate: str = "sampled", samples: int = 1000, seed: int = 0,
+                 validate: str = "closed_form",
                  cantor_shells: Optional[np.ndarray] = None):
         self.group = group
         self.vertices: Tuple[VertexSet, ...] = tuple(vertices)
@@ -289,7 +327,7 @@ class GdmsSpec:
         self.vertex_index: Dict[str, int] = {v.id: k for k, v in enumerate(self.vertices)}
         if len(self.vertex_index) != len(self.vertices):
             raise ValidationError("duplicate vertex ids")
-        if np.unique(edges.ids).size != len(edges):
+        if len(set(edges.ids.tolist())) != len(edges):  # np.unique sorts long strings slowly
             raise ValidationError("duplicate edge ids")
         self.src_idx = self._vertex_rows(edges.src)
         self.dst_idx = self._vertex_rows(edges.dst)
@@ -316,15 +354,19 @@ class GdmsSpec:
         self._irreducibility = None  # finite_irreducibility() result, once computed
 
         self._validate_geometry()
-        if validate == "sampled":
-            est = self._validate_sampled(samples, seed, contraction)
-            self.contraction = contraction if contraction is not None else est
-        elif validate == "none":
-            if contraction is None:
-                raise ValidationError("validate='none' requires an explicit contraction bound")
-            self.contraction = contraction
-        else:
+        if validate == "closed_form":
+            self._check_containment()
+        elif validate != "none":
             raise ValidationError(f"unknown validation mode {validate!r}")
+        self.contraction = contraction
+        if validate == "closed_form" or contraction is None:
+            k = int(np.argmax(self.w_up))
+            if contraction is None:
+                self.contraction = float(self.w_up[k])
+            elif contraction < self.w_up[k]:
+                raise ValidationError(
+                    f"declared contraction bound {contraction:g} is below the certified "
+                    f"bound {self.w_up[k]:g} of edge {str(edges.ids[k])!r}")
         if not (0 < self.contraction < 1):
             raise ValidationError(
                 f"contraction bound must be in (0,1), got {self.contraction:g}")
@@ -336,7 +378,7 @@ class GdmsSpec:
         rows = lookup[inv.reshape(-1)]
         if (rows < 0).any():
             k = int(np.flatnonzero(rows < 0)[0])
-            raise ValidationError(f"edge {self.table.ids[k]!r} references unknown vertices")
+            raise ValidationError(f"edge {str(self.table.ids[k])!r} references unknown vertices")
         return rows
 
     def vertex_arrays(self):
@@ -357,57 +399,68 @@ class GdmsSpec:
                     raise ValidationError(
                         f"vertex sets {va.id!r} and {vb.id!r} are not disjoint")
 
-    def _validate_sampled(self, samples: int, seed: int, contraction) -> float:
-        """Sampled containment and contraction check; returns a Lipschitz estimate.
+    @cached_property
+    def pole_gaps(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(d, gap) per edge.  For a map with pole a, d = d(a, c) to the center
+        c of X_t(e) = B(c, R) minus the open ball of radius R_in, and gap =
+        max(d - R, R_in - d) is the least distance from a to X_t(e), so that
+        r_f / (d + R)^2 <= ||D phi_e|| <= r_f / gap^2 there; gap is 1 for a
+        similarity.  Raises ValidationError when a pole touches its domain."""
+        table = self.table
+        cz, ct, R, inner = self.vertex_arrays()
+        v = self.dst_idx
+        d = G.dist_many(self.group, table.pole_z, table.pole_t, cz[v], ct[v])
+        gap = np.where(table.has_pole, np.maximum(d - R[v], inner[v] - d), 1.0)
+        if (gap <= EPS_FLOOR).any():
+            k = int(np.flatnonzero(gap <= EPS_FLOOR)[0])
+            raise ValidationError(f"edge {str(table.ids[k])!r}: map blows up at its pole, "
+                                  "which touches its domain")
+        return d, gap
 
-        Each edge maps the samples of its domain vertex (one sample set per
-        vertex, drawn in order of first use); edges sharing a domain and an
-        image vertex are checked in batches of VALIDATE_CHUNK points.
-        """
-        g, table = self.group, self.table
-        rng = np.random.default_rng(seed)
-        first = np.sort(np.unique(self.dst_idx, return_index=True)[1])
-        half = samples // 2
-        step = max(VALIDATE_CHUNK // samples, 1)
-        lip = 0.0
-        for d in self.dst_idx[first]:
-            Z, T = self.vertices[d].sample(g, samples, rng)
-            dp = G.dist_many(g, Z[:half], T[:half], Z[half:2 * half], T[half:2 * half])
-            mask = dp > 1e-9
-            for s in np.unique(self.src_idx[self.dst_idx == d]):
-                v_img = self.vertices[s]
-                rows = np.flatnonzero((self.dst_idx == d) & (self.src_idx == s))
-                for c in range(0, rows.size, step):
-                    idx = rows[c:c + step]
-                    FZ, FT = table.apply(idx, Z, T)
-                    finite = np.isfinite(FZ).all(axis=(1, 2)) & np.isfinite(FT).all(axis=(1, 2))
-                    if not finite.all():
-                        k = idx[np.flatnonzero(~finite)[0]]
-                        raise ValidationError(
-                            f"edge {table.ids[k]!r}: map blows up on its domain")
-                    ok = v_img.contains(g, FZ, FT).all(axis=1)
-                    if not ok.all():
-                        j = np.flatnonzero(~ok)[0]
-                        dist = G.dist_many(g, v_img.center.z, v_img.center.t, FZ[j], FT[j])
-                        raise ValidationError(
-                            f"edge {table.ids[idx[j]]!r}: image escapes X_{v_img.id!r} "
-                            f"(worst distance {float(dist.max()):g} > radius {v_img.radius:g})")
-                    if not mask.any():
-                        continue
-                    # Lipschitz from consecutive sample pairs.
-                    dF = G.dist_many(g, FZ[:, :half], FT[:, :half],
-                                     FZ[:, half:2 * half], FT[:, half:2 * half])
-                    ratio = (dF[:, mask] / dp[mask]).max(axis=1)
-                    lip = max(lip, float(ratio.max()))
-                    if contraction is not None and (ratio > contraction + 1e-9).any():
-                        j = np.flatnonzero(ratio > contraction + 1e-9)[0]
-                        raise ValidationError(
-                            f"edge {table.ids[idx[j]]!r}: sampled Lipschitz {ratio[j]:g} "
-                            f"exceeds the declared contraction bound {contraction:g}")
-        est = min(lip * 1.05, 0.999999)
-        if lip >= 1.0:
-            raise ValidationError(f"system is not contracting (sampled Lipschitz {lip:g})")
-        return est
+    @cached_property
+    def w_up(self) -> np.ndarray:
+        """r_f / gap^2 per edge, the sup of ||D phi_e|| over X_t(e)."""
+        return self.table.r_f / self.pole_gaps[1] ** 2
+
+    @cached_property
+    def image_balls(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(center z, center t, radius) per edge of a ball that holds phi_e(X_t(e)).
+
+        A similarity of ratio r_f maps B(c, R) onto B(phi_e(c), r_f R).  A map
+        with pole a is S o J o tau_{a^-1} with S a similarity of ratio r_f, so
+        the Koranyi-Reimann identity d(Jx, Jy) = d(x, y) / (||x|| ||y||) gives
+        d(phi_e x, phi_e c) = r_f d(x, c) / (d(a, x) d) with d = d(a, c), and
+        d(phi_e x, phi_e(infinity)) = r_f / d(a, x), where d(a, x) >= gap on
+        X_t(e).  Of B(phi_e(c), r_f R / (gap d)) and B(phi_e(infinity), r_f / gap)
+        the first is smaller iff d > R, i.e. iff the pole is outside the ball."""
+        table, g = self.table, self.group
+        cz, ct, R, _ = self.vertex_arrays()
+        v = self.dst_idx
+        d, gap = self.pole_gaps
+        at_c = ~table.has_pole | (d > R[v])
+        c_rows, inf_rows = np.flatnonzero(at_c), np.flatnonzero(~at_c)
+        Z, T = np.empty((self.n_edges, g.m1)), np.empty((self.n_edges, g.m2))
+        FZ, FT = table.apply(c_rows, cz[v[c_rows], None], ct[v[c_rows], None])
+        Z[c_rows], T[c_rows] = FZ[:, 0], FT[:, 0]
+        Z[inf_rows], T[inf_rows] = table.image_of_infinity(inf_rows)
+        return Z, T, table.r_f / gap * np.where(
+            at_c, R[v] / np.where(at_c & table.has_pole, d, 1.0), 1.0)
+
+    def _check_containment(self):
+        """phi_e(X_t(e)) in X_i(e): each image ball lies in X_i(e)'s ball, outside its hole."""
+        Z, T, rho = self.image_balls
+        cz, ct, R, inner = self.vertex_arrays()
+        s = self.src_idx
+        d = G.dist_many(self.group, cz[s], ct[s], Z, T)
+        ok = (d + rho <= R[s] * (1 + 1e-12)) & ((d - rho >= inner[s] * (1 - 1e-12))
+                                                | (inner[s] == 0))
+        if not ok.all():
+            k = int(np.flatnonzero(~ok)[0])
+            v = self.vertices[s[k]]
+            raise ValidationError(
+                f"edge {str(self.table.ids[k])!r}: image ball (radius {rho[k]:g}, "
+                f"{d[k]:g} from the center of X_{v.id!r}) escapes X_{v.id!r} "
+                f"(radii {v.inner_radius:g} to {v.radius:g})")
 
     # -- basic structure ---------------------------------------------------
 
@@ -531,13 +584,14 @@ class GdmsSpec:
         return compose_all([self.edges[a].chain for a in word])
 
     def coding_point(self, word: Word, anchor: Optional[GPoint] = None):
-        """(phi_w(anchor), error bound) with the bound s^n * max diam(X_v)."""
+        """(phi_w(anchor), error bound) with the bound s^n * max diam(X_v); the
+        anchor defaults to VertexSet.anchor of the domain vertex."""
         if not word:
             raise ValidationError("coding_point needs a nonempty word")
         self.check_word(word)
         v_dom = self.vertices[self.dst_idx[word[-1]]]
         if anchor is None:
-            anchor = v_dom.center
+            anchor = v_dom.anchor(self.group)
         else:
             ok = v_dom.contains(self.group, anchor.z[None, :], anchor.t[None, :])
             if not ok[0]:
@@ -555,21 +609,21 @@ class GdmsSpec:
         if depth < 0:
             raise ValidationError("depth must be >= 0")
         g = self.group
-        centers_Z, centers_T, _, _ = self.vertex_arrays()
+        anchors = [v.anchor(g) for v in self.vertices]  # words start at these points
+        AZ, AT = np.stack([p.z for p in anchors]), np.stack([p.t for p in anchors])
         if depth == 0:
-            return PointCloud(g, centers_Z, centers_T, np.full(len(self.vertices), self.max_diam))
+            return PointCloud(g, AZ, AT, np.full(len(self.vertices), self.max_diam))
         bound = self.contraction ** depth * self.max_diam
         if mode == "deterministic":
             count = self.count_words(depth)
             if count > budget:
                 raise BudgetError(f"deterministic cloud needs {count} words (budget {budget})",
                                   estimate=count, budget=budget)
-            # level-k block for edge a = {phi_w(center) : w in E_A^k, w_1 = a}
+            # level-k block for edge a = {phi_w(anchor) : w in E_A^k, w_1 = a}
             blocks = []
             for a in range(self.n_edges):
                 d = self.dst_idx[a]
-                blocks.append(self._apply_edge(a, centers_Z[d][None, :],
-                                               centers_T[d][None, :]))
+                blocks.append(self._apply_edge(a, AZ[d][None, :], AT[d][None, :]))
             for _ in range(depth - 1):
                 new_blocks = []
                 for a in range(self.n_edges):
@@ -584,9 +638,9 @@ class GdmsSpec:
         elif mode == "chaos":
             rng = np.random.default_rng(seed)
             words = self._sample_words(depth, samples, rng, markov)
-            # evaluate phi_w(center) by applying edges from the innermost position out
+            # evaluate phi_w(anchor) by applying edges from the innermost position out
             dst_last = self.dst_idx[words[:, -1]]
-            Z, T = centers_Z[dst_last], centers_T[dst_last]
+            Z, T = AZ[dst_last], AT[dst_last]
             for j in range(depth - 1, -1, -1):
                 Z, T = self.table.apply(words[:, j], Z[:, None], T[:, None])
                 Z, T = Z[:, 0], T[:, 0]
@@ -678,30 +732,19 @@ class GdmsSpec:
     def maximalize(self) -> "GdmsSpec":
         """Hat construction: vertices = old edges, edges = admissible pairs.
 
-        The vertex of edge e is the ball around phi_e(c) of radius
-        sup ||D phi_e|| * R over its domain ball B(c, R): r_f R for a
-        similarity, r_f R / (d(a, c) - R)^2 for a pole a outside the ball.
+        The vertex of edge e is its image ball (`image_balls`), which holds
+        phi_e(X_t(e)).
         """
-        g, table = self.group, self.table
-        cz, ct, R, _ = self.vertex_arrays()
-        cz, ct, R = cz[self.dst_idx], ct[self.dst_idx], R[self.dst_idx]
-        d = table.pole_distance(cz, ct)
-        inside = table.has_pole & (d <= R)
-        if inside.any():
-            k = int(np.flatnonzero(inside)[0])
-            raise PoleError(f"edge {table.ids[k]!r}: pole inside its domain ball",
-                            distance=float(d[k]))
-        gap = np.where(table.has_pole, np.maximum(d - R, EPS_FLOOR), 1.0)
-        radius = table.r_f / np.where(table.has_pole, gap * gap, 1.0) * R
-        FZ, FT = table.apply(np.arange(self.n_edges), cz[:, None, :], ct[:, None, :])
+        table = self.table
+        Z, T, rho = self.image_balls
         names = np.char.add(np.char.add("v[", table.ids), "]")
-        new_vertices = [VertexSet(id=str(names[a]), center=GPoint(FZ[a, 0], FT[a, 0]),
-                                  radius=float(radius[a]))
+        new_vertices = [VertexSet(id=str(names[a]), center=GPoint(Z[a], T[a]),
+                                  radius=float(rho[a]))
                         for a in range(self.n_edges)]
         a, b = np.array(list(self.admissible_words(2, math.inf)), dtype=np.int64).reshape(-1, 2).T
         ids = np.char.add(np.char.add(table.ids[a], "|"), table.ids[b])
         new_table = table.take(a, ids, names[a], names[b])
-        return GdmsSpec(g, new_vertices, new_table, incidence=None,
+        return GdmsSpec(self.group, new_vertices, new_table, incidence=None,
                         contraction=self.contraction, validate="none")
 
     def __repr__(self):

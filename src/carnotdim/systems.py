@@ -4,17 +4,18 @@
   with translation by a deep lattice point, acting on the closed ball of
   radius 1/2 around the identity.
 * Conformal Cantor systems: inversion-conjugated similarities anchored at a
-  prescribed (or shell-packed) point configuration away from the identity,
-  with containment and contraction certified in closed form by the
-  Koranyi-Reimann identity; shell points come from a greedy sphere packing
-  settled in array blocks.
+  prescribed (or shell-packed) point configuration away from the identity;
+  shell points come from a greedy sphere packing settled in array blocks.
 * Self-similar iterated function systems built from translations, rotations
   and dilations, with exact weights.
 
 Each builder fills the system's EdgeTable in closed form, one array
 operation for the whole alphabet: continued fractions have pole gamma^{-1}
 and r_f = 1, Cantor maps have pole o and r_f = r, similarities have no pole
-and r_f = the product of their dilations.  CF and self-similar systems get
+and r_f = the product of their dilations.  GdmsSpec certifies containment
+and contraction of every system from these normal forms (image balls from
+the Koranyi-Reimann identity), so no builder has a certificate of its own.
+CF and self-similar systems get
 their WeightTable (closed-form pointwise brackets, distortion 1) as a
 constructor field, Cantor systems the same brackets on first use;
 shell-mode Cantor systems carry the shell number of each edge
@@ -95,9 +96,9 @@ def build_cf_system(g: GroupSpec, params: CfSystemParams,
     Edge g<coords of gamma> has pole gamma^{-1} at distance ||gamma|| >= 5/2
     from the center and r_f = 1, so ||D phi(p)|| lies in
     [w_lo, w_up] = [(||gamma|| + 1/2)^-2, (||gamma|| - 1/2)^-2] at every p of
-    the domain (distortion 1).  Containment in the domain ball holds exactly
-    (images lie within 1/(2 + epsilon) of the center), so no sampled
-    validation is needed.  `distortion_seed` is ignored; it is kept so that
+    the domain (distortion 1).  phi(infinity) = o, so GdmsSpec's certificate
+    puts each image in B(o, 1/(||gamma|| - 1/2)), inside the domain ball
+    since ||gamma|| >= 5/2.  `distortion_seed` is ignored; it is kept so that
     existing callers still run.
     """
     Z, T, norms = cf_alphabet(g, params, budget)
@@ -107,8 +108,7 @@ def build_cf_system(g: GroupSpec, params: CfSystemParams,
     table = EdgeTable(g, _edge_ids("g", coords), "X", "X", [(Invert, Translate)], 0,
                       coords, -Z, -T, True, np.ones(n))
     weights = WeightTable(1.0 / (norms + 0.5) ** 2, 1.0 / (norms - 0.5) ** 2)
-    return GdmsSpec(g, [vertex], table, contraction=float(weights.w_up.max()),
-                    weights=weights, validate="none")
+    return GdmsSpec(g, [vertex], table, weights=weights)
 
 
 def cf_shell_family(g: GroupSpec, epsilon: float, r_max: float,
@@ -381,27 +381,15 @@ def build_cantor_system(g: GroupSpec, params: CantorSystemParams,
     domain is the annulus inner <= ||x|| <= outer around the shells, which
     keeps the inversion pole (the identity) outside.
 
-    Containment and contraction are certified in closed form by the
-    Koranyi-Reimann identity d(Jx, Jy) = d(x, y) / (||x|| ||y||), which
-    gives d(phi_e x, p) = r d(x, p) / (||x|| ||p||) and d(phi_e x, phi_e y)
-    = r d(x, y) / (||x|| ||y||).  Every image phi_e(X) lies in B(p, rho_e):
-    shell mode has rho_e = r (1/||p|| + 1/inner) and needs inner <= ||p|| -
-    rho_e and ||p|| + rho_e <= outer; explicit mode has rho_e = r (R +
-    d(c, p)) / ((||c|| - R) ||p||) and needs d(c, p) + rho_e <= R.  The
-    contraction bound is max r / m^2 with m = inner, resp. ||c|| - R, the
-    least norm on the domain.  validate="closed_form" raises ValidationError
-    naming the first edge whose ball leaves the domain; validate="none" skips
-    that check (the contraction bound holds either way).
+    GdmsSpec certifies the system (`validate` is passed on): each map has
+    pole o and r_f = r, so its image lies in B(phi_e(infinity), r / m) in
+    shell mode and in B(phi_e(c), r R / (m ||c||)) in explicit mode, and the
+    contraction bound is max r / m^2, with m = inner, resp. ||c|| - R, the
+    least norm on the domain.
     """
-    if validate not in ("closed_form", "none"):
-        raise ValidationError(f"unknown validation mode {validate!r}")
-    mode = params.mode
-    if mode == "generic":
-        center, radius = params.domain_center, params.domain_radius
-        vertex = VertexSet(id="X", center=center, radius=radius)
-        m = G.gauge_norm(g, center) - radius  # least norm on the domain
-        if m <= 0:
-            raise ValidationError("domain must not contain the identity (inversion pole)")
+    if params.mode == "generic":
+        vertex = VertexSet(id="X", center=params.domain_center,
+                           radius=params.domain_radius)
         if not params.points:
             raise ValidationError("explicit mode needs at least one point")
         for p in params.points:
@@ -417,7 +405,6 @@ def build_cantor_system(g: GroupSpec, params: CantorSystemParams,
         outer = d[-1] + 0.1
         vertex = VertexSet(id="X", center=G.origin(g), radius=outer,
                            inner_radius=inner)
-        m = inner
         d0 = 2.0 / inner  # diam J(X) <= 2 / inner for the annulus around o
         if params.separation_scale < 1.0:
             raise ValidationError("separation_scale must be >= 1")
@@ -433,32 +420,16 @@ def build_cantor_system(g: GroupSpec, params: CantorSystemParams,
     bad = ~((radii > 0) & (radii < 1))
     if bad.any():
         raise ValidationError(f"map radius {radii[bad][0]:g} out of (0,1)")
-    norms = G.norm_many(g, Z, T)
-    if (norms == 0).any():
+    if (G.norm_many(g, Z, T) == 0).any():
         raise ValidationError("anchor points must avoid the identity (inversion pole)")
-    ids = _edge_ids("c", np.arange(Z.shape[0])[:, None])
-    if validate == "closed_form":
-        if mode == "generic":
-            dc = G.dist_many(g, center.z, center.t, Z, T)
-            rho = radii * (radius + dc) / (m * norms)
-            bad = dc + rho > radius
-        else:
-            rho = radii * (1.0 / norms + 1.0 / inner)
-            bad = (norms - rho < inner) | (norms + rho > outer)
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise ValidationError(
-                f"edge {str(ids[k])!r}: image ball B(p, {rho[k]:g}) around its anchor "
-                f"(norm {norms[k]:g}) leaves the domain")
     # translate(p) o dilate(r) o translate(J(p)^{-1}) o J fixes p; pole o, r_f = r
     JZ, JT = Invert().apply_many(g, Z, T)
     n = Z.shape[0]
-    table = EdgeTable(g, ids, "X", "X",
+    table = EdgeTable(g, _edge_ids("c", np.arange(n)[:, None]), "X", "X",
                       [(Translate, Dilate, Translate, Invert)], 0,
                       np.concatenate([Z, T, radii[:, None], -JZ, -JT], axis=1),
                       np.zeros((n, g.m1)), np.zeros((n, g.m2)), True, radii)
-    return GdmsSpec(g, [vertex], table, incidence=None, validate="none",
-                    contraction=float(radii.max() / (m * m)), cantor_shells=shell_of)
+    return GdmsSpec(g, [vertex], table, validate=validate, cantor_shells=shell_of)
 
 
 def cantor_shell_family(sys: GdmsSpec) -> ShellFamily:
@@ -484,9 +455,9 @@ def build_self_similar(g: GroupSpec, maps: Sequence[Tuple],
     """Maximal (or explicitly restricted) similarity IFS from
     (translation point, scale[, rotation]) triples, with exact weights.
 
-    The single vertex ball around the identity is auto-fitted: the radius is
-    the fixed point of R -> max_e (||p_e|| + s_e R), found by <= 50
-    inflation steps.
+    The single vertex ball around the identity has radius (1 + 1e-9) times
+    max_e ||p_e|| / (1 - s_e), the fixed point of R -> max_e (||p_e|| + s_e R),
+    so that every image ball B(p_e, s_e R) lies inside it.
     """
     if not maps:
         raise ValidationError("need at least one map")
@@ -512,21 +483,13 @@ def build_self_similar(g: GroupSpec, maps: Sequence[Tuple],
     scales = np.array([prims[-1].r for prims in prim_lists])
     Zp = np.stack([prims[0].point.z for prims in prim_lists])
     Tp = np.stack([prims[0].point.t for prims in prim_lists])
-    offsets = G.norm_many(g, Zp, Tp)
-    R = float(offsets.max())
-    for _ in range(50):
-        R_new = float((offsets + scales * R).max())
-        if R_new <= R * (1 + 1e-12):
-            break
-        R = R_new
-    R = max(R * (1 + 1e-9), 1e-6)
+    R = max(float((G.norm_many(g, Zp, Tp) / (1 - scales)).max()) * (1 + 1e-9), 1e-6)
     vertex = VertexSet(id="X", center=G.origin(g), radius=R)
     n = len(prim_lists)
     table = EdgeTable.from_primitives(
         g, _edge_ids("s", np.arange(n)[:, None]), "X", "X", prim_lists,
         np.zeros((n, g.m1)), np.zeros((n, g.m2)), False, scales)
     return GdmsSpec(g, [vertex], table, incidence=incidence,
-                    contraction=float(scales.max()), validate="none",
                     weights=WeightTable(scales.copy(), scales.copy()))
 
 

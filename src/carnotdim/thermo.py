@@ -197,22 +197,14 @@ def compute_weight_table(sys: GdmsSpec) -> WeightTable:
     vertex set; no distortion constant (K = 1).
 
     Similarities have the exact weight r_f.  A map with pole a has
-    ||D phi_e(p)|| = r_f / d(p, a)^2, so over the ball B(c, R) minus the open
-    ball of radius R_in, w_lo = r_f / (d(c, a) + R)^2 and
-    w_up = r_f / max(d(c, a) - R, R_in - d(c, a))^2.
+    ||D phi_e(p)|| = r_f / d(p, a)^2, so with d from sys.pole_gaps,
+    w_lo = r_f / (d + R)^2, and w_up = sys.w_up = r_f / gap^2.
     """
     table = sys.table
-    cz, ct, R, inner = sys.vertex_arrays()
-    d = sys.dst_idx
-    dc = table.pole_distance(cz[d], ct[d])
-    dmax = dc + R[d]
-    dmin = np.maximum(np.maximum(dc - R[d], inner[d] - dc), 1e-12)
-    touch = table.has_pole & (dmin <= 1e-12)
-    if touch.any():
-        k = int(np.flatnonzero(touch)[0])
-        raise ValidationError(f"edge {table.ids[k]!r}: pole touches the domain")
-    return WeightTable(np.where(table.has_pole, table.r_f / dmax ** 2, table.r_f),
-                       np.where(table.has_pole, table.r_f / dmin ** 2, table.r_f))
+    d = sys.pole_gaps[0]
+    R = sys.vertex_arrays()[2][sys.dst_idx]
+    return WeightTable(np.where(table.has_pole, table.r_f / (d + R) ** 2, table.r_f),
+                       sys.w_up)
 
 
 def ensure_weights(sys: GdmsSpec) -> WeightTable:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from carnotdim.cli import system_from_json
 from conftest import FIB2, GDMS2, MORAN4, run_cli, write_spec
 
 
@@ -312,3 +313,44 @@ def test_theta_over_budget_shell_exits_3():
     assert json.loads(err.decode()) == {
         "error": "BudgetError",
         "message": "lattice histogram would cost ~4.01e+08 (budget 2.00e+08)"}
+
+
+@pytest.mark.parametrize("spec, rc_want", [
+    (None, 0),
+    # the anchor o of B(o, 1) is the pole of J; validate "none" lets it through
+    ({"spec_version": 1, "kind": "gdms", "group": {"kind": "heis_c", "n": 1},
+      "vertices": [{"id": "X", "center": [0.0, 0.0, 0.0], "radius": 1.0}],
+      "edges": [{"id": "a", "src": "X", "dst": "X", "chain": [{"invert": True}]}],
+      "contraction": 0.5, "validate": "none"}, 4),
+], ids=["cantor-annulus", "pole-at-anchor"])
+def test_limitset_coordinates_are_finite(spec, rc_want, tmp_path):
+    """Words start at a point of the vertex set, not at the center of a
+    shell-mode Cantor annulus (every map's pole); a cloud that still has a
+    non-finite coordinate exits 4 with a JSON error."""
+    if spec is None:
+        argv = ["--system", "cantor", "--epsilon", "2", "--shells", "1"]
+    else:
+        argv = ["--spec", write_spec(tmp_path, "pole.json", spec)]
+    rc, out, err = run_cli(["limitset", "--depth", "1"] + argv)
+    assert rc == rc_want, err.decode()
+    if rc_want:
+        assert json.loads(err.decode())["error"] == "NonConvergenceError"
+        return
+    rows = out.decode().strip().split("\n")
+    assert rows[0] == "z1,z2,t1,err" and len(rows) > 1000
+    assert np.isfinite(np.array([r.split(",") for r in rows[1:]], float)).all()
+
+
+def test_gdms_spec_contraction_is_certified():
+    """The two maps of the spec are dilations by 1/2: the certified bound is
+    0.5 (a sampled Lipschitz ratio times 1.05 gave 0.525)."""
+    assert system_from_json(GDMS2).contraction == 0.5
+
+
+def test_escaping_edge_is_named(tmp_path):
+    """Edge ids read from a spec appear as 'a' in messages, not np.str_('a')."""
+    spec = json.loads(json.dumps(GDMS2))
+    spec["edges"][0]["chain"][0]["translate"] = [3.0, 0.0, 0.0]
+    rc, _, err = run_cli(["dim", "--spec", write_spec(tmp_path, "escape.json", spec)])
+    assert rc == 2
+    assert "edge 'a'" in json.loads(err.decode())["message"]

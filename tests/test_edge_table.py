@@ -125,6 +125,27 @@ def test_spec_chain_rows_and_normal_form(chains, probe):
             np.testing.assert_allclose(deriv, table.r_f[k], rtol=1e-9)
 
 
+@SETTINGS
+@given(chains=st.lists(spec_chain(), min_size=1, max_size=4))
+@example(chains=[[cd.Invert(), cd.Invert(), cd.Dilate(2.0), cd.Invert(),
+                  cd.Rotate(theta=0.5)]])
+def test_image_of_infinity_matches_chains(chains):
+    """phi(infinity) of each row against ConformalChain.apply(INFINITY);
+    J o J o delta o J o R sends infinity to o, then infinity, then o."""
+    chains = [cd.ConformalChain(G1, p) for p in chains]
+    edges = [cd.EdgeMap(id=f"e{k}", src="X", dst="X", chain=c) for k, c in enumerate(chains)]
+    table = cd.EdgeTable.from_maps(G1, edges)
+    with np.errstate(all="ignore"):
+        Z, T = table.image_of_infinity(np.arange(len(chains)))
+        want = [c.apply(cd.INFINITY) for c in chains]
+    for k, p in enumerate(want):
+        if cd.is_infinity(p):
+            assert np.isinf(Z[k]).all() and np.isinf(T[k]).all()
+        else:
+            np.testing.assert_allclose(Z[k], p.z, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(T[k], p.t, rtol=1e-12, atol=1e-12)
+
+
 def test_edges_are_lazy_views():
     sys_ = cd.build_cf_system(G1, cd.CfSystemParams(0.5, 4.0))
     table = sys_.table

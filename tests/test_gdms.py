@@ -158,7 +158,7 @@ def test_maximalize_preserves_words():
 @pytest.mark.parametrize("prims, radius, contraction, message", [
     # translate by 5 with scale 0.5 maps B(o,1) far outside itself
     ([cd.Translate(cd.gpoint([5.0, 0.0], [0.0])), cd.Dilate(0.5)], 1.0, None, "escapes"),
-    # the inversion's pole o is the domain's center: samples that close underflow onto it
+    # the inversion's pole o is the domain's center
     ([cd.Invert()], 1e-200, None, "blows up"),
     # ratio 0.5 against a declared bound of 0.3
     ([cd.Translate(cd.gpoint([0.1, 0.0], [0.0])), cd.Dilate(0.5)], 1.0, 0.3,
@@ -171,7 +171,7 @@ def test_validation_catches_escaping_images(prims, radius, contraction, message)
                       chain=cd.ConformalChain(g, [cd.Dilate(0.25)]))
     edge = cd.EdgeMap(id="bad", src="X", dst="X", chain=cd.ConformalChain(g, prims))
     with np.errstate(all="ignore"), pytest.raises(ValidationError, match=message) as exc:
-        cd.GdmsSpec(g, [v], [good, edge], contraction=contraction, validate="sampled")
+        cd.GdmsSpec(g, [v], [good, edge], contraction=contraction)
     assert "'bad'" in str(exc.value)
 
 

@@ -294,37 +294,55 @@ def test_cantor_dimension_bracket_pinned(g):
     assert sys_.contraction >= 0.045897858727804636
 
 
-def image_balls(sys_, inner, m):
-    """(anchor Z, T, radius rho_e) of the certified image balls of a Cantor
-    system, from d(phi_e x, p) = r d(x, p) / (||x|| ||p||) and d(x, p) <= the
-    bound below; m is the least norm on the domain."""
-    tab = sys_.table
+def chain_balls(sys_, e):
+    """Every ball that the closed forms put around phi_e(X_t(e)), from the
+    chain of edge e: B(phi(c), r_f R) for a similarity on B(c, R); for a map
+    with pole a at d = d(c, a), with gap = max(d - R, R_in - d),
+    B(phi(infinity), r_f / gap) and, if d > 0, B(phi(c), r_f R / (gap d))."""
+    v, chain = sys_.vertices[sys_.vertex_index[e.dst]], e.chain
+    if chain.pole is None:
+        return [(chain.apply(v.center), chain.r_f * v.radius)]
+    d = cd.gauge_dist(sys_.group, v.center, chain.pole)
+    gap = max(d - v.radius, v.inner_radius - d)
+    balls = [(chain.apply(cd.INFINITY), chain.r_f / gap)]
+    if d > 0:
+        balls.append((chain.apply(v.center), chain.r_f * v.radius / (gap * d)))
+    return balls
+
+
+def image_balls(sys_):
+    """(center Z, T, radius) of the smallest chain ball of each edge."""
+    out = [min(chain_balls(sys_, e), key=lambda b: b[1]) for e in sys_.edges]
+    return (np.stack([c.z for c, _ in out]), np.stack([c.t for c, _ in out]),
+            np.array([r for _, r in out]))
+
+
+def check_certificate(sys_, n_points=200, seed=0):
+    """The system's image balls are the smallest chain balls; sampled domain
+    points land in every chain ball and in the image vertex, and pair ratios
+    d(phi x, phi y) / d(x, y) stay below the certified contraction."""
     g = sys_.group
-    Z, T = tab.params[:, :g.m1], tab.params[:, g.m1:g.m1 + g.m2]
-    norms = G.norm_many(g, Z, T)
-    if inner is not None:    # annulus: d(x, p) <= ||x|| + ||p||
-        rho = tab.r_f * (1.0 / norms + 1.0 / inner)
-    else:                    # ball B(c, R): d(x, p) <= R + d(c, p)
-        v = sys_.vertices[0]
-        dc = G.dist_many(g, v.center.z, v.center.t, Z, T)
-        rho = tab.r_f * (v.radius + dc) / (m * norms)
-    return Z, T, rho
+    for got, want in zip(sys_.image_balls, image_balls(sys_)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    rng = np.random.default_rng(seed)
+    for k, e in enumerate(sys_.edges):
+        v_dom = sys_.vertices[sys_.vertex_index[e.dst]]
+        v_img = sys_.vertices[sys_.vertex_index[e.src]]
+        XZ, XT = v_dom.sample(g, 2 * n_points, rng)
+        FZ, FT = sys_.table.apply([k], XZ, XT)
+        FZ, FT = FZ[0], FT[0]
+        for c, rho in chain_balls(sys_, e):
+            assert (G.dist_many(g, c.z, c.t, FZ, FT) <= rho * (1 + 1e-12)).all()
+        assert v_img.contains(g, FZ, FT, pad=1e-12).all()
+        dxy = G.dist_many(g, XZ[:n_points], XT[:n_points], XZ[n_points:], XT[n_points:])
+        dF = G.dist_many(g, FZ[:n_points], FT[:n_points], FZ[n_points:], FT[n_points:])
+        assert (dF <= sys_.contraction * dxy * (1 + 1e-12)).all()
 
 
-def check_certificate(sys_, inner, m, n_points=200, seed=0):
-    """Sampled domain points land in their certified image balls, and pair
-    ratios d(phi x, phi y) / d(x, y) stay below the closed-form contraction."""
-    g, v = sys_.group, sys_.vertices[0]
-    XZ, XT = v.sample(g, 2 * n_points, np.random.default_rng(seed))
-    PZ, PT, rho = image_balls(sys_, inner, m)
-    FZ, FT = sys_.table.apply(np.arange(sys_.n_edges), XZ, XT)
-    d = G.dist_many(g, PZ[:, None, :], PT[:, None, :], FZ, FT)
-    assert (d <= rho[:, None] * (1 + 1e-12)).all()
-    assert v.contains(g, FZ, FT, pad=1e-12).all()
-    dxy = G.dist_many(g, XZ[:n_points], XT[:n_points], XZ[n_points:], XT[n_points:])
-    dF = G.dist_many(g, FZ[:, :n_points], FT[:, :n_points],
-                     FZ[:, n_points:], FT[:, n_points:])
-    assert (dF <= sys_.contraction * dxy * (1 + 1e-12)).all()
+def test_cf_certificate_holds_at_samples(g):
+    sys_ = cd.build_cf_system(g, cd.CfSystemParams(0.5, 4.0))
+    assert sys_.contraction == float(sys_.weights.w_up.max())
+    check_certificate(sys_, n_points=50)
 
 
 def test_cantor_shell_certificate_holds_at_samples(g):
@@ -332,7 +350,7 @@ def test_cantor_shell_certificate_holds_at_samples(g):
     sys_ = cd.build_cantor_system(g, params, seed=0)
     inner = sys_.vertices[0].inner_radius
     assert sys_.contraction == sys_.table.r_f.max() / inner ** 2
-    check_certificate(sys_, inner, inner)
+    check_certificate(sys_, n_points=50)
 
 
 @settings(max_examples=20, deadline=None)
@@ -345,37 +363,103 @@ def test_cantor_explicit_certificate_holds_at_samples(anchors, r):
     center = cd.gpoint([3.0, 0.0], [0.0])
     params = cd.CantorSystemParams(points=pts, radii=[r] * len(pts),
                                    domain_center=center, domain_radius=1.0)
+    # the ball B(p, r (R + d(c, p)) / ((||c|| - R) ||p||)) around the anchor
+    # also holds each image; where it lies in B(c, R) so must the smaller ball
+    P = np.array([a for a in anchors])
+    dc_p = G.dist_many(g, center.z, center.t, P[:, :2], P[:, 2:])
+    anchor_ok = dc_p + r * (1.0 + dc_p) / (2.0 * G.norm_many(g, P[:, :2], P[:, 2:])) <= 1.0
     try:
         sys_ = cd.build_cantor_system(g, params)
     except ValidationError as exc:  # then some certified ball leaves the domain
-        _, _, rho = image_balls(cd.build_cantor_system(g, params, validate="none"),
-                                None, 2.0)
-        dc = G.dist_many(g, center.z, center.t, np.stack([p.z for p in pts]),
-                         np.stack([p.t for p in pts]))
+        assert not anchor_ok.all()
+        PZ, PT, rho = image_balls(cd.build_cantor_system(g, params, validate="none"))
+        dc = G.dist_many(g, center.z, center.t, PZ, PT)
         k = int(np.flatnonzero(dc + rho > 1.0)[0])
         assert f"'c{k}'" in str(exc)
         return
     assert sys_.contraction == pytest.approx(r / 4.0, rel=1e-15)
-    check_certificate(sys_, None, 2.0, n_points=100)
+    check_certificate(sys_, n_points=100)
+
+
+def test_spec_chain_certificate_holds_at_samples(g):
+    """Chains with one to three inversions and a similarity, on two vertices;
+    J o J o delta o J o tau sends infinity to o through both swaps."""
+    X = cd.VertexSet(id="X", center=cd.origin(g), radius=0.5)
+    Y = cd.VertexSet(id="Y", center=cd.gpoint([4.0, 0.0], [0.0]), radius=0.5,
+                     inner_radius=0.1)
+    chains = {
+        "a": ("X", "X", [cd.Invert(), cd.Translate(cd.gpoint([3.0, 0.0], [1.0]))]),
+        "b": ("X", "X", [cd.Rotate(theta=0.7), cd.Invert(),
+                         cd.Translate(cd.gpoint([2.0, 2.0], [-1.0])), cd.Dilate(0.9)]),
+        "c": ("X", "Y", [cd.Invert(), cd.Invert(), cd.Dilate(0.5), cd.Invert(),
+                         cd.Translate(cd.gpoint([-1.0, 0.0], [0.0]))]),
+        "d": ("Y", "X", [cd.Translate(cd.gpoint([4.3, 0.0], [0.0])), cd.Dilate(0.3)]),
+        "e": ("X", "Y", [cd.Translate(cd.gpoint([0.1, 0.0], [0.0])), cd.Dilate(0.4),
+                         cd.Translate(cd.gpoint([-4.0, 0.0], [0.0]))]),
+    }
+    edges = [cd.EdgeMap(id=k, src=s, dst=d, chain=cd.ConformalChain(g, p))
+             for k, (s, d, p) in chains.items()]
+    sys_ = cd.GdmsSpec(g, [X, Y], edges)
+    assert sys_.table.has_pole.tolist() == [True, True, True, False, False]
+    check_certificate(sys_)
 
 
 def test_cantor_containment_failures_raise(g):
-    # shell mode: separation_scale 10 gives shell 1 maps of radius 0.05, whose
-    # image balls (rho = 0.105..) reach below inner = 0.9
-    with pytest.raises(ValidationError, match="'c0'.*leaves the domain"):
+    # shell mode: at separation_scale 10 and seed 2 the image ball of the
+    # first shell-1 map reaches into the hole of radius inner = 0.9
+    with pytest.raises(ValidationError, match="'c0'.*escapes"):
         cd.build_cantor_system(g, cd.CantorSystemParams(
-            epsilon=2.0, shells=2, separation_scale=10.0), seed=0)
+            epsilon=2.0, shells=2, separation_scale=10.0), seed=2)
     # explicit mode: an anchor near the boundary of B(c, 1) with a large ratio
     pts = [cd.gpoint([3.0, 0.0], [0.0]), cd.gpoint([3.9, 0.0], [0.0])]
     params = cd.CantorSystemParams(points=pts, radii=[0.05, 0.5],
                                    domain_center=cd.gpoint([3.0, 0.0], [0.0]),
                                    domain_radius=1.0)
-    with pytest.raises(ValidationError, match="'c1'.*leaves the domain"):
+    with pytest.raises(ValidationError, match="'c1'.*escapes"):
         cd.build_cantor_system(g, params)
     sys_ = cd.build_cantor_system(g, params, validate="none")
     assert sys_.contraction == 0.5 / 4.0
     with pytest.raises(ValidationError, match="unknown validation mode"):
         cd.build_cantor_system(g, params, validate="sampled")
+
+
+def test_cantor_explicit_anchor_off_center_certifies(g):
+    """p = (3, 0; 0.49) is 0.7 from the center of B((3, 0; 0), 1); with r = 0.9
+    the image lies within 0.955 of the center by the anchor ball, beyond 1 by
+    B(phi(infinity), r / gap), and the certificate takes the ball around phi(c)."""
+    params = cd.CantorSystemParams(points=[cd.gpoint([3.0, 0.0], [0.49])], radii=[0.9],
+                                   domain_center=cd.gpoint([3.0, 0.0], [0.0]),
+                                   domain_radius=1.0)
+    sys_ = cd.build_cantor_system(g, params)
+    assert sys_.image_balls[2][0] == pytest.approx(0.9 / 6.0, rel=1e-12)
+    check_certificate(sys_, n_points=100)
+
+
+def test_maximalize_pole_system(g):
+    """Hat vertices of an explicit Cantor system are its image balls
+    B(phi_e(c), r R / (gap d)), disjoint here; the balls B(phi_e(infinity), r /
+    gap), three times as wide, would overlap.  Pressure brackets of the hat
+    system and of the system overlap."""
+    c = cd.gpoint([3.0, 0.0], [0.0])
+    pts = [c, cd.gpoint([3.04, 0.0], [0.0]), cd.gpoint([3.5, 0.0], [0.0])]
+    sys_ = cd.build_cantor_system(g, cd.CantorSystemParams(
+        points=pts, radii=[0.05] * 3, domain_center=c, domain_radius=1.0))
+    hat = sys_.maximalize()
+    Z, T, rho = sys_.image_balls
+    assert rho.tolist() == pytest.approx([0.05 / 6.0] * 3, rel=1e-12)
+    for a, v in enumerate(hat.vertices):
+        assert (v.center.z.tolist(), v.center.t.tolist(), v.radius) == (
+            Z[a].tolist(), T[a].tolist(), rho[a])
+    assert G.gauge_dist(g, hat.vertices[0].center, hat.vertices[1].center) < 2 * 0.05 / 2.0
+    rng = np.random.default_rng(0)
+    XZ, XT = sys_.vertices[0].sample(g, 100, rng)
+    FZ, FT = sys_.table.apply(np.arange(3), XZ, XT)
+    for a, v in enumerate(hat.vertices):
+        assert v.contains(g, FZ[a], FT[a], pad=1e-12).all()
+    assert hat.count_words(3) == sys_.count_words(4)
+    for t in (0.1, 0.5):
+        p, q = cd.pressure_bracket(sys_, t), cd.pressure_bracket(hat, t)
+        assert p.lower <= q.upper and q.lower <= p.upper
 
 
 def test_cantor_generic_two_points(g):
@@ -480,6 +564,21 @@ def test_build_self_similar_fixed_point_radius(g):
     for e in sys_.edges:
         IZ, IT = e.chain.apply_many(Z, T)
         assert v.contains(g, IZ, IT, pad=1e-6).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(maps=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                               st.floats(-2.0, 2.0), st.floats(0.01, 0.95)),
+                     min_size=1, max_size=5))
+def test_build_self_similar_radius_holds_every_image(maps):
+    """||p_e|| + s_e R <= R for every map, so each image ball B(p_e, s_e R)
+    lies in the vertex ball B(o, R), also for ratios near 1."""
+    g = cd.heisenberg(1)
+    sys_ = cd.build_self_similar(g, [(cd.gpoint(m[:2], m[2:3]), m[3]) for m in maps])
+    R = sys_.vertices[0].radius
+    P = np.array([m[:3] for m in maps])
+    s = np.array([m[3] for m in maps])
+    assert (G.norm_many(g, P[:, :2], P[:, 2:]) + s * R <= R).all()
 
 
 def test_build_self_similar_rejects_expanding():
