@@ -97,7 +97,7 @@ def _piecewise_inverse(beta, y, m) -> np.ndarray:
     # beta_- breaks at the cumulative layer dimensions, beta_+ at their
     # reflections N - cum; the union covers both piecewise-linear functions
     cum = np.concatenate([[0.0], np.cumsum(m)])
-    xs = np.unique(np.concatenate([cum, N - cum]))
+    xs = np.array(sorted(set(cum.tolist() + (N - cum).tolist())))
     ys = np.asarray(beta(xs, m), float)
     return np.interp(y, ys, xs)
 

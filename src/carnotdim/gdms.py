@@ -217,7 +217,7 @@ class EdgeTable:
         T = np.broadcast_to(T, shape + (g.m2,))
         P = self.params[rows][:, None, :]
         tpl_of = self.template[rows]
-        kinds = np.unique(tpl_of)
+        kinds = np.flatnonzero(np.bincount(tpl_of, minlength=len(self.templates)))
         if kinds.size == 1:
             return apply_template(g, self.templates[kinds[0]], P, Z, T)
         FZ = np.empty(shape + (g.m1,)); FT = np.empty(shape + (g.m2,))
@@ -372,10 +372,13 @@ class GdmsSpec:
                 f"contraction bound must be in (0,1), got {self.contraction:g}")
 
     def _vertex_rows(self, names: np.ndarray) -> np.ndarray:
-        """Vertex index of each edge's vertex id."""
-        uniq, inv = np.unique(names, return_inverse=True)
-        lookup = np.array([self.vertex_index.get(str(u), -1) for u in uniq])
-        rows = lookup[inv.reshape(-1)]
+        """Vertex index of each edge's vertex id: one lookup for a column
+        with one value (every builder's "X"), else one per edge."""
+        index = self.vertex_index
+        if (names == names[0]).all():
+            rows = np.full(names.size, index.get(str(names[0]), -1))
+        else:
+            rows = np.fromiter((index.get(s, -1) for s in names.tolist()), np.int64, names.size)
         if (rows < 0).any():
             k = int(np.flatnonzero(rows < 0)[0])
             raise ValidationError(f"edge {str(self.table.ids[k])!r} references unknown vertices")
@@ -664,7 +667,7 @@ class GdmsSpec:
             words[:, 0] = rng.integers(0, nE, size=samples)
             for j in range(1, depth):
                 prev = words[:, j - 1]
-                for a in np.unique(prev):
+                for a in np.flatnonzero(np.bincount(prev, minlength=nE)):
                     mask = prev == a
                     words[mask, j] = rng.choice(self.successors(a), size=int(mask.sum()))
         else:
@@ -679,7 +682,7 @@ class GdmsSpec:
             words[:, 0] = rng.choice(nE, size=samples, p=pi)
             for j in range(1, depth):
                 prev = words[:, j - 1]
-                for a in np.unique(prev):
+                for a in np.flatnonzero(np.bincount(prev, minlength=nE)):
                     mask = prev == a
                     words[mask, j] = rng.choice(nE, size=int(mask.sum()), p=P[int(a)])
         return words
@@ -737,13 +740,14 @@ class GdmsSpec:
         """
         table = self.table
         Z, T, rho = self.image_balls
-        names = np.char.add(np.char.add("v[", table.ids), "]")
+        old = table.ids.tolist()
+        names = np.array([f"v[{e}]" for e in old], dtype=str)
         new_vertices = [VertexSet(id=str(names[a]), center=GPoint(Z[a], T[a]),
                                   radius=float(rho[a]))
                         for a in range(self.n_edges)]
-        a, b = np.array(list(self.admissible_words(2, math.inf)), dtype=np.int64).reshape(-1, 2).T
-        ids = np.char.add(np.char.add(table.ids[a], "|"), table.ids[b])
-        new_table = table.take(a, ids, names[a], names[b])
+        pairs = list(self.admissible_words(2, math.inf))
+        a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        new_table = table.take(a, [f"{old[i]}|{old[j]}" for i, j in pairs], names[a], names[b])
         return GdmsSpec(self.group, new_vertices, new_table, incidence=None,
                         contraction=self.contraction, validate="none")
 

@@ -80,12 +80,12 @@ def cf_alphabet(g: GroupSpec, params: CfSystemParams,
 
 
 def _edge_ids(prefix: str, columns: np.ndarray) -> np.ndarray:
-    """Ids prefix + comma-joined integer columns, e.g. 'g1,-2,3' or 'c17'."""
-    cols = np.rint(columns).astype(np.int64).astype(str)
-    ids = cols[:, 0]
-    for j in range(1, cols.shape[1]):
-        ids = np.char.add(np.char.add(ids, ","), cols[:, j])
-    return np.char.add(prefix, ids)
+    """Ids prefix + comma-joined integer columns, e.g. 'g1,-2,3' or 'c17',
+    formatted by a single `%` over a repeated row template."""
+    cols = np.rint(columns).astype(np.int64)
+    n, k = cols.shape
+    row = prefix + ",".join(["%d"] * k) + "\n"
+    return np.array((row * n % tuple(cols.ravel().tolist())).split("\n")[:-1], dtype=str)
 
 
 def build_cf_system(g: GroupSpec, params: CfSystemParams,
@@ -440,7 +440,7 @@ def cantor_shell_family(sys: GdmsSpec) -> ShellFamily:
     from .thermo import ensure_weights
     table = ensure_weights(sys)
     logw = np.log(table.w_mid)
-    ns = np.unique(shells)
+    ns = np.flatnonzero(np.bincount(shells))
     log_weights = [logw[shells == n] for n in ns]
     return ShellFamily(log_weights=log_weights, counts=None, tail="power",
                        labels=np.log(ns + 2.0))

@@ -649,8 +649,7 @@ def measure_dimension(sys: GdmsSpec, mu: InvariantMeasureSpec, depth: int = 8) -
             raise ValidationError(f"need {nE} Bernoulli probabilities")
         support = np.flatnonzero(p > 0)
         if sys.is_maximal:  # every pair admissible iff all its edges are loops at one vertex
-            ok = np.unique(np.concatenate([sys.src_idx[support],
-                                           sys.dst_idx[support]])).size == 1
+            ok = len(set(sys.src_idx[support].tolist() + sys.dst_idx[support].tolist())) == 1
         else:
             ok = sys.incidence[np.ix_(support, support)].all()
         if not ok:

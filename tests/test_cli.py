@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -122,6 +124,20 @@ def test_compare_dim_command():
     rec = parse(out)
     assert rec["euclid_lo"] == 1.0 and rec["euclid_hi"] == 2.0
     assert rec["Q"] == 4.0 and rec["N"] == 3.0
+
+
+def test_commands_leave_numpy_ma_out(moran4_path, fib2_path):
+    """No command pays for importing numpy.ma (np.unique loads it)."""
+    runs = [["compare-dim", "--h", "2.0"], ["dim", "--spec", fib2_path],
+            ["limitset", "--spec", moran4_path, "--depth", "4", "--mode", "chaos",
+             "--samples", "200"]]
+    code = ("import contextlib, io, json, sys\n"
+            "from carnotdim.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {runs!r}]\n"
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
+    assert json.loads(proc.stdout) == [[0, 0, 0], False]
 
 
 def test_measure_dim_command(moran4_path):

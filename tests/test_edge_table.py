@@ -1,5 +1,7 @@
 """Edge tables: the closed-form rows of the builders against ConformalChain."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -7,6 +9,9 @@ from hypothesis import strategies as st
 
 import carnotdim as cd
 from carnotdim import groups as G
+from carnotdim.errors import ValidationError
+from carnotdim.systems import _edge_ids
+from conftest import separated_fib2_system
 
 G1 = cd.heisenberg(1)
 SETTINGS = settings(max_examples=25, deadline=None,
@@ -159,3 +164,88 @@ def test_edges_are_lazy_views():
     sub = cd.GdmsSpec(G1, sys_.vertices, sys_.edges, contraction=sys_.contraction,
                       weights=sys_.weights, validate="none")
     assert sub.table is table and sub.weights is sys_.weights
+
+
+@SETTINGS
+@given(prefix=st.sampled_from("gcs"),
+       rows=st.integers(1, 4).flatmap(lambda k: st.lists(
+           st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=k, max_size=k), max_size=40)
+           .map(lambda r, k=k: np.array(r, dtype=np.int64).reshape(-1, k))),
+       as_float=st.booleans())
+@example(prefix="g", rows=np.zeros((0, 3), dtype=np.int64), as_float=True)
+@example(prefix="c", rows=np.array([[0], [-1], [17]]), as_float=False)
+def test_edge_ids_match_fstrings(prefix, rows, as_float):
+    """One `%` pass gives prefix + comma-joined integers, as an f-string would;
+    the builders pass float lattice coordinates and integer counters."""
+    ids = _edge_ids(prefix, rows.astype(float) if as_float else rows)
+    want = [f"{prefix}{','.join(f'{int(v)}' for v in row)}" for row in rows]
+    assert isinstance(ids, np.ndarray) and ids.shape == (len(want),)
+    assert ids.tolist() == want
+
+
+def _per_edge_system():
+    """Three vertex balls and an edge for every (i(e), t(e)) pair: a similarity
+    B(c_t, 1) -> B(c_i, 0.2), with a rotation on every other edge, so src, dst
+    and template vary from row to row."""
+    centers = {"A": ([0.0, 0.0], [0.0]), "B": ([3.0, 0.0], [0.0]), "C": ([0.0, 3.0], [0.5])}
+    vertices = [cd.VertexSet(id=v, center=cd.gpoint(*c), radius=1.0) for v, c in centers.items()]
+    edges = []
+    for k, (src, dst) in enumerate(itertools.product(centers, repeat=2)):
+        back = G.group_inv(G1, cd.gpoint(*centers[dst]))
+        rot = [cd.Rotate(theta=0.3 * k)] if k % 2 else []
+        prims = [cd.Translate(cd.gpoint(*centers[src]))] + rot + [cd.Dilate(0.2),
+                                                                   cd.Translate(back)]
+        edges.append(cd.EdgeMap(id=f"{src}{dst}{k}", src=src, dst=dst,
+                                chain=cd.ConformalChain(G1, prims)))
+    return vertices, edges
+
+
+def test_gdms_spec_per_edge_vertices_and_templates():
+    vertices, edges = _per_edge_system()
+    sys_ = cd.GdmsSpec(G1, vertices, edges)
+    table = sys_.table
+    assert len(table.templates) == 2 and len(set(table.src.tolist())) == 3
+    index = {v.id: k for k, v in enumerate(vertices)}
+    np.testing.assert_array_equal(sys_.src_idx, [index[e.src] for e in edges])
+    np.testing.assert_array_equal(sys_.dst_idx, [index[e.dst] for e in edges])
+    # rows out of order, with a repeat, mixing both templates
+    rows = [5, 0, 8, 3, 3, 1, 6]
+    rng = np.random.default_rng(4)
+    Z, T = G.sample_box(G1, 12, rng, scale=2.0)
+    FZ, FT = table.apply(rows, Z, T)
+    for j, k in enumerate(rows):
+        chain = edges[k].chain
+        for s in range(Z.shape[0]):
+            p = chain.apply(cd.gpoint(Z[s], T[s]))
+            np.testing.assert_allclose(FZ[j, s], p.z, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(FT[j, s], p.t, rtol=1e-12, atol=1e-12)
+
+
+def test_gdms_spec_unknown_vertex_is_named():
+    vertices, edges = _per_edge_system()
+    stray = edges[4]
+    edges[4] = cd.EdgeMap(id=stray.id, src=stray.src, dst="W", chain=stray.chain)
+    with pytest.raises(ValidationError, match=f"edge '{stray.id}' references unknown"):
+        cd.GdmsSpec(G1, vertices, edges)
+    # a column with one value that names no vertex
+    lone = [cd.EdgeMap(id=e.id, src="W", dst="W", chain=e.chain) for e in edges[:2]]
+    with pytest.raises(ValidationError, match=f"edge '{edges[0].id}' references unknown"):
+        cd.GdmsSpec(G1, vertices, lone)
+
+
+def test_builder_and_hat_ids_follow_the_documented_formats():
+    """g<x>,<y>,<t> (the translation gamma), s<k>, and the hat system's
+    v[<id>] vertices and <a>|<b> edges, as README states."""
+    cf = cd.build_cf_system(G1, cd.CfSystemParams(0.5, 4.0))
+    coords = [[int(v) for v in e[1:].split(",")] for e in cf.table.ids.tolist()]
+    np.testing.assert_array_equal(coords, cf.table.params)
+    assert all(e.startswith("g") for e in cf.table.ids.tolist())
+    fib = separated_fib2_system()
+    assert fib.table.ids.tolist() == ["s0", "s1"]
+    hat = fib.maximalize()
+    assert [v.id for v in hat.vertices] == ["v[s0]", "v[s1]"]
+    assert hat.table.ids.tolist() == ["s0|s0", "s0|s1", "s1|s0"]
+    assert hat.table.src.tolist() == ["v[s0]", "v[s0]", "v[s1]"]
+    assert hat.table.dst.tolist() == ["v[s0]", "v[s1]", "v[s0]"]
+    np.testing.assert_array_equal(hat.src_idx, [0, 0, 1])
+    np.testing.assert_array_equal(hat.dst_idx, [0, 1, 0])
