@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import CarnotDimError, NonConvergenceError, ValidationError
+from .errors import BudgetError, CarnotDimError, NonConvergenceError, ValidationError
 from . import groups as G
 from .groups import GroupSpec
 from .conformal import chain_from_json
@@ -178,15 +178,19 @@ def _param_echo(args) -> dict:
     return out
 
 
-def _grid(text: str):
+def _grid(text: str, budget: int):
+    """The points lo + k*step of lo:hi:step; more than `budget` is a BudgetError."""
     try:
         lo, hi, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise ValidationError(f"bad grid {text!r}: expected lo:hi:step") from None
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise ValidationError(f"bad grid {text!r}")
-    n = int(round((hi - lo) / step)) + 1
-    return [lo + k * step for k in range(n)]
+    steps = (hi - lo) / step  # may overflow to inf
+    if steps + 1 > budget:
+        raise BudgetError(f"grid {text!r} has {steps + 1:.6g} points (budget {budget})",
+                          estimate=steps + 1, budget=budget)
+    return [lo + k * step for k in range(int(round(steps)) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +203,7 @@ def cmd_pressure(args):
     sys = load_system(args)
     if args.t_grid:
         rows = []
-        for t in _grid(args.t_grid):
+        for t in _grid(args.t_grid, args.budget):
             pb = pressure_bracket(sys, t)
             rows.append((t, pb.lower, pb.upper))
         if args.format == "json":

@@ -609,8 +609,15 @@ class GdmsSpec:
                         samples: int = 10000, seed: int = 0,
                         markov: Optional[np.ndarray] = None,
                         budget: int = DEFAULT_WORD_BUDGET) -> "PointCloud":
+        """phi_w(anchor) for every word w of E_A^depth ("deterministic", in
+        lexicographic order) or for `samples` random words ("chaos": the first
+        letter uniform or stationary, each next one a uniform successor or a
+        `markov` step).  The working set is the cloud's arrays, the chaos
+        words (int32), and one block of EXPORT_BLOCK_ROWS points."""
         if depth < 0:
             raise ValidationError("depth must be >= 0")
+        if mode not in ("deterministic", "chaos"):
+            raise ValidationError(f"unknown limit-set mode {mode!r}")
         g = self.group
         anchors = [v.anchor(g) for v in self.vertices]  # words start at these points
         AZ, AT = np.stack([p.z for p in anchors]), np.stack([p.t for p in anchors])
@@ -622,33 +629,50 @@ class GdmsSpec:
             if count > budget:
                 raise BudgetError(f"deterministic cloud needs {count} words (budget {budget})",
                                   estimate=count, budget=budget)
-            # level-k block for edge a = {phi_w(anchor) : w in E_A^k, w_1 = a}
-            blocks = []
-            for a in range(self.n_edges):
-                d = self.dst_idx[a]
-                blocks.append(self._apply_edge(a, AZ[d][None, :], AT[d][None, :]))
+
+            def block(a, blocks):
+                """Level-k block of edge a, {phi_w(anchor) : w in E_A^k, w_1 = a}:
+                phi_a of the anchor of t(a) (k = 1) or of the level-(k - 1)
+                blocks of a's successors."""
+                if blocks is None:
+                    d = self.dst_idx[a]
+                    return self._apply_edge(a, AZ[d][None, :], AT[d][None, :])
+                succ = self.successors(a)
+                return self._apply_edge(a, np.concatenate([blocks[b][0] for b in succ]),
+                                        np.concatenate([blocks[b][1] for b in succ]))
+
+            blocks = None
             for _ in range(depth - 1):
-                new_blocks = []
-                for a in range(self.n_edges):
-                    succ = self.successors(a)
-                    Zs = np.concatenate([blocks[b][0] for b in succ], axis=0)
-                    Ts = np.concatenate([blocks[b][1] for b in succ], axis=0)
-                    new_blocks.append(self._apply_edge(a, Zs, Ts))
-                blocks = new_blocks
-            Z = np.concatenate([blk[0] for blk in blocks], axis=0)
-            T = np.concatenate([blk[1] for blk in blocks], axis=0)
-            return PointCloud(g, Z, T, np.full(Z.shape[0], bound))
-        elif mode == "chaos":
-            rng = np.random.default_rng(seed)
-            words = self._sample_words(depth, samples, rng, markov)
-            # evaluate phi_w(anchor) by applying edges from the innermost position out
-            dst_last = self.dst_idx[words[:, -1]]
-            Z, T = AZ[dst_last], AT[dst_last]
+                blocks = [block(a, blocks) for a in range(self.n_edges)]
+            # the last level goes straight into the cloud, one edge at a time
+            Z, T = np.empty((count, g.m1)), np.empty((count, g.m2))
+            end = 0
+            for a in range(self.n_edges):
+                FZ, FT = block(a, blocks)
+                Z[end:end + len(FZ)], T[end:end + len(FZ)] = FZ, FT
+                end += len(FZ)
+                del FZ, FT  # before the next edge's block is computed
+            return PointCloud(g, Z, T, np.full(count, bound))
+        if samples < 0:
+            raise ValidationError(f"samples must be >= 0, got {samples}")
+        if seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {seed}")
+        if samples > budget:
+            raise BudgetError(f"chaos cloud needs {samples} words (budget {budget})",
+                              estimate=samples, budget=budget)
+        words = self._sample_words(depth, samples, np.random.default_rng(seed), markov)
+        Z, T = np.empty((samples, g.m1)), np.empty((samples, g.m2))
+        for start in range(0, samples, EXPORT_BLOCK_ROWS):
+            rows = slice(start, start + EXPORT_BLOCK_ROWS)
+            w = words[rows]
+            # phi_w(anchor) by applying edges from the innermost position out
+            dst_last = self.dst_idx[w[:, -1]]
+            z, t = AZ[dst_last], AT[dst_last]
             for j in range(depth - 1, -1, -1):
-                Z, T = self.table.apply(words[:, j], Z[:, None], T[:, None])
-                Z, T = Z[:, 0], T[:, 0]
-            return PointCloud(g, Z, T, np.full(Z.shape[0], bound))
-        raise ValidationError(f"unknown limit-set mode {mode!r}")
+                z, t = self.table.apply(w[:, j], z[:, None], t[:, None])
+                z, t = z[:, 0], t[:, 0]
+            Z[rows], T[rows] = z, t
+        return PointCloud(g, Z, T, np.full(samples, bound))
 
     def _apply_edge(self, a: int, Z, T):
         """phi_a at the points (Z, T) from the edge table's row; no pole checks."""
@@ -657,19 +681,18 @@ class GdmsSpec:
 
     def _sample_words(self, depth: int, samples: int, rng: np.random.Generator,
                       markov: Optional[np.ndarray]) -> np.ndarray:
+        """(samples, depth) int32 words.  Position j takes one draw per letter
+        a at position j - 1, in ascending a, sized by the samples holding a
+        and assigned to them in ascending sample order."""
         nE = self.n_edges
-        words = np.empty((samples, depth), dtype=np.int64)
+        words = np.empty((samples, depth), dtype=np.int32)
         if markov is None:
             _, row, ptr = self._index
             dead = np.flatnonzero(np.diff(ptr)[row] == 0)
             if dead.size:
                 raise ValidationError(f"edge {self.edges[dead[0]].id!r} has no successors")
             words[:, 0] = rng.integers(0, nE, size=samples)
-            for j in range(1, depth):
-                prev = words[:, j - 1]
-                for a in np.flatnonzero(np.bincount(prev, minlength=nE)):
-                    mask = prev == a
-                    words[mask, j] = rng.choice(self.successors(a), size=int(mask.sum()))
+            draw = lambda a, n: rng.choice(self.successors(a), size=n)
         else:
             P = np.asarray(markov, float)
             if P.shape != (nE, nE):
@@ -680,11 +703,16 @@ class GdmsSpec:
                 raise ValidationError("Markov matrix support violates the incidence")
             pi = stationary_distribution(P)
             words[:, 0] = rng.choice(nE, size=samples, p=pi)
-            for j in range(1, depth):
-                prev = words[:, j - 1]
-                for a in np.flatnonzero(np.bincount(prev, minlength=nE)):
-                    mask = prev == a
-                    words[mask, j] = rng.choice(nE, size=int(mask.sum()), p=P[int(a)])
+            draw = lambda a, n: rng.choice(nE, size=n, p=P[a])
+        for j in range(1, depth):
+            prev = words[:, j - 1]
+            # samples grouped by previous letter, each group in ascending sample order
+            order = np.argsort(prev, kind="stable")
+            counts = np.bincount(prev, minlength=nE)
+            ends = np.cumsum(counts)
+            for a in np.flatnonzero(counts):
+                group = order[ends[a] - counts[a]:ends[a]]
+                words[group, j] = draw(int(a), group.size)
         return words
 
     # -- irreducibility and maximalization ---------------------------------
@@ -770,20 +798,22 @@ def stationary_distribution(P: np.ndarray, iters: int = 100_000,
     return pi / pi.sum()
 
 
-# rows per formatting pass of the text exports; bounds the size of one string
-EXPORT_BLOCK_ROWS = 1 << 16
+# rows per block of the text exports and of the chaos-cloud evaluation
+EXPORT_BLOCK_ROWS = 1 << 12
 
 
-def _write_rows(fh, arr: np.ndarray, sep: str):
-    """Rows of a 2-D array as `%.17g` fields joined by sep, one line each.
+def _write_rows(fh, columns: List[np.ndarray], sep: str):
+    """Rows of equal-length 1-D columns as `%.17g` fields joined by sep, one
+    line each.
 
-    Each block of EXPORT_BLOCK_ROWS rows is formatted by a single `%` over
-    a repeated row template, which gives the same text as formatting every
-    value with f"{v:.17g}".
+    Each block of EXPORT_BLOCK_ROWS rows is stacked from slices of the
+    columns and formatted by a single `%` over a repeated row template,
+    which gives the same text as formatting every value with f"{v:.17g}".
     """
-    row = sep.join(["%.17g"] * arr.shape[1]) + "\n"
-    for start in range(0, arr.shape[0], EXPORT_BLOCK_ROWS):
-        block = arr[start:start + EXPORT_BLOCK_ROWS]
+    row = sep.join(["%.17g"] * len(columns)) + "\n"
+    n = columns[0].shape[0]
+    for start in range(0, n, EXPORT_BLOCK_ROWS):
+        block = np.column_stack([c[start:start + EXPORT_BLOCK_ROWS] for c in columns])
         fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
@@ -807,20 +837,19 @@ class PointCloud:
     def write_csv(self, fh):
         """Header and one `%.17g` row per point (z, t, err) to a text file."""
         fh.write(",".join(self.header()) + "\n")
-        _write_rows(fh, np.column_stack([self.Z, self.T, self.err]), ",")
+        _write_rows(fh, list(self.Z.T) + list(self.T.T) + [self.err], ",")
 
     def to_csv(self, path):
         with open(path, "w") as fh:
             self.write_csv(fh)
 
     def to_ply(self, path):
-        """ASCII PLY of the first three coordinates."""
-        coords = np.concatenate([self.Z, self.T], axis=1)
-        if coords.shape[1] < 3:
-            coords = np.pad(coords, ((0, 0), (0, 3 - coords.shape[1])))
+        """ASCII PLY of the first three coordinates (zero-padded)."""
+        coords = (list(self.Z.T) + list(self.T.T))[:3]
+        coords += [np.broadcast_to(0.0, (len(self),))] * (3 - len(coords))
         with open(path, "w") as fh:
             fh.write("ply\nformat ascii 1.0\n")
             fh.write(f"element vertex {len(self)}\n")
             fh.write("property double x\nproperty double y\nproperty double z\n")
             fh.write("end_header\n")
-            _write_rows(fh, coords[:, :3], " ")
+            _write_rows(fh, coords, " ")

@@ -387,6 +387,8 @@ def build_cantor_system(g: GroupSpec, params: CantorSystemParams,
     contraction bound is max r / m^2, with m = inner, resp. ||c|| - R, the
     least norm on the domain.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if params.mode == "generic":
         vertex = VertexSet(id="X", center=params.domain_center,
                            radius=params.domain_radius)

@@ -364,6 +364,8 @@ def bowen_dim(sys: GdmsSpec, tol: float = BISECTION_TOL) -> DimBracket:
     P_upper(h_hi) <= 0.  When the pressure bracket is wider than tol the
     extra width is reported as slack, never hidden.
     """
+    if not tol > 0:
+        raise ValidationError(f"tol must be > 0, got {tol}")
     cache = {}
 
     def press(t: float) -> PressureBracket:

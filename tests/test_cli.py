@@ -189,6 +189,35 @@ def test_exit_code_2_json_error(argv, moran4_path):
     assert json.loads(err.decode().splitlines()[-1])["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["limitset", "--spec", "{spec}", "--mode", "chaos", "--samples", "-5"], "ValidationError"),
+    (["limitset", "--spec", "{spec}", "--mode", "chaos", "--seed", "-1"], "ValidationError"),
+    (["limitset", "--spec", "{spec}", "--mode", "chaos", "--samples", "3000000000"],
+     "BudgetError"),
+    (["limitset", "--spec", "{spec}", "--mode", "chaos", "--samples", "11", "--budget", "10"],
+     "BudgetError"),
+    (["pressure", "--spec", "{spec}", "--t-grid", "0:1e9:1e-9"], "BudgetError"),
+    (["pressure", "--spec", "{spec}", "--t-grid=-1e308:1e308:1", "--budget", "5"],
+     "BudgetError"),
+    (["dim", "--spec", "{spec}", "--tol", "-1"], "ValidationError"),
+    (["dim", "--spec", "{spec}", "--tol", "0"], "ValidationError"),
+    (["dim", "--system", "cantor", "--shells", "1", "--seed", "-3"], "ValidationError"),
+], ids=["samples-negative", "seed-negative", "samples-over-memory", "samples-over-budget",
+        "grid-over-budget", "grid-overflows", "tol-negative", "tol-zero", "cantor-seed"])
+def test_sizes_and_seeds_keep_the_exit_codes(argv, error, moran4_path):
+    """Each of these once exited 1 with a traceback, never returned, or
+    exited 0 with a meaningless tolerance."""
+    rc, out, err = run_cli([a.format(spec=moran4_path) for a in argv])
+    assert rc == {"ValidationError": 2, "BudgetError": 3}[error] and out == b""
+    assert json.loads(err.decode().splitlines()[-1])["error"] == error
+
+
+def test_chaos_samples_up_to_the_budget(moran4_path):
+    rc, out, _ = run_cli(["limitset", "--spec", moran4_path, "--mode", "chaos",
+                          "--samples", "10", "--budget", "10", "--depth", "3"])
+    assert rc == 0 and len(out.splitlines()) == 11
+
+
 @pytest.mark.parametrize("text,fragment", [
     (json.dumps({"spec_version": 1, "group": {"kind": "heis_c", "n": 1},
                  "edges": []}), "'vertices'"),
