@@ -283,7 +283,8 @@ def cmd_compare_dim(args):
 def cmd_measure_dim(args):
     sys = load_system(args)
     if args.bernoulli:
-        p = np.asarray([float(x) for x in args.bernoulli.split(",")])
+        with _input_errors("--bernoulli"):
+            p = np.asarray([float(x) for x in args.bernoulli.split(",")])
         mu = InvariantMeasureSpec.bernoulli(p)
     elif args.markov:
         with _input_errors("--markov file"):
@@ -310,8 +311,9 @@ def cmd_subsystem(args):
 # ---------------------------------------------------------------------------
 
 def _add_common(p, system=False):
+    # argparse converts a string default with `type`, so a malformed variable is a usage error
     p.add_argument("--budget", type=int,
-                   default=int(os.environ.get("CARNOTDIM_BUDGET", DEFAULT_WORD_BUDGET)))
+                   default=os.environ.get("CARNOTDIM_BUDGET", str(DEFAULT_WORD_BUDGET)))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None,
                    help="accepted for interface stability; results are "
@@ -321,8 +323,8 @@ def _add_common(p, system=False):
     if system:
         p.add_argument("--spec", default=None, help="system spec JSON file")
         p.add_argument("--lattice-budget", dest="lattice_budget", type=int,
-                       default=int(os.environ.get("CARNOTDIM_LATTICE_BUDGET",
-                                                  G.DEFAULT_LATTICE_BUDGET)))
+                       default=os.environ.get("CARNOTDIM_LATTICE_BUDGET",
+                                              str(G.DEFAULT_LATTICE_BUDGET)))
         p.add_argument("--system", choices=["cf", "cantor"], default=None)
         p.add_argument("--group", default="heis_c:1")
         p.add_argument("--epsilon", type=float, default=0.5)
@@ -330,8 +332,14 @@ def _add_common(p, system=False):
         p.add_argument("--shells", type=int, default=6)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed argv: the usage text, then exit 2 with JSON
+        self.print_usage(_sys.stderr)
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="carnotdim",
         description="Dimension computations for conformal graph directed "
                     "Markov systems on step-2 Carnot groups")
@@ -392,13 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"--{name.replace('_', '-')} must be finite, got {value}")
         args.func(args)
+    except SystemExit as exc:  # --help, after printing the help text
+        return exc.code
     except CarnotDimError as exc:
         _sys.stderr.write(json.dumps({"error": type(exc).__name__,
                                       "message": str(exc)}) + "\n")

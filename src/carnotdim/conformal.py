@@ -352,22 +352,6 @@ class ConformalChain:
             raise PoleError("forward orbit hits a pole")
         return acc
 
-    def deriv_norm_sup(self, center: GPoint, radius: float):
-        """Bounds (lower, upper) for sup ||DF|| over the gauge ball B(center, radius):
-        r_f / (d(a, center) +- radius)^2 from the pole a (r_f itself for
-        similarities)."""
-        G._check_point(self.group, center, "center")
-        if radius <= 0:
-            raise ValidationError("radius must be positive")
-        if self.is_similarity:
-            return (self.r_f, self.r_f)
-        d = G.gauge_dist(self.group, self.pole, center)
-        if d <= radius:
-            raise PoleError("pole inside the ball", distance=d)
-        lower = self.r_f / (d + radius) ** 2
-        upper = self.r_f / max(d - radius, EPS_FLOOR) ** 2
-        return (lower, upper)
-
     # -- algebra -----------------------------------------------------------
 
     def __repr__(self):

@@ -13,6 +13,9 @@ and max_e r_f / gap_e^2 (GdmsSpec.w_up) is a uniform contraction bound.
 One successor index holds admissibility: edge a is followed by the edges
 of vertex t(a) in a maximal system (edges stably sorted by source vertex),
 by its incidence row otherwise, so a maximal system builds no |E| x |E| array.
+Its rows (vertices if maximal, else edges) are the unit of every reader: word
+counts and blocks, chaos sampling, irreducibility witnesses (one BFS per row)
+and thermo's transfer matrix; no code outside this module reads `incidence`.
 
 Edges live in an EdgeTable, one struct of arrays: each map is a row of
 primitive parameters under a template (its tuple of primitive types) plus
@@ -471,10 +474,6 @@ class GdmsSpec:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def is_maximal(self) -> bool:
-        return self.incidence is None
-
     def admissible_pair(self, a, b):
         """Whether b may follow a; elementwise for arrays of edge indices."""
         if self.incidence is None:
@@ -483,8 +482,10 @@ class GdmsSpec:
 
     @cached_property
     def _index(self):
-        """The successor index (succ, row, ptr), built on first use: the edges
-        that may follow edge a are succ[ptr[r]:ptr[r + 1]], r = row[a], ascending."""
+        """The successor index (succ, row, ptr, cell), built on first use: the
+        edges that may follow edge a are succ[ptr[r]:ptr[r + 1]], r = row[a],
+        ascending; cell[k] = r * n + row[succ[k]] (n rows) places succ[k] of
+        row r in the row-by-row transfer matrix."""
         if self.incidence is None:  # rows t(a): the edges stably sorted by i(e)
             succ = np.argsort(self.src_idx, kind="stable")
             ptr = np.searchsorted(self.src_idx[succ], np.arange(len(self.vertices) + 1))
@@ -494,30 +495,30 @@ class GdmsSpec:
             ptr = np.concatenate(([0], np.cumsum(self.incidence.sum(axis=1))))
             row = np.arange(self.n_edges)
         succ.setflags(write=False)  # successors() hands out views of it
-        return succ, row, ptr
+        n = ptr.size - 1
+        cell = np.repeat(np.arange(n) * n, np.diff(ptr)) + row[succ]
+        return succ, row, ptr, cell
 
     def successors(self, a: int) -> np.ndarray:
         """The edges that may follow a, ascending (a read-only view of the index)."""
-        succ, row, ptr = self._index
+        succ, row, ptr, _ = self._index
         return succ[ptr[row[a]]:ptr[row[a] + 1]]
-
-    def adjacency(self) -> np.ndarray:
-        e = np.arange(self.n_edges)
-        return self.admissible_pair(e[:, None], e[None, :])
 
     # -- words -------------------------------------------------------------
 
-    def count_words(self, n: int) -> int:
-        """|E_A^n|.  c[r] counts the words of length k that may follow an edge of
-        index row r: c = N^k 1 if maximal, N the |V| x |V| edge-count matrix."""
+    def count_words(self, n: int):
+        """|E_A^n|, or math.inf past the float range.  c[r] counts the words of
+        length k that may follow an edge of index row r: c = N^k 1 if maximal,
+        N the |V| x |V| edge-count matrix."""
         if n == 0:
             return 1
-        succ, row, ptr = self._index
+        succ, row, ptr, _ = self._index
         rows = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
         c = np.ones(ptr.size - 1)
         for _ in range(n - 1):
             c = np.bincount(rows, weights=c[row[succ]], minlength=c.size)
-        return int(round(float(c[row].sum())))
+        total = float(c[row].sum())
+        return int(round(total)) if math.isfinite(total) else math.inf
 
     def word_blocks(self, n: int, budget: int = DEFAULT_WORD_BUDGET
                     ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
@@ -534,7 +535,7 @@ class GdmsSpec:
                               estimate=count, budget=budget)
         if n == 0:
             return
-        succ_all, row, ptr = self._index
+        succ_all, row, ptr, _ = self._index
 
         def extend(k, lo, cum, succ):
             """Blocks of the extensions by succ[lo[i] + j], j < cum[i + 1] - cum[i],
@@ -687,7 +688,7 @@ class GdmsSpec:
         nE = self.n_edges
         words = np.empty((samples, depth), dtype=np.int32)
         if markov is None:
-            _, row, ptr = self._index
+            _, row, ptr, _ = self._index
             dead = np.flatnonzero(np.diff(ptr)[row] == 0)
             if dead.size:
                 raise ValidationError(f"edge {self.edges[dead[0]].id!r} has no successors")
@@ -722,42 +723,41 @@ class GdmsSpec:
 
         Returns ("irreducible", Phi) where Phi is a tuple of words such that
         for all edges i, j some w in Phi makes i w j admissible, or
-        ("reducible", (i, j)) exhibiting an unconnectable edge pair.  The
-        result is kept on the system (its incidence array is read-only).
+        ("reducible", (i, j)) exhibiting an unconnectable edge pair.
+        `max_pairs` bounds the pairs of successor-index rows (vertices if
+        maximal, edges if not).  The result is kept on the system (its
+        incidence array is read-only).
         """
-        nE = self.n_edges
-        if self.is_maximal and len(self.vertices) == 1:
-            return ("irreducible", ((),))
-        if nE * nE > max_pairs:
-            raise BudgetError(f"irreducibility witness over {nE}^2 pairs exceeds budget",
-                              estimate=nE * nE, budget=max_pairs)
+        n = self._index[2].size - 1
+        if n * n > max_pairs:
+            raise BudgetError(f"irreducibility witness over {n}^2 index-row pairs exceeds "
+                              "budget", estimate=n * n, budget=max_pairs)
         if self._irreducibility is None:
             self._irreducibility = self._witness_search()
         return self._irreducibility
 
     def _witness_search(self):
-        nE = self.n_edges
+        """One BFS per index row, from its first edge i.  Each row records the
+        word w that first reached it, the witness of i w j for the edges j it
+        reaches first: the words of an edge-by-edge BFS, row by row."""
+        succ, row, ptr, _ = self._index
         phi = set()
-        for i in range(nE):
-            # BFS over edges reachable after i: `order` grows while it is read
-            parent = dict.fromkeys(self.successors(i).tolist())
-            order = list(parent)
-            for x in order:
-                for y in self.successors(x).tolist():
-                    if y not in parent:
-                        parent[y] = x
-                        order.append(y)
-            if len(parent) < nE:
-                j = min(set(range(nE)) - parent.keys())
-                return ("reducible", (self.edges[i].id, self.edges[j].id))
-            for j in range(nE):
-                # reconstruct the connecting word between i and j (exclusive)
-                path = []
-                x = j
-                while parent[x] is not None:
-                    x = parent[x]
-                    path.append(x)
-                phi.add(tuple(reversed(path)))
+        for i in np.sort(np.unique(row, return_index=True)[1]).tolist():
+            reached, seen = np.zeros(self.n_edges, dtype=bool), np.zeros(ptr.size - 1, dtype=bool)
+            seen[row[i]] = True
+            queue = [(row[i], ())]  # rows in BFS order: grows while it is read
+            for r, word in queue:
+                s = succ[ptr[r]:ptr[r + 1]]
+                new = s[~reached[s]]
+                reached[new] = True
+                if new.size:
+                    phi.add(word)
+                for x in new[np.sort(np.unique(row[new], return_index=True)[1])].tolist():
+                    if not seen[row[x]]:  # x is the first new edge of its row
+                        seen[row[x]] = True
+                        queue.append((row[x], word + (x,)))
+            if not reached.all():
+                return ("reducible", (self.edges[i].id, self.edges[int(np.argmin(reached))].id))
         return ("irreducible", tuple(sorted(phi)))
 
     def maximalize(self) -> "GdmsSpec":
@@ -780,7 +780,7 @@ class GdmsSpec:
                         contraction=self.contraction, validate="none")
 
     def __repr__(self):
-        inc = "maximal" if self.is_maximal else "explicit"
+        inc = "maximal" if self.incidence is None else "explicit"
         return (f"GdmsSpec({len(self.vertices)} vertices, {self.n_edges} edges, "
                 f"{inc}, s={self.contraction:g})")
 

@@ -14,17 +14,17 @@ operation for the whole alphabet: continued fractions have pole gamma^{-1}
 and r_f = 1, Cantor maps have pole o and r_f = r, similarities have no pole
 and r_f = the product of their dilations.  GdmsSpec certifies containment
 and contraction of every system from these normal forms (image balls from
-the Koranyi-Reimann identity), so no builder has a certificate of its own.
-CF and self-similar systems get
-their WeightTable (closed-form pointwise brackets, distortion 1) as a
-constructor field, Cantor systems the same brackets on first use;
-shell-mode Cantor systems carry the shell number of each edge
+the Koranyi-Reimann identity), so no builder has a certificate of its own,
+and thermo.compute_weight_table derives every system's weight brackets
+from the same normal forms on first use (no builder attaches a table).
+Shell-mode Cantor systems carry the shell number of each edge
 (`cantor_shells`); infinite-alphabet families have a ShellFamily for theta
 estimation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -36,7 +36,7 @@ from . import groups as G
 from .groups import DEFAULT_LATTICE_BUDGET, GPoint, GroupSpec
 from .conformal import Dilate, Invert, Rotate, Translate
 from .gdms import EdgeTable, GdmsSpec, VertexSet
-from .thermo import ShellFamily, WeightTable
+from .thermo import ShellFamily, ensure_weights
 
 
 # ---------------------------------------------------------------------------
@@ -96,19 +96,18 @@ def build_cf_system(g: GroupSpec, params: CfSystemParams,
     Edge g<coords of gamma> has pole gamma^{-1} at distance ||gamma|| >= 5/2
     from the center and r_f = 1, so ||D phi(p)|| lies in
     [w_lo, w_up] = [(||gamma|| + 1/2)^-2, (||gamma|| - 1/2)^-2] at every p of
-    the domain (distortion 1).  phi(infinity) = o, so GdmsSpec's certificate
-    puts each image in B(o, 1/(||gamma|| - 1/2)), inside the domain ball
-    since ||gamma|| >= 5/2.  `distortion_seed` is ignored; it is kept so that
-    existing callers still run.
+    the domain (distortion 1; thermo.compute_weight_table).  phi(infinity) = o,
+    so GdmsSpec's certificate puts each image in B(o, 1/(||gamma|| - 1/2)),
+    inside the domain ball since ||gamma|| >= 5/2.  `distortion_seed` is
+    ignored; it is kept so that existing callers still run.
     """
-    Z, T, norms = cf_alphabet(g, params, budget)
+    Z, T, _ = cf_alphabet(g, params, budget)
     n = Z.shape[0]
     vertex = VertexSet(id="X", center=G.origin(g), radius=0.5)
     coords = np.concatenate([Z, T], axis=1)
     table = EdgeTable(g, _edge_ids("g", coords), "X", "X", [(Invert, Translate)], 0,
                       coords, -Z, -T, True, np.ones(n))
-    weights = WeightTable(1.0 / (norms + 0.5) ** 2, 1.0 / (norms - 0.5) ** 2)
-    return GdmsSpec(g, [vertex], table, weights=weights)
+    return GdmsSpec(g, [vertex], table)
 
 
 def cf_shell_family(g: GroupSpec, epsilon: float, r_max: float,
@@ -439,7 +438,6 @@ def cantor_shell_family(sys: GdmsSpec) -> ShellFamily:
     shells = sys.cantor_shells
     if shells is None:
         raise ValidationError("system was not built in shell mode")
-    from .thermo import ensure_weights
     table = ensure_weights(sys)
     logw = np.log(table.w_mid)
     ns = np.flatnonzero(np.bincount(shells))
@@ -491,8 +489,7 @@ def build_self_similar(g: GroupSpec, maps: Sequence[Tuple],
     table = EdgeTable.from_primitives(
         g, _edge_ids("s", np.arange(n)[:, None]), "X", "X", prim_lists,
         np.zeros((n, g.m1)), np.zeros((n, g.m2)), False, scales)
-    return GdmsSpec(g, [vertex], table, incidence=incidence,
-                    weights=WeightTable(scales.copy(), scales.copy()))
+    return GdmsSpec(g, [vertex], table, incidence=incidence)
 
 
 def similarity_shell_family(scales_by_shell: Sequence[Sequence[float]],
@@ -508,12 +505,16 @@ def similarity_shell_family(scales_by_shell: Sequence[Sequence[float]],
 
 
 def power_law_weights(c: float, exponent: float, start: int = 1):
-    """Infinite decreasing weight stream w_k = c * k^-exponent (clipped below 1)."""
+    """Infinite decreasing weight stream w_k = c * k^-exponent (clipped below 1),
+    from the first k >= start with w_k < 1, found by bisection; none below
+    k = 2^1000 is a ValidationError."""
     if exponent <= 0 or c <= 0:
         raise ValidationError("need positive c and exponent")
-    k = start
-    while True:
-        w = c * float(k) ** -exponent
-        if w < 1.0:
-            yield w
-        k += 1
+    w = lambda k: c * float(k) ** -exponent
+    lo, hi = start - 1, 2 ** 1000  # w(k) >= 1 for start <= k <= lo, w(hi) < 1
+    if w(hi) >= 1.0:
+        raise ValidationError(f"weights {c:g} k^-{exponent:g} stay >= 1 up to k = 2^1000")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if w(mid) >= 1.0 else (lo, mid)
+    yield from map(w, itertools.count(hi))

@@ -5,8 +5,9 @@ All weight-based quantities work on two-sided per-edge bounds
 w_lo(e) <= ||D phi_e|| <= w_up(e) (closed forms that hold at every point of
 the domain, so K = 1, unless a given table declares a distortion constant
 K > 1), and report brackets, never bare point estimates.  The pressure is
-log rho(A * diag(w^t)): a log-sum-exp for one vertex, else through the |V| x |V|
-vertex matrix if maximal, the dense |E| x |E| matrix for an explicit incidence.
+log rho(A * diag(w^t)) from the successor index's rows (vertices if maximal,
+else edges): a log-sum-exp when it has one row, else the Perron eigenvalue of
+the row-by-row transfer matrix, one bincount over the index's cells.
 """
 
 from __future__ import annotations
@@ -252,15 +253,14 @@ def perron_eigenvalue(M: np.ndarray, tol: float = POWER_TOL,
 def _transfer_perron(sys: GdmsSpec, w_t: np.ndarray):
     """Perron eigenvalue and right eigenvector (one entry per edge) of A * diag(w_t).
 
-    A maximal system has A diag(w_t) = S T with S_av = [t(a) = v] and
-    T_vb = [i(b) = v] w_t(b); M = T S (M_uv = sum of w_t(e), i(e) = u, t(e) = v)
-    has the same eigenvalue and eigenvector u with v_e = u[t(e)]."""
-    if sys.incidence is not None:
-        return perron_eigenvalue(sys.incidence * w_t[None, :])
-    nV = len(sys.vertices)
-    M = np.bincount(sys.src_idx * nV + sys.dst_idx, weights=w_t, minlength=nV * nV)
-    lam, u = perron_eigenvalue(M.reshape(nV, nV))
-    return lam, u[sys.dst_idx]
+    Over the successor index's rows, A diag(w_t) = S T with S_ar = [row(a) = r]
+    and T_rb = [b follows row r] w_t(b); M = T S (M_rs = sum of w_t(b), b in
+    row r, row(b) = s) has the same eigenvalue and eigenvector u, v_a = u[row(a)]."""
+    succ, row, ptr, cell = sys._index
+    n = ptr.size - 1
+    lam, u = perron_eigenvalue(
+        np.bincount(cell, weights=w_t[succ], minlength=n * n).reshape(n, n))
+    return lam, u[row]
 
 
 @dataclass
@@ -281,11 +281,13 @@ class PressureBracket:
 
 
 def _log_spectral_radius(sys: GdmsSpec, t: float, side: str) -> float:
-    """log rho of the transfer matrix A * w_side^t: log sum w^t when every
-    pair of edges is admissible (single-vertex maximal system), else the log
-    of its Perron eigenvalue."""
+    """log rho of the transfer matrix A * w_side^t: log sum w^t when the
+    successor index has one nonempty row (a single vertex, or one edge that
+    may follow itself), so that every pair of edges is admissible; else the
+    log of the Perron eigenvalue (which rejects a matrix with no admissible pair)."""
     w = ensure_weights(sys).side(side)
-    if sys.is_maximal and len(sys.vertices) == 1:
+    succ, _, ptr, _ = sys._index
+    if ptr.size == 2 and succ.size:
         return _logsumexp(t * np.log(w))
     return math.log(_transfer_perron(sys, w ** t)[0])
 
@@ -297,8 +299,9 @@ def pressure_bracket(sys: GdmsSpec, t: float) -> PressureBracket:
     spectral radius of the weighted transfer matrix: the products of the
     per-edge bounds bound ||D phi_w|| along every admissible word, and the
     partition sums over words of length n grow like rho^n.  `method` names
-    the path: "exact" (exact table, one rho), "subadditive" (single-vertex
-    maximal system, rho = sum w^t) or "spectral" (Perron eigenvalues).
+    the path: "exact" (exact table, one rho), "subadditive" (one index
+    row: every edge has the same successors, rho = their sum of w^t) or
+    "spectral" (Perron eigenvalues).
     """
     if t < 0:
         raise ValidationError("t must be >= 0")
@@ -307,7 +310,7 @@ def pressure_bracket(sys: GdmsSpec, t: float) -> PressureBracket:
     if table.exact:
         return PressureBracket(t, upper, upper, "exact")
     lower = _log_spectral_radius(sys, t, "lower") - t * math.log(table.distortion)
-    method = "subadditive" if sys.is_maximal and len(sys.vertices) == 1 else "spectral"
+    method = "subadditive" if sys._index[2].size == 2 else "spectral"  # one index row
     return PressureBracket(t, min(lower, upper), upper, method, table.distortion)
 
 
@@ -626,8 +629,9 @@ class InvariantMeasureSpec:
     @staticmethod
     def markov(P, pi=None) -> "InvariantMeasureSpec":
         P = np.asarray(P, float)
-        if not np.allclose(P.sum(axis=1), 1.0, atol=1e-9):
-            raise ValidationError("Markov rows must be stochastic")
+        if (P.ndim != 2 or P.shape[0] != P.shape[1] or (P < 0).any()
+                or not np.allclose(P.sum(axis=1), 1.0, atol=1e-9)):
+            raise ValidationError("a Markov matrix must be square with stochastic rows")
         if pi is None:
             pi = stationary_distribution(P)
         return InvariantMeasureSpec("markov", P=P, pi=np.asarray(pi, float))
@@ -650,11 +654,11 @@ def measure_dimension(sys: GdmsSpec, mu: InvariantMeasureSpec, depth: int = 8) -
         if p.shape != (nE,):
             raise ValidationError(f"need {nE} Bernoulli probabilities")
         support = np.flatnonzero(p > 0)
-        if sys.is_maximal:  # every pair admissible iff all its edges are loops at one vertex
-            ok = len(set(sys.src_idx[support].tolist() + sys.dst_idx[support].tolist())) == 1
-        else:
-            ok = sys.incidence[np.ix_(support, support)].all()
-        if not ok:
+        # every pair admissible iff each support edge's index row holds the
+        # whole support: count the support among each row's successors
+        succ, row, ptr, _ = sys._index
+        held = np.concatenate(([0], np.cumsum(p[succ] > 0)))
+        if (held[ptr[row[support] + 1]] - held[ptr[row[support]]] < support.size).any():
             raise ValidationError("Bernoulli support contains an inadmissible transition")
         h = float(-(p[support] * np.log(p[support])).sum())
         freq = p
@@ -663,7 +667,7 @@ def measure_dimension(sys: GdmsSpec, mu: InvariantMeasureSpec, depth: int = 8) -
         if P.shape != (nE, nE):
             raise ValidationError(f"Markov matrix must be {nE} x {nE}")
         if not sys.admissible_pair(*np.nonzero(P > 0)).all():
-            raise ValidationError("Markov support violates the incidence")
+            raise ValidationError("Markov support contains an inadmissible transition")
         with np.errstate(divide="ignore", invalid="ignore"):
             plogp = np.where(P > 0, P * np.log(P), 0.0)
         h = float(-(pi[:, None] * plogp).sum())
@@ -728,8 +732,8 @@ def subsystem_with_dimension(weight_gen, t_target: float, tol: float = 1e-4,
     accepted edges, then at power-of-two counts, so the whole run stays
     O(n log n)) and the final bracket.
     """
-    if t_target <= 0:
-        raise ValidationError("target dimension must be positive")
+    if not (t_target > 0 and tol > 0):
+        raise ValidationError(f"target dimension and tol must be > 0, got {t_target}, {tol}")
     chosen: List[int] = []
     weights: List[float] = []
     trace: List[Tuple[int, float]] = []

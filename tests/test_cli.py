@@ -212,6 +212,34 @@ def test_sizes_and_seeds_keep_the_exit_codes(argv, error, moran4_path):
     assert json.loads(err.decode().splitlines()[-1])["error"] == error
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["limitset", "--spec", "{spec}", "--depth", "600"], "BudgetError"),
+    (["measure", "--spec", "{spec}", "--t", "1", "--depth", "600"], "BudgetError"),
+    (["subsystem", "--target", "0.6", "--tol", "-1"], "ValidationError"),
+    (["subsystem", "--target", "0.6", "--tol", "0"], "ValidationError"),
+    (["subsystem", "--target", "0.6", "--c", "5", "--exponent", "1e-5"], "ValidationError"),
+    (["measure-dim", "--spec", "{spec}", "--bernoulli", "a,b"], "ValidationError"),
+    (["dim", "--bogus"], "ValidationError"),
+    (["measure", "--spec", "{spec}"], "ValidationError"),
+    (["frobnicate"], "ValidationError"),
+    ([], "ValidationError"),
+], ids=["limitset-count-overflow", "measure-count-overflow", "subsystem-tol-negative",
+        "subsystem-tol-zero", "subsystem-no-weight-below-1", "bernoulli-not-numbers",
+        "unknown-flag", "measure-without-t", "unknown-command", "no-command"])
+def test_argv_and_overflows_keep_the_exit_codes(argv, error, moran4_path):
+    """Each of these once exited 1 with a traceback, exited 2 with no JSON
+    error, never returned, or exited 0 with a meaningless tolerance."""
+    rc, out, err = run_cli([a.format(spec=moran4_path) for a in argv])
+    assert rc == {"ValidationError": 2, "BudgetError": 3}[error] and out == b""
+    assert json.loads(err.decode().splitlines()[-1])["error"] == error
+
+
+def test_help_exits_0():
+    for argv in (["--help"], ["dim", "-h"]):
+        rc, out, err = run_cli(argv)
+        assert rc == 0 and b"usage: carnotdim" in out and err == b""
+
+
 def test_chaos_samples_up_to_the_budget(moran4_path):
     rc, out, _ = run_cli(["limitset", "--spec", moran4_path, "--mode", "chaos",
                           "--samples", "10", "--budget", "10", "--depth", "3"])
@@ -291,6 +319,14 @@ def test_system_moran_is_not_a_choice():
     # moran systems come from --spec files with "kind": "moran"
     rc, out, err = run_cli(["dim", "--system", "moran"])
     assert rc == 2 and out == b"" and b"invalid choice" in err
+
+
+@pytest.mark.parametrize("var", ["CARNOTDIM_BUDGET", "CARNOTDIM_LATTICE_BUDGET"])
+def test_malformed_budget_variable_exits_2(var, moran4_path):
+    """A budget variable that is not an integer once exited 1 with a traceback."""
+    rc, out, err = run_cli(["dim", "--spec", moran4_path], env={var: "abc"})
+    assert rc == 2 and out == b""
+    assert json.loads(err.decode().splitlines()[-1])["error"] == "ValidationError"
 
 
 def test_record_rejects_nan():

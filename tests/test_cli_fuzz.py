@@ -1,9 +1,10 @@
-"""In-process fuzz of the CLI flags of `limitset`, `pressure` and `dim`.
+"""In-process fuzz of the CLI: the flags of every subcommand, and malformed argv.
 
-Whatever the flag values, `cli.main` returns 0, 2, 3 or 4, no exception
+Whatever the arguments, `cli.main` returns 0, 2, 3 or 4, no exception
 escapes it, and a nonzero return leaves a JSON error as the last line of
-stderr.  Sizes are capped (small depths, CF radii and budgets) so that
-every example finishes quickly; sizes past a budget are part of the fuzz.
+stderr.  Sizes are capped (small depths, CF radii, budgets, and Cantor
+systems of one shell) so that every example finishes quickly; sizes past a
+budget are part of the fuzz.
 """
 
 import contextlib
@@ -18,20 +19,28 @@ from carnotdim import cli
 from conftest import FIB2, GDMS2, MORAN4
 
 SPECS = {"moran4": MORAN4, "fib2": FIB2, "gdms2": GDMS2}
+# --markov files: a chain on fib2's two edges, one on moran4's four, and malformed ones
+MARKOV = {"fib2": [[0.5, 0.5], [1.0, 0.0]], "moran4": [[0.25] * 4] * 4,
+          "flat": [0.5, 0.5], "empty": [], "ragged": [[1.0], [0.5, 0.5]],
+          "substochastic": [[0.5, 0.0], [0.0, 0.5]], "scalar": 1.0, "text": "P"}
 
 
 @pytest.fixture(scope="module")
 def spec_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("specs")
-    for name, spec in SPECS.items():
-        (d / f"{name}.json").write_text(json.dumps(spec))
+    for name, obj in {**SPECS, **{f"markov-{k}": v for k, v in MARKOV.items()}}.items():
+        (d / f"{name}.json").write_text(json.dumps(obj))
     return d
 
 
 floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                    st.floats(-3.0, 5.0), st.sampled_from([0.0, -0.0, 1e-300, 0.5, 1.0]))
 sizes = st.one_of(st.integers(-10, 40), st.integers(-2 ** 63, 2 ** 63))
+budgets = st.one_of(st.integers(-5, 3000), st.just(0))
 texts = st.text(alphabet="0123456789.:-+einfa", max_size=16)
+groups = st.one_of(st.sampled_from(["heis_c:1", "heis_c:2", "heis_q:1", "heis_c:0",
+                                    "heis_c:-1", "heis_c:x", "heis_q", "step2", "bogus"]),
+                   texts)
 
 
 def flag(name, strategy):
@@ -40,38 +49,81 @@ def flag(name, strategy):
 
 @st.composite
 def systems(draw, spec_dir):
-    """--spec FILE, or --system cf with a small radius."""
-    if draw(st.booleans()):
+    """--spec FILE, --system cf with a small radius, or a one-shell Cantor system."""
+    kind = draw(st.sampled_from(["spec", "cf", "cantor"]))
+    if kind == "spec":
         return ["--spec", str(spec_dir / f"{draw(st.sampled_from(sorted(SPECS)))}.json")]
-    argv = ["--system", "cf", f"--radius={draw(st.floats(-1.0, 4.0))}"]
-    eps = draw(st.one_of(st.none(), st.floats(-1.0, 3.0), st.sampled_from([0.0, 1e-9])))
+    if kind == "cf":
+        argv = ["--system", "cf", f"--radius={draw(st.floats(-1.0, 4.0))}"]
+        eps = draw(st.one_of(st.none(), st.floats(-1.0, 3.0), st.sampled_from([0.0, 1e-9])))
+    else:
+        argv = ["--system", "cantor", f"--shells={draw(st.sampled_from([1, 0, -1]))}"]
+        eps = draw(st.one_of(st.none(), st.floats(-1.0, 1.6), st.sampled_from([1.0, 1.5])))
     return argv + ([] if eps is None else [f"--epsilon={eps}"])
 
 
 @st.composite
 def argvs(draw, spec_dir):
-    command = draw(st.sampled_from(["limitset", "pressure", "dim"]))
-    argv = [command] + draw(systems(spec_dir))
-    budget = st.one_of(st.integers(-5, 3000), st.just(0))
+    command = draw(st.sampled_from(["limitset", "pressure", "dim", "theta", "measure",
+                                    "compare-dim", "measure-dim", "subsystem"]))
+    argv = [command]
+    if command in ("compare-dim", "subsystem"):
+        pass  # no system
+    elif command == "theta":
+        # theta builds its own family: a CF radius up to 12, or one Cantor shell
+        if draw(st.booleans()):
+            argv += ["--system", "cf", f"--radius={draw(st.floats(-1.0, 12.0))}",
+                     f"--shells={draw(st.integers(-2, 12))}"]
+        else:
+            argv += draw(systems(spec_dir))
+    else:
+        argv += draw(systems(spec_dir))
     if command == "limitset":
         opts = [flag("depth", st.integers(-3, 12)),
                 flag("mode", st.sampled_from(["deterministic", "chaos"])),
-                flag("samples", sizes), flag("seed", sizes), flag("budget", budget)]
+                flag("samples", sizes), flag("seed", sizes), flag("budget", budgets)]
     elif command == "pressure":
         grid = st.one_of(texts, st.tuples(floats, floats, floats).map(
             lambda g: ":".join(map(repr, g))))
         opts = [flag("t", floats), flag("t-grid", grid), flag("budget", st.integers(-5, 200)),
                 flag("format", st.sampled_from(["json", "csv"]))]
+    elif command == "dim":
+        opts = [flag("tol", floats), flag("budget", budgets)]
+    elif command == "theta":
+        opts = [flag("epsilon", st.floats(-1.0, 3.0)), flag("group", groups)]
+    elif command == "measure":
+        opts = [flag("t", floats), flag("depth", st.integers(-3, 8)),
+                flag("side", st.sampled_from(["lower", "mid", "upper"])),
+                flag("budget", budgets)]
+    elif command == "compare-dim":
+        opts = [flag("h", floats), flag("group", groups)]
+    elif command == "measure-dim":
+        probs = st.lists(floats, max_size=5).map(lambda p: ",".join(map(repr, p)))
+        markov = st.sampled_from(sorted(MARKOV) + ["missing"]).map(
+            lambda k: str(spec_dir / f"markov-{k}.json"))
+        opts = [flag("bernoulli", st.one_of(probs, texts)), flag("markov", markov),
+                flag("depth", st.integers(-3, 12))]
     else:
-        opts = [flag("tol", floats), flag("budget", budget)]
+        opts = [flag("c", floats), flag("exponent", floats), flag("target", floats),
+                flag("tol", floats), flag("budget", budgets)]
     return argv + [f for f in (draw(o) for o in opts) if f is not None]
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(data=st.data())
-def test_cli_flags_keep_the_exit_code_contract(data, spec_dir):
-    argv = data.draw(argvs(spec_dir))
+# tokens of malformed argv: flags of the wrong command or with no value, stray
+# values; no flag that sizes a system, so every argv stays small
+TOKENS = ["--bogus", "--t", "--depth", "--tol", "--h", "--spec", "--system", "cf", "cantor",
+          "--mode", "chaos", "--format", "x", "1", "-1", "0.5", "nan", "--", "-", "=",
+          "--t=", "-h", "--help", "--budget", "--target", "--bernoulli", "--markov"]
+
+
+@st.composite
+def malformed(draw):
+    command = draw(st.sampled_from(["limitset", "pressure", "dim", "theta", "measure",
+                                    "compare-dim", "measure-dim", "subsystem", "bogus", ""]))
+    return [command] + draw(st.lists(st.sampled_from(TOKENS), max_size=6))
+
+
+def assert_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
@@ -79,3 +131,19 @@ def test_cli_flags_keep_the_exit_code_contract(data, spec_dir):
     if rc:
         record = json.loads(err.getvalue().splitlines()[-1])
         assert set(record) == {"error", "message"} and out.getvalue() == ""
+
+
+FUZZ = settings(deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+
+
+@settings(FUZZ, max_examples=300)
+@given(data=st.data())
+def test_cli_flags_keep_the_exit_code_contract(data, spec_dir):
+    assert_contract(data.draw(argvs(spec_dir)))
+
+
+@settings(FUZZ, max_examples=150)
+@given(argv=malformed())
+def test_malformed_argv_keeps_the_exit_code_contract(argv):
+    assert_contract(argv)

@@ -83,14 +83,6 @@ def test_deriv_norm_matches_finite_differences(g):
         assert abs(fd / want - 1.0) < 1e-3
 
 
-def test_deriv_norm_sup_bracket_example(g):
-    """Pole at distance 5, ball radius 1: sup bracket is [1/36, 1/16]."""
-    J = cd.ConformalChain(g, [cd.Invert()])
-    lo, hi = J.deriv_norm_sup(cd.gpoint([3.0, 4.0], [0.0]), 1.0)
-    assert np.isclose(lo, 1.0 / 36.0)
-    assert np.isclose(hi, 1.0 / 16.0)
-
-
 @pytest.mark.parametrize("t0", [1e-3, 1e-40, 1e-80, 1.893e-143])
 def test_r_f_of_nearly_cancelling_inversions(g, t0):
     """J o tau_(0,0,t0) o J has its pole at (0; 1/t0) and r_f = 1/t0; next to

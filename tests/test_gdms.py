@@ -1,8 +1,11 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import carnotdim as cd
 from carnotdim.errors import BudgetError, ValidationError
@@ -147,10 +150,11 @@ def test_reducible_detected():
 def test_maximalize_preserves_words():
     sys_ = separated_fib2_system()
     hat = sys_.maximalize()
-    assert hat.is_maximal
+    assert hat.incidence is None  # maximal
     assert len(hat.vertices) == sys_.n_edges
     # hat edges = admissible pairs of the original system
-    assert hat.n_edges == int(sys_.adjacency().sum())
+    e = np.arange(sys_.n_edges)
+    assert hat.n_edges == int(sys_.admissible_pair(e[:, None], e[None, :]).sum())
     # admissible word counts agree one level down
     assert hat.count_words(3) == sys_.count_words(4)
 
@@ -233,7 +237,9 @@ def test_maximal_and_explicit_twins_agree(monkeypatch):
     incidence: the vertex-index paths and the edge-index paths agree."""
     monkeypatch.setattr(cd.gdms, "WORD_BLOCK", 3)  # words come in several blocks
     hat = separated_fib2_system().maximalize()
-    twin = cd.GdmsSpec(hat.group, hat.vertices, hat.edges, incidence=hat.adjacency(),
+    e = np.arange(hat.n_edges)
+    twin = cd.GdmsSpec(hat.group, hat.vertices, hat.edges,
+                       incidence=hat.admissible_pair(e[:, None], e[None, :]),
                        contraction=hat.contraction, validate="none")
     for a in range(hat.n_edges):
         assert hat.successors(a).tolist() == twin.successors(a).tolist()
@@ -272,3 +278,87 @@ def test_maximal_system_builds_no_edge_pair_arrays():
             assert peak < 64 * 2 ** 20, (name, peak)
     finally:
         tracemalloc.stop()
+
+
+def edge_bfs_witnesses(sys_):
+    """Reference witness search, edge by edge: one BFS over the edges that
+    may follow each edge i, and the parent chain of each edge j as the
+    witness of i w j."""
+    nE = sys_.n_edges
+    phi = set()
+    for i in range(nE):
+        parent = dict.fromkeys(sys_.successors(i).tolist())
+        order = list(parent)
+        for x in order:  # `order` grows while it is read
+            for y in sys_.successors(x).tolist():
+                if y not in parent:
+                    parent[y] = x
+                    order.append(y)
+        if len(parent) < nE:
+            j = min(set(range(nE)) - parent.keys())
+            return ("reducible", (sys_.edges[i].id, sys_.edges[j].id))
+        for j in range(nE):
+            path, x = [], j
+            while parent[x] is not None:
+                x = parent[x]
+                path.append(x)
+            phi.add(tuple(reversed(path)))
+    return ("irreducible", tuple(sorted(phi)))
+
+
+def line_maps(k, scale):
+    """k similarities of one ratio, translations 4 apart on the x axis."""
+    return [(cd.gpoint([4.0 * a, 0.0], [0.0]), scale) for a in range(k)]
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(k=st.integers(1, 6), density=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+       hat=st.booleans())
+def test_witness_search_matches_edge_bfs(k, density, seed, hat):
+    """Row-by-row witnesses equal the edge-by-edge BFS's, on random explicit
+    incidences (reducible ones and edges with no successors included) and on
+    their hat systems, whose index rows are vertices, with the hat edges
+    shuffled so that row order and edge order differ."""
+    rng = np.random.default_rng(seed)
+    A = rng.random((k, k)) < density
+    sys_ = cd.build_self_similar(cd.heisenberg(1), line_maps(k, 0.01), incidence=A)
+    if hat:
+        if not A.any():
+            return  # no admissible pair, so no hat edge
+        sys_ = sys_.maximalize()
+        t, p = sys_.table, rng.permutation(sys_.n_edges)
+        sys_ = cd.GdmsSpec(t.group, sys_.vertices, t.take(p, t.ids[p], t.src[p], t.dst[p]),
+                           validate="none")
+    rows = len(sys_.vertices) if hat else k
+    assert sys_.finite_irreducibility() == edge_bfs_witnesses(sys_)
+    with pytest.raises(BudgetError):
+        sys_.finite_irreducibility(max_pairs=rows ** 2 - 1)
+
+
+def test_witnesses_of_a_large_hat_system():
+    """The hat of a 60-map Moran IFS (60 vertices, 3,600 edges): one BFS per
+    vertex instead of per edge, within the default budget of index-row pairs."""
+    g = cd.heisenberg(1)
+    maps = [(cd.gpoint([float(a % 8), float(a // 8)], [0.0]), 0.01) for a in range(60)]
+    hat = cd.build_self_similar(g, maps).maximalize()
+    assert (len(hat.vertices), hat.n_edges) == (60, 3600)
+    kind, phi = hat.finite_irreducibility()
+    assert kind == "irreducible"
+    rng = np.random.default_rng(0)
+    for i, j in rng.integers(0, hat.n_edges, size=(50, 2)).tolist():
+        assert any(all(hat.admissible_pair(a, b) for a, b in zip((i,) + w, w + (j,)))
+                   for w in phi)
+    m = cd.transfer_eigenmeasure(hat, 1.0, 1)
+    assert m.masses.size == 3600 and abs(m.masses.sum() - 1.0) < 1e-12
+    # a single vertex: the empty word connects every pair
+    assert cd.build_self_similar(g, maps).finite_irreducibility() == ("irreducible", ((),))
+
+
+def test_word_counts_past_the_float_range():
+    sys_ = moran_system([0.5] * 4)
+    assert sys_.count_words(26) == 4 ** 26  # below 2^53: exact
+    assert sys_.count_words(600) == math.inf
+    with pytest.raises(BudgetError):
+        sys_.limit_set_cloud(600)
+    with pytest.raises(BudgetError):
+        cd.transfer_eigenmeasure(sys_, 1.0, 600)

@@ -12,6 +12,8 @@ from carnotdim import groups as G
 from carnotdim import systems, thermo
 from carnotdim.errors import ValidationError
 
+from conftest import moran_system
+
 
 @pytest.fixture(scope="module")
 def g():
@@ -35,9 +37,35 @@ def test_cf_alphabet_matches_lattice_shell(g):
     assert (np.diff(norms) >= -1e-12).all()
 
 
+@pytest.mark.parametrize("n, R", [(1, 4.0), (1, 5.0), (1, 6.0), (1, 8.0), (2, 3.6)])
+def test_cf_weight_table_is_computed_from_the_normal_form(n, R):
+    """No builder attaches a table; the computed one has d = ||gamma|| exactly,
+    so it is the closed form [(||gamma|| + 1/2)^-2, (||gamma|| - 1/2)^-2]."""
+    g = cd.heisenberg(n)
+    params = cd.CfSystemParams(0.5, R)
+    sys_ = cd.build_cf_system(g, params)
+    assert sys_.weights is None
+    norms = systems.cf_alphabet(g, params)[2]
+    d, gap = sys_.pole_gaps
+    assert np.array_equal(d, norms) and np.array_equal(gap, norms - 0.5)
+    table = thermo.ensure_weights(sys_)
+    assert np.array_equal(table.w_lo, 1.0 / (norms + 0.5) ** 2)
+    assert np.array_equal(table.w_up, 1.0 / (norms - 0.5) ** 2)
+    assert table.distortion == 1.0 and not table.exact
+
+
+def test_similarity_weight_table_is_computed_from_the_normal_form():
+    scales = [0.5, 0.25, 0.3, 0.125]
+    sys_ = moran_system(scales)
+    assert sys_.weights is None and np.array_equal(sys_.pole_gaps[1], np.ones(4))
+    table = thermo.ensure_weights(sys_)
+    assert np.array_equal(table.w_lo, scales) and np.array_equal(table.w_up, scales)
+    assert table.exact
+
+
 def test_cf_weights_are_pointwise_derivative_bounds(g):
     sys_ = cd.build_cf_system(g, cd.CfSystemParams(0.5, 5.0))
-    table = sys_.weights
+    table = thermo.ensure_weights(sys_)
     rng = np.random.default_rng(0)
     v = sys_.vertices[0]
     Z, T = v.sample(g, 64, rng)
@@ -277,7 +305,7 @@ def test_cf_dimension_brackets_pinned(g, R, h_lo_sampled_k, h_hi):
     db = cd.bowen_dim(sys_, tol=1e-3)
     assert (db.h_lo, db.h_hi) == (CF_H_LO[R], h_hi)
     assert db.h_lo >= h_lo_sampled_k
-    assert_lower_root(db, sys_.weights)
+    assert_lower_root(db, thermo.ensure_weights(sys_))
 
 
 def test_cantor_dimension_bracket_pinned(g):
@@ -287,7 +315,7 @@ def test_cantor_dimension_bracket_pinned(g):
     db = cd.bowen_dim(sys_, tol=1e-3)
     assert (db.h_lo, db.h_hi) == (1.3046875, 1.638671875)
     assert db.h_lo >= 1.2705078125  # h_lo with the former sampled distortion constant
-    assert_lower_root(db, sys_.weights)
+    assert_lower_root(db, thermo.ensure_weights(sys_))
     # closed-form Lipschitz bound max r_e / inner^2 = 0.04 / 0.81; the former
     # sampled ratio times 1.05 was smaller, so it was not a bound
     assert sys_.contraction == 0.04938271604938271
@@ -341,7 +369,7 @@ def check_certificate(sys_, n_points=200, seed=0):
 
 def test_cf_certificate_holds_at_samples(g):
     sys_ = cd.build_cf_system(g, cd.CfSystemParams(0.5, 4.0))
-    assert sys_.contraction == float(sys_.weights.w_up.max())
+    assert sys_.contraction == float(thermo.ensure_weights(sys_).w_up.max())
     check_certificate(sys_, n_points=50)
 
 

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,12 +109,19 @@ def test_spectral_pressure_on_a_large_alphabet():
     rng = np.random.default_rng(0)
     A = rng.random((base.n_edges, base.n_edges)) < 0.3
     sys_ = cd.GdmsSpec(g, base.vertices, base.edges, incidence=A,
-                       contraction=base.contraction, weights=base.weights,
+                       contraction=base.contraction, weights=cd.ensure_weights(base),
                        validate="none")
     assert sys_.n_edges == 2586
     with pytest.raises(BudgetError):
         sys_.finite_irreducibility()
-    pb = thermo.pressure_bracket(sys_, 2.0)
+    sys_._index  # the successor index, then one evaluation: two |E| x |E| floats at peak
+    tracemalloc.start()
+    try:
+        pb = thermo.pressure_bracket(sys_, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.05 * 8 * sys_.n_edges ** 2
     assert pb.method == "spectral"
     assert math.isfinite(pb.lower) and pb.lower < pb.upper
 
@@ -277,3 +286,89 @@ def test_perron_eigenvalue_known_matrix():
     lam, v = thermo.perron_eigenvalue(M)
     assert np.isclose(lam, (1 + math.sqrt(5)) / 2, atol=1e-10)
     assert np.allclose(M @ v, lam * v, atol=1e-9)
+
+
+def test_row_transfer_matrix_is_the_edge_and_vertex_matrix():
+    """The transfer matrix built row by row from the successor index gives,
+    bit for bit, the pressures of A * diag(w^t) for an explicit incidence
+    and of the vertex matrix M_uv = sum of w^t over the edges u -> v for a
+    maximal system."""
+    g = cd.heisenberg(1)
+    base = cd.build_cf_system(g, cd.CfSystemParams(0.5, 3.15))
+    rng = np.random.default_rng(5)
+    A = rng.random((base.n_edges, base.n_edges)) < 0.3
+    explicit = cd.GdmsSpec(g, base.vertices, base.edges, incidence=A,
+                           contraction=base.contraction, validate="none")
+    hat = separated_fib2_system().maximalize()
+    nV = len(hat.vertices)
+    for t in (0.0, 0.5, 1.0, 2.0, 3.0):
+        pb = thermo.pressure_bracket(explicit, t)
+        for side in ("lower", "upper"):
+            w = thermo.ensure_weights(explicit).side(side) ** t
+            assert getattr(pb, side) == math.log(thermo.perron_eigenvalue(A * w[None, :])[0])
+        w = thermo.ensure_weights(hat).w_up ** t
+        M = np.bincount(hat.src_idx * nV + hat.dst_idx, weights=w, minlength=nV * nV)
+        assert (thermo.pressure_bracket(hat, t).upper
+                == math.log(thermo.perron_eigenvalue(M.reshape(nV, nV))[0]))
+
+
+def test_one_row_index_takes_the_subadditive_path():
+    """A one-edge explicit system has one index row, like a single-vertex
+    maximal one: rho is its weight.  With no admissible pair there is no
+    pressure."""
+    g = cd.heisenberg(1)
+    base = moran_system([0.5])
+    table = thermo.WeightTable([0.4], [0.5])
+    one = cd.GdmsSpec(g, base.vertices, base.edges, incidence=[[True]], weights=table)
+    pb = thermo.pressure_bracket(one, 2.0)
+    assert pb.method == "subadditive"
+    assert (pb.lower, pb.upper) == (2 * math.log(0.4), 2 * math.log(0.5))
+    dead = cd.GdmsSpec(g, base.vertices, base.edges, incidence=[[False]], weights=table)
+    with pytest.raises(ValidationError):
+        thermo.pressure_bracket(dead, 1.0)
+    fib = fib2_system()
+    two_dead = cd.GdmsSpec(g, fib.vertices, fib.edges, incidence=np.zeros((2, 2), bool))
+    with pytest.raises(ValidationError):
+        thermo.pressure_bracket(two_dead, 1.0)
+
+
+def test_bernoulli_support_check_is_linear_in_the_index():
+    """On CF R=8 (19.6k edges) a support x support array would take 384 MB;
+    the check counts the support among each index row's successors."""
+    sys_ = cd.build_cf_system(cd.heisenberg(1), cd.CfSystemParams(0.5, 8.0))
+    nE = sys_.n_edges
+    thermo.ensure_weights(sys_)
+    mu = thermo.InvariantMeasureSpec.bernoulli(np.full(nE, 1 / nE))
+    tracemalloc.start()
+    try:
+        dim = cd.measure_dimension(sys_, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nE > 19_000 and 0 < dim < 4 and peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_subsystem_rejects_a_nonpositive_tol(tol):
+    with pytest.raises(ValidationError, match="tol"):
+        cd.subsystem_with_dimension(cd.power_law_weights(0.5, 2.0), 0.6, tol=tol)
+
+
+def test_power_law_stream_starts_at_its_first_weight_below_one():
+    """The stream of the former k-by-k scan, found by bisection; a stream
+    with no weight below 1 in float range is rejected instead of scanned."""
+    def scan(c, exponent, start=1):
+        k = start
+        while True:
+            w = c * float(k) ** -exponent
+            if w < 1.0:
+                yield w
+            k += 1
+
+    for c, exponent, start in [(0.5, 2.0, 1), (2.0, 2.0, 1), (9.0, 2.0, 1), (1.0, 1.0, 1),
+                               (5.0, 0.5, 3), (100.0, 0.7, 2), (1.0, 2.0, 5)]:
+        want = list(itertools.islice(scan(c, exponent, start), 40))
+        assert list(itertools.islice(cd.power_law_weights(c, exponent, start), 40)) == want
+    assert next(cd.power_law_weights(5.0, 0.01)) < 1.0  # first k ~ 5^100
+    with pytest.raises(ValidationError, match="stay >= 1"):
+        next(cd.power_law_weights(5.0, 1e-5))
