@@ -27,6 +27,6 @@ from .dimension import (beta_minus, beta_minus_inv, beta_plus, beta_plus_inv,
 from .systems import (CantorSystemParams, CfSystemParams, build_cantor_system,
                       build_cf_system, build_self_similar, cantor_shell_family,
                       cf_shell_family, power_law_weights,
-                      similarity_shell_family, sphere_packing)
+                      similarity_shell_family)
 
 __version__ = "0.1.0"

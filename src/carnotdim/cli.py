@@ -144,7 +144,7 @@ def load_system(args) -> GdmsSpec:
         g = parse_group_flag(args.group)
         return build_cantor_system(
             g, CantorSystemParams(epsilon=args.epsilon, shells=args.shells),
-            seed=args.seed)
+            seed=args.seed, budget=args.lattice_budget)
     raise ValidationError("no system given: use --spec FILE or --system cf|cantor")
 
 
@@ -236,7 +236,7 @@ def cmd_theta(args):
     elif args.system == "cantor":
         sysm = build_cantor_system(
             g, CantorSystemParams(epsilon=args.epsilon, shells=args.shells),
-            seed=args.seed)
+            seed=args.seed, budget=args.lattice_budget)
         fam = cantor_shell_family(sysm)
     else:
         raise ValidationError("theta needs --system cf|cantor")

@@ -614,7 +614,9 @@ class GdmsSpec:
         lexicographic order) or for `samples` random words ("chaos": the first
         letter uniform or stationary, each next one a uniform successor or a
         `markov` step).  The working set is the cloud's arrays, the chaos
-        words (int32), and one block of EXPORT_BLOCK_ROWS points."""
+        words (int32), and one block of EXPORT_BLOCK_ROWS points.  `budget`
+        bounds the deterministic word count and the chaos letters,
+        samples x depth."""
         if depth < 0:
             raise ValidationError("depth must be >= 0")
         if mode not in ("deterministic", "chaos"):
@@ -658,9 +660,11 @@ class GdmsSpec:
             raise ValidationError(f"samples must be >= 0, got {samples}")
         if seed < 0:
             raise ValidationError(f"seed must be >= 0, got {seed}")
-        if samples > budget:
-            raise BudgetError(f"chaos cloud needs {samples} words (budget {budget})",
-                              estimate=samples, budget=budget)
+        # the sampler steps through every position, also for no samples
+        letters = max(samples, 1) * depth
+        if letters > budget:
+            raise BudgetError(f"chaos cloud needs {samples} words of {depth} letters "
+                              f"(budget {budget} letters)", estimate=letters, budget=budget)
         words = self._sample_words(depth, samples, np.random.default_rng(seed), markov)
         Z, T = np.empty((samples, g.m1)), np.empty((samples, g.m2))
         for start in range(0, samples, EXPORT_BLOCK_ROWS):

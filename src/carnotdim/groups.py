@@ -24,6 +24,9 @@ import numpy as np
 from .errors import BudgetError, UnsupportedError, ValidationError
 
 DEFAULT_LATTICE_BUDGET = 200_000_000
+# largest Heisenberg rank n: Heis^n_H's structure matrices hold 3 (4n)^2
+# floats, 1.5 MB at n = 64, and no lattice scan reaches dimensions this high
+MAX_HEISENBERG_RANK = 64
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -87,10 +90,14 @@ class GroupSpec:
         return f"GroupSpec({kind}, m1={self.m1}, m2={self.m2})"
 
 
+def _check_rank(n: int):
+    if not 1 <= n <= MAX_HEISENBERG_RANK:
+        raise ValidationError(f"Heisenberg rank n must be in [1, {MAX_HEISENBERG_RANK}], got {n}")
+
+
 def heisenberg(n: int = 1) -> GroupSpec:
     """Complex Heisenberg group Heis^n in real coordinates (x_1..x_n, y_1..y_n; t)."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    _check_rank(n)
     eye = np.eye(n)
     B = np.zeros((1, 2 * n, 2 * n))
     B[0, :n, n:] = 2 * eye
@@ -100,8 +107,7 @@ def heisenberg(n: int = 1) -> GroupSpec:
 
 def quaternionic_heisenberg(n: int = 1) -> GroupSpec:
     """Quaternionic Heisenberg group Heis^n_H, coordinates (x, y, z, w; t, u, v)."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    _check_rank(n)
     eye = np.eye(n)
     B = np.zeros((3, 4 * n, 4 * n))
 
@@ -428,6 +434,20 @@ def _key_range(r_lo: float, r_hi: float):
     return math.ceil(lo4), math.ceil(hi4)
 
 
+def check_lattice_scan(g: GroupSpec, r_hi: float, budget: int):
+    """Raise the BudgetError of a lattice scan of norms below r_hi before it
+    starts; return the half-widths (zmax, tmax) of its bounding box
+    |z_j| <= zmax, |t_j| <= tmax, whose size is the cost (monotone in r_hi)."""
+    zmax = max(int(math.ceil(r_hi)) - 1, 0)
+    tmax = max(int(math.ceil(r_hi * r_hi)) - 1, 0)
+    cost = (2 * zmax + 1) ** g.m1 * (2 * tmax + 1) ** g.m2
+    if cost > budget:
+        raise BudgetError(
+            f"lattice scan would visit ~{cost:.2e} candidates (budget {budget:.2e})",
+            estimate=cost, budget=budget)
+    return zmax, tmax
+
+
 def _lattice_points(g: GroupSpec, r_lo: float, r_hi: float, budget: int):
     """Integer arrays (Z, T) of the lattice points with r_lo <= norm < r_hi.
 
@@ -438,19 +458,7 @@ def _lattice_points(g: GroupSpec, r_lo: float, r_hi: float, budget: int):
     """
     if r_lo < 0 or r_hi <= r_lo:
         raise ValidationError("need 0 <= r_lo < r_hi")
-    zmax = max(int(math.ceil(r_hi)) - 1, 0)
-    tmax = max(int(math.ceil(r_hi * r_hi)) - 1, 0)
-    n_z = (2 * zmax + 1) ** g.m1
-    n_t = (2 * tmax + 1) ** g.m2
-    if g.m2 == 1:
-        cost = n_z * (2 * tmax + 1)
-    else:
-        cost = n_z * n_t
-    if cost > budget:
-        raise BudgetError(
-            f"lattice scan would visit ~{cost:.2e} candidates (budget {budget:.2e})",
-            estimate=cost, budget=budget)
-
+    zmax, tmax = check_lattice_scan(g, r_hi, budget)
     L, H = _key_range(r_lo, r_hi)
     Zs = _z_candidates(g.m1, zmax)
     z2 = np.einsum("ki,ki->k", Zs, Zs)
@@ -662,29 +670,5 @@ def sample_ball(g: GroupSpec, center: GPoint, radius: float, k: int,
         Z, T = sample_box(g, m, rng, 1.0)
         keep = norm_many(g, Z, T) <= 1.0
         out_Z = np.concatenate([out_Z, Z[keep]]); out_T = np.concatenate([out_T, T[keep]])
-    Z, T = dilate_many(g, radius, out_Z[:k], out_T[:k])
-    return mul_many(g, center.z, center.t, Z, T)
-
-
-def sample_sphere(g: GroupSpec, center: GPoint, radius: float, k: int,
-                  rng: np.random.Generator, thickness: float = 0.05):
-    """k points near the gauge sphere of given radius, radially projected onto it.
-
-    Rejection from a thin box shell, then exact radial (dilation) projection
-    (the projection makes the shell thickness harmless).
-    """
-    _check_point(g, center, "center")
-    out_Z = np.empty((0, g.m1)); out_T = np.empty((0, g.m2))
-    frac = 0.3 * (1.0 - (1.0 - thickness) ** g.Q)  # rough acceptance rate
-    while out_Z.shape[0] < k:
-        m = max(int(3 * (k - out_Z.shape[0]) / frac), 256)
-        Z, T = sample_box(g, m, rng, 1.0)
-        norms = norm_many(g, Z, T)
-        keep = (norms > 1.0 - thickness) & (norms <= 1.0)
-        Z, T = Z[keep], T[keep]
-        if Z.shape[0]:
-            r = norms[keep]
-            Z, T = dilate_many(g, 1.0 / r, Z, T)
-            out_Z = np.concatenate([out_Z, Z]); out_T = np.concatenate([out_T, T])
     Z, T = dilate_many(g, radius, out_Z[:k], out_T[:k])
     return mul_many(g, center.z, center.t, Z, T)

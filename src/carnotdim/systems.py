@@ -4,8 +4,10 @@
   with translation by a deep lattice point, acting on the closed ball of
   radius 1/2 around the identity.
 * Conformal Cantor systems: inversion-conjugated similarities anchored at a
-  prescribed (or shell-packed) point configuration away from the identity;
-  shell points come from a greedy sphere packing settled in array blocks.
+  prescribed point configuration away from the identity, or on gauge shells
+  of radii d_n = sum_{j<=n} j^-epsilon, where shell n's anchors are the
+  points of a dilated integer lattice in a thin annulus [d_n, d_n + theta_n),
+  which are exactly separated.
 * Self-similar iterated function systems built from translations, rotations
   and dilations, with exact weights.
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -121,11 +123,24 @@ def cf_shell_family(g: GroupSpec, epsilon: float, r_max: float,
     (integer square roots over the values of |z|^2), so no lattice point is
     built: r_max = 60 takes about 0.1 s and r_max = 300 under a second, and
     `budget` bounds the work of every shell; all shells are checked against
-    it before the first is counted.
+    it before the first is counted.  Before any array is built, more shells
+    than integer norm keys in range (some shell would be empty) is a
+    ValidationError, and more than budget / (bins + 1) a BudgetError, since
+    counting a shell costs at least bins + 1.
     """
     params = CfSystemParams(epsilon, r_max)
     if n_shells < 2:
         raise ValidationError("need at least 2 shells")
+    # keys N = |z|^4 + |t|^2 in [Delta^4, r_max^4]; the cap at radius 2^14
+    # (2^56 keys) only avoids a float overflow of r_max^4
+    n_keys = math.floor(min(r_max, 2.0 ** 14) ** 4) - math.ceil(params.delta ** 4) + 1
+    if n_shells > n_keys:
+        raise ValidationError(f"{n_shells} shells, but the alphabet has only {n_keys} "
+                              f"integer norm keys: some shell would be empty")
+    if n_shells * (bins + 1) > budget:
+        raise BudgetError(f"{n_shells} shells of {bins} bins would cost "
+                          f"~{n_shells * (bins + 1):.2e} (budget {budget:.2e})",
+                          estimate=n_shells * (bins + 1), budget=budget)
     radii = np.geomspace(params.delta, r_max, n_shells + 1)
     radii[-1] = np.nextafter(radii[-1], np.inf)  # the last shell includes r_max
     for k in range(n_shells):  # every shell within budget before any is counted
@@ -160,7 +175,7 @@ class CantorSystemParams:
     epsilon: Optional[float] = None
     shells: Optional[int] = None
     # scales the canonical shell separation (n+2)^-epsilon; > 1 thins the
-    # packing uniformly across shells, preserving the count growth exponent
+    # anchors uniformly across shells, preserving the count growth exponent
     separation_scale: float = 1.0
 
     @property
@@ -183,202 +198,27 @@ class CantorSystemParams:
         return "shell"
 
 
-# candidates settled per block of sphere_packing: the first block is small,
-# and each later one twice the size of the one before, up to PACKING_BLOCK
-PACKING_FIRST_BLOCK, PACKING_BLOCK = 64, 4096
-# neighbour-cell lookups per searchsorted call of _near_pairs
-_LOOKUP_CHUNK = 1 << 18
-
-
-def sphere_packing(g: GroupSpec, radius: float, separation: float, seed: int,
-                   oversample: int = 16, max_points: int = 2_000_000):
-    """Greedy packing of the gauge sphere of the given radius at the given
-    gauge separation.
-
-    Candidates are seeded sphere samples, taken in index order: a candidate
-    is accepted when its gauge distance to every earlier accepted point is
-    >= separation.  A grid on (z / sep, t / h_t) limits the distance checks
-    to the 3^(m1+m2) cells around each candidate, since |z(p) - z(q)| <=
-    d(p, q) and conflicting pairs have |t(p) - t(q)| <= h_t.
-
-    The candidates are settled in blocks of PACKING_FIRST_BLOCK, twice that,
-    and so on up to PACKING_BLOCK: a block is first tested against the points
-    accepted so far, and its survivors then settle their own conflicts in
-    index order, by one pass over the survivors in which each accepted one
-    rejects its later conflicts.  Every pair gets the same floating-point
-    operations in the same order as in a one-candidate-at-a-time loop, so
-    the result is that loop's, whatever the block sizes.
-    """
-    if not (0 < separation < 2 * radius):
-        raise ValidationError("separation must be in (0, 2*radius)")
-    rng = np.random.default_rng(seed)
-    area = (radius / separation) ** (g.Q - 1)
-    n_cand = int(min(max(oversample * area, 1024), max_points))
-    Z, T = G.sample_sphere(g, G.origin(g), radius, n_cand, rng)
-    # gauge distance dominates |z1 - z2| componentwise; conflicting pairs also
-    # satisfy |t1 - t2| <= sep^2 + 2 * radius * sep (twist bound), so a grid on
-    # (z / sep, t / (sep^2 + 2 R sep)) confines conflicts to the 3^(m1+m2) block
-    bnorm = max(float(np.linalg.norm(Bi, 2)) for Bi in g.B)
-    h_t = separation ** 2 + bnorm * radius * separation
-    keys = np.concatenate([np.floor(Z / separation), np.floor(T / h_t)],
-                          axis=1).astype(np.int64)
-    codes, offsets, exact = _cell_codes(keys)
-    conflicts = _ConflictTest(g, Z, T, separation ** 4, None if exact else keys)
-    acc_codes = np.empty(0, np.uint64)   # accepted points by cell code
-    acc_rows = np.empty(0, np.int64)
-    lo, size = 0, PACKING_FIRST_BLOCK
-    while lo < n_cand:
-        block = np.arange(lo, min(lo + size, n_cand))
-        lo, size = block[-1] + 1, min(2 * size, PACKING_BLOCK)
-        # 1. against the points accepted in earlier blocks
-        q, j = _near_pairs(codes[block], offsets, acc_codes, acc_rows)
-        hit = q[conflicts(block[q], j)]
-        surv = np.delete(block, hit)
-        # 2. among the survivors, in index order
-        order = np.argsort(codes[surv], kind="stable")
-        q, j = _near_pairs(codes[surv], offsets, codes[surv][order], order)
-        q, j = q[j < q], j[j < q]
-        hit = conflicts(surv[q], surv[j])
-        later, earlier = q[hit], j[hit]
-        by = np.argsort(earlier, kind="stable")
-        later = later[by]
-        ptr = np.searchsorted(earlier[by], np.arange(surv.size + 1))
-        ok = np.ones(surv.size, dtype=bool)
-        for k in range(surv.size):
-            if ok[k]:
-                ok[later[ptr[k]:ptr[k + 1]]] = False
-        new = surv[ok]
-        # 3. merge the block's accepted points into the sorted lookup
-        order = np.argsort(codes[new], kind="stable")
-        at = np.searchsorted(acc_codes, codes[new][order], side="right")
-        acc_codes = np.insert(acc_codes, at, codes[new][order])
-        acc_rows = np.insert(acc_rows, at, new[order])
-    if not acc_rows.size:
-        raise ValidationError("packing produced no points")
-    idx = np.sort(acc_rows)
-    return Z[idx], T[idx]
-
-
-def _cell_codes(keys: np.ndarray):
-    """One uint64 code per grid cell of the integer keys (n, d), and the code
-    offsets that reach its 3^d neighbourhood as 3^(d-1) runs of three
-    consecutive codes.
-
-    The code is k_0 + 2^s * h, with k_0 the first key shifted into
-    [1, 2^s - 2] (so the cells k_0 - 1, k_0, k_0 + 1 are consecutive codes)
-    and h the mixed-radix number of the other keys over their box padded by
-    one cell, taken modulo 2^(64 - s).  Returns (codes, offsets, exact): the
-    run of a neighbourhood offset starts at codes - 1 + offset.  When the
-    box is too large for 64 bits h wraps, neighbours still map to
-    neighbours, but distinct cells may share a code, and `exact` is False.
-    """
-    kmin = keys.min(axis=0) - 1
-    span = keys.max(axis=0) - kmin + 2
-    k = (keys - kmin).astype(np.uint64)
-    shift = np.uint64(int(span[0]).bit_length())
-    stride = np.cumprod(np.concatenate([[1], span[1:-1]]).astype(np.uint64))
-    exact = math.prod(int(s) for s in span[1:]) <= 2 ** (64 - int(shift))
-    codes = ((k[:, 1:] * stride).sum(axis=1, dtype=np.uint64) << shift) | k[:, 0]
-    d = keys.shape[1] - 1
-    deltas = np.stack(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    offsets = (deltas.astype(np.uint64) * stride).sum(axis=1, dtype=np.uint64) << shift
-    return codes, offsets, exact
-
-
-def _near_pairs(qcodes, offsets, sorted_codes, sorted_rows):
-    """All (q, row): q indexes qcodes, and row = sorted_rows[k] for every k
-    with sorted_codes[k] in a neighbourhood run qcodes[q] - 1 + offsets[i]
-    + {0, 1, 2} (see _cell_codes)."""
-    qs, rows = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    step = max(_LOOKUP_CHUNK // offsets.size, 1)
-    for s in range(0, qcodes.size, step):
-        start = ((qcodes[s:s + step] - np.uint64(1))[:, None] + offsets[None, :]).ravel()
-        lo = np.searchsorted(sorted_codes, start)
-        n = np.searchsorted(sorted_codes, start + np.uint64(3)) - lo
-        total = int(n.sum())
-        if not total:
-            continue
-        first = np.cumsum(n) - n
-        pos = np.repeat(lo - first, n) + np.arange(total)
-        qs.append(s + np.repeat(np.arange(start.size) // offsets.size, n))
-        rows.append(sorted_rows[pos])
-    return np.concatenate(qs), np.concatenate(rows)
-
-
-class _ConflictTest:
-    """The packing's conflict test d(q, p)^4 < sep^4 between candidates i and
-    earlier points j, vectorized over pairs: z2 = sum_a (z_j - z_i)_a^2 and
-    t2 = sum_s tau_s^2 with tau_s = t_j,s - t_i,s - sum_{a,b} B[s,a,b] z_i,b
-    z_j,a, accumulated term by term in that order; zero entries of B are
-    skipped, which leaves every sum unchanged.  With `keys` given (cell
-    codes that may collide), pairs outside neighbouring cells never conflict.
-    """
-
-    def __init__(self, g: GroupSpec, Z, T, sep4: float, keys: Optional[np.ndarray]):
-        self.Z, self.T, self.sep4, self.keys = Z, T, sep4, keys
-        self.terms = [[(a, b, g.B[s][a, b]) for a in range(g.m1) for b in range(g.m1)
-                       if g.B[s][a, b] != 0] for s in range(g.m2)]
-
-    def __call__(self, i, j) -> np.ndarray:
-        Z, T = self.Z, self.T
-        z2 = np.zeros(i.size)
-        for a in range(Z.shape[1]):
-            v = Z[j, a] - Z[i, a]
-            z2 += v * v
-        z4 = z2 * z2
-        # t2 >= 0 and rounding is monotone, so z4 + t2 rounds to >= z4: pairs
-        # with z4 >= sep^4 cannot conflict and skip the t terms
-        near = np.flatnonzero(z4 < self.sep4)
-        i, j = i[near], j[near]
-        t2 = np.zeros(near.size)
-        for s, terms in enumerate(self.terms):
-            tau = T[j, s] - T[i, s]
-            for a, b, c in terms:
-                tau -= c * Z[i, b] * Z[j, a]
-            t2 += tau * tau
-        hit = np.zeros(z2.size, dtype=bool)
-        hit[near] = z4[near] + t2 < self.sep4
-        if self.keys is not None:
-            hit[near] &= (np.abs(self.keys[i] - self.keys[j]) <= 1).all(axis=1)
-        return hit
-
-
-def packing_maximality(g: GroupSpec, Z: np.ndarray, T: np.ndarray, radius: float,
-                       separation: float, trials: int = 10_000, seed: int = 1):
-    """Fraction of fresh sphere samples within `separation` of a packed point."""
-    rng = np.random.default_rng(seed)
-    QZ, QT = G.sample_sphere(g, G.origin(g), radius, trials, rng)
-    covered = 0
-    block = 256
-    for s in range(0, trials, block):
-        qz, qt = QZ[s:s + block], QT[s:s + block]
-        dmin = np.full(qz.shape[0], np.inf)
-        for c in range(0, Z.shape[0], 4096):
-            cz, ct = Z[c:c + 4096], T[c:c + 4096]
-            d = _cross_dist(g, qz, qt, cz, ct)
-            dmin = np.minimum(dmin, d.min(axis=1))
-        covered += int((dmin < separation).sum())
-    return covered / trials
-
-
-def _cross_dist(g: GroupSpec, Z1, T1, Z2, T2):
-    """Pairwise gauge distances, shape (len(Z1), len(Z2))."""
-    Z, T = G.mul_many(g, -Z1[:, None, :], -T1[:, None, :], Z2[None, :, :], T2[None, :, :])
-    return G.norm_many(g, Z, T)
-
-
 def build_cantor_system(g: GroupSpec, params: CantorSystemParams,
-                        seed: int = 0, validate: str = "closed_form") -> GdmsSpec:
+                        seed: int = 0, validate: str = "closed_form",
+                        budget: int = DEFAULT_LATTICE_BUDGET) -> GdmsSpec:
     """Cantor-type maximal IFS of inversion-anchored similarities
     phi_e = tau_p delta_r tau_{J(p)^-1} J, which fix their anchor p.
 
     Explicit mode takes the point/radius configuration and the domain ball
-    B(c, R) (with ||c|| > R) as given.  Shell mode places the points by
-    greedy packing of the gauge spheres of radii d_n = sum_{j<=n} j^-epsilon
-    at separation (n+2)^-epsilon, with map radii separation_n / (10 d0)
-    where d0 = 2 / inner bounds the diameter of the inverted domain; the
-    domain is the annulus inner <= ||x|| <= outer around the shells, which
-    keeps the inversion pole (the identity) outside.
+    B(c, R) (with ||c|| > R) as given.  Shell mode anchors shell n on the
+    dilated lattice delta_s(Gamma), s = separation_scale (n+2)^-epsilon:
+    the points delta_s(gamma) with d_n <= s ||gamma|| < d_n + theta_n, where
+    d_n = sum_{j<=n} j^-epsilon and the layer theta_n = min(s, (n+1)^-epsilon,
+    outer - d_n) / 2 is half the gap to the next shell and to the outer
+    radius.  They are s-separated, since d(delta_s gamma,
+    delta_s gamma') = s ||gamma^-1 gamma'|| >= s (every nonzero lattice norm
+    is >= 1).  The map radii are s / (10 d0), where d0 = 2 / inner bounds
+    the diameter of the inverted domain; the domain is the annulus
+    inner = d_1 - 0.1 <= ||x|| <= outer = d_N + 0.1 around the shells, which
+    keeps the inversion pole (the identity) outside.  `budget` bounds each
+    shell's lattice scan, checked for all shells before the first is
+    scanned, and an empty shell is a ValidationError.  `seed` is validated
+    but unused: no construction here is random.
 
     GdmsSpec certifies the system (`validate` is passed on): each map has
     pole o and r_f = r, so its image lies in B(phi_e(infinity), r / m) in
@@ -388,6 +228,7 @@ def build_cantor_system(g: GroupSpec, params: CantorSystemParams,
     """
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    Invert().validate(g)
     if params.mode == "generic":
         vertex = VertexSet(id="X", center=params.domain_center,
                            radius=params.domain_radius)
@@ -401,23 +242,28 @@ def build_cantor_system(g: GroupSpec, params: CantorSystemParams,
         shell_of = None
     else:
         eps, n_shells = float(params.epsilon), int(params.shells)
-        d = np.cumsum(np.arange(1, n_shells + 1, dtype=float) ** -eps)
-        inner = d[0] - 0.1
-        outer = d[-1] + 0.1
+        if params.separation_scale < 1.0:
+            raise ValidationError("separation_scale must be >= 1")
+        n = np.arange(1, n_shells + 1, dtype=float)
+        d = np.cumsum(n ** -eps)
+        inner, outer = d[0] - 0.1, d[-1] + 0.1
         vertex = VertexSet(id="X", center=G.origin(g), radius=outer,
                            inner_radius=inner)
         d0 = 2.0 / inner  # diam J(X) <= 2 / inner for the annulus around o
-        if params.separation_scale < 1.0:
-            raise ValidationError("separation_scale must be >= 1")
-        Zs, Ts, radii, shell_of = [], [], [], []
-        for n in range(1, n_shells + 1):
-            sep = params.separation_scale * (n + 2.0) ** -eps
-            Zp, Tp = sphere_packing(g, float(d[n - 1]), sep, seed=seed + n)
-            Zs.append(Zp); Ts.append(Tp)
-            radii.append(np.full(Zp.shape[0], sep / (10.0 * d0)))
-            shell_of.append(np.full(Zp.shape[0], n))
-        Z, T = np.concatenate(Zs), np.concatenate(Ts)
-        radii, shell_of = np.concatenate(radii), np.concatenate(shell_of)
+        sep = params.separation_scale * (n + 2.0) ** -eps
+        layer = 0.5 * np.minimum(np.minimum(sep, (n + 1.0) ** -eps), outer - d)
+        lo, hi = d / sep, (d + layer) / sep
+        G.check_lattice_scan(g, hi.max(), budget)  # every shell before any is scanned
+        shells = [G.lattice_shell_array(g, lo[k], hi[k], budget) for k in range(n_shells)]
+        sizes = np.array([Zk.shape[0] for Zk, _ in shells])
+        if not sizes.all():
+            raise ValidationError(f"shell {int(np.argmin(sizes)) + 1} of the Cantor "
+                                  f"system holds no dilated lattice point")
+        s = np.repeat(sep, sizes)[:, None]
+        Z = np.concatenate([Zk for Zk, _ in shells]) * s
+        T = np.concatenate([Tk for _, Tk in shells]) * (s * s)
+        radii = s[:, 0] / (10.0 * d0)
+        shell_of = np.repeat(np.arange(1, n_shells + 1), sizes)
     bad = ~((radii > 0) & (radii < 1))
     if bad.any():
         raise ValidationError(f"map radius {radii[bad][0]:g} out of (0,1)")

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 
@@ -196,6 +198,8 @@ def test_exit_code_2_json_error(argv, moran4_path):
      "BudgetError"),
     (["limitset", "--spec", "{spec}", "--mode", "chaos", "--samples", "11", "--budget", "10"],
      "BudgetError"),
+    (["limitset", "--spec", "{spec}", "--mode", "chaos", "--samples", "1", "--depth",
+      "3000000"], "BudgetError"),
     (["pressure", "--spec", "{spec}", "--t-grid", "0:1e9:1e-9"], "BudgetError"),
     (["pressure", "--spec", "{spec}", "--t-grid=-1e308:1e308:1", "--budget", "5"],
      "BudgetError"),
@@ -203,7 +207,7 @@ def test_exit_code_2_json_error(argv, moran4_path):
     (["dim", "--spec", "{spec}", "--tol", "0"], "ValidationError"),
     (["dim", "--system", "cantor", "--shells", "1", "--seed", "-3"], "ValidationError"),
 ], ids=["samples-negative", "seed-negative", "samples-over-memory", "samples-over-budget",
-        "grid-over-budget", "grid-overflows", "tol-negative", "tol-zero", "cantor-seed"])
+        "depth-over-budget", "grid-over-budget", "grid-overflows", "tol-negative", "tol-zero", "cantor-seed"])
 def test_sizes_and_seeds_keep_the_exit_codes(argv, error, moran4_path):
     """Each of these once exited 1 with a traceback, never returned, or
     exited 0 with a meaningless tolerance."""
@@ -234,6 +238,30 @@ def test_argv_and_overflows_keep_the_exit_codes(argv, error, moran4_path):
     assert json.loads(err.decode().splitlines()[-1])["error"] == error
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["compare-dim", "--group", "heis_c:100000", "--h", "1"], "ValidationError"),
+    (["theta", "--system", "cf", "--radius", "8", "--shells", "1000000000"], "ValidationError"),
+    (["theta", "--system", "cf", "--radius", "9000", "--shells", "100000000"], "BudgetError"),
+    (["dim", "--system", "cantor", "--group", "heis_q:1", "--shells", "1"], "UnsupportedError"),
+    (["limitset", "--system", "cantor", "--group", "heis_q:1", "--shells", "1"],
+     "UnsupportedError"),
+], ids=["rank-100000", "shells-past-keys", "shells-past-budget", "cantor-quaternionic",
+        "cantor-quaternionic-limitset"])
+def test_oversized_inputs_fail_before_allocating(argv, error):
+    """Under a 2 GiB address-space limit each of these exits 2 or 3 with a
+    JSON error: a 74.5 GiB structure matrix, a 7.45 GiB array of shell
+    radii, and a quaternionic Cantor build (no inversion there) once died
+    with a MemoryError traceback or ran for minutes."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 2 ** 30, 2 * 2 ** 30))
+    proc = subprocess.run([sys.executable, "-m", "carnotdim.cli"] + argv, capture_output=True,
+                          preexec_fn=limit, timeout=60,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    rc_want = {"ValidationError": 2, "UnsupportedError": 2, "BudgetError": 3}[error]
+    assert proc.returncode == rc_want and proc.stdout == b"", proc.stderr.decode()
+    assert json.loads(proc.stderr.decode().splitlines()[-1])["error"] == error
+
+
 def test_help_exits_0():
     for argv in (["--help"], ["dim", "-h"]):
         rc, out, err = run_cli(argv)
@@ -241,9 +269,14 @@ def test_help_exits_0():
 
 
 def test_chaos_samples_up_to_the_budget(moran4_path):
-    rc, out, _ = run_cli(["limitset", "--spec", moran4_path, "--mode", "chaos",
-                          "--samples", "10", "--budget", "10", "--depth", "3"])
+    """A chaos cloud is charged its letters, samples x depth = 30 here."""
+    argv = ["limitset", "--spec", moran4_path, "--mode", "chaos", "--samples", "10",
+            "--depth", "3", "--budget"]
+    rc, out, _ = run_cli(argv + ["30"])
     assert rc == 0 and len(out.splitlines()) == 11
+    rc, out, err = run_cli(argv + ["29"])
+    assert rc == 3 and out == b""
+    assert json.loads(err.decode().splitlines()[-1])["error"] == "BudgetError"
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -283,11 +316,11 @@ def test_theta_cf_deep(argv):
 
 CANTOR_SHELLS2_DIM = """{
   "distortion": 1.0,
-  "edges": 46669,
-  "h_hi": 1.9261927604675293,
-  "h_lo": 1.6804285049438477,
+  "edges": 91590,
+  "h_hi": 2.0500707626342773,
+  "h_lo": 1.7879252433776855,
   "iterations": 46,
-  "note": "pressure bracket width dominates (slack 0.246)",
+  "note": "pressure bracket width dominates (slack 0.262)",
   "op": "dim",
   "params": {
     "budget": 1000000,
@@ -301,15 +334,16 @@ CANTOR_SHELLS2_DIM = """{
     "system": "cantor",
     "tol": 1e-06
   },
-  "slack": 0.24576325552368164,
+  "slack": 0.2621445192565918,
   "tol": 1e-06
 }
 """
 
 
 def test_dim_cantor_full_separation():
-    """separation_scale 1 packs 46,669 maps from 139,664 candidates; the
-    output is the one the one-candidate-at-a-time packing loop gave."""
+    """separation_scale 1 anchors 91,590 maps on two dilated-lattice layers
+    (8,232 and 83,358 points, the integer-key counts of
+    test_cantor_shell_counts_match_integer_keys)."""
     rc, out, err = run_cli(["dim", "--system", "cantor", "--epsilon", "2", "--shells", "2"])
     assert rc == 0, err.decode()
     assert out.decode() == CANTOR_SHELLS2_DIM

@@ -1,10 +1,10 @@
+import itertools
 import math
-from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import carnotdim as cd
@@ -131,137 +131,6 @@ def test_cf_requires_complex_heisenberg():
 
 
 # ---------------------------------------------------------------------------
-# Sphere packing
-# ---------------------------------------------------------------------------
-
-def test_sphere_packing_separation_and_maximality(g):
-    radius, sep = 1.0, 0.25
-    Z, T = cd.sphere_packing(g, radius, sep, seed=0, oversample=64)
-    assert Z.shape[0] > 10
-    # all points on the sphere
-    norms = G.norm_many(g, Z, T)
-    assert np.abs(norms - radius).max() < 1e-6
-    # pairwise separation via brute force
-    D = systems._cross_dist(g, Z, T, Z, T)
-    np.fill_diagonal(D, np.inf)
-    assert D.min() >= sep * (1 - 1e-9)
-    # greedy insertion over a dense candidate set is near-maximal
-    frac = systems.packing_maximality(g, Z, T, radius, sep, trials=2000)
-    assert frac > 0.95
-
-
-def test_sphere_packing_count_scales_like_Q_minus_1(g):
-    """Doubling the radius at fixed separation multiplies counts by ~2^(Q-1)."""
-    sep = 0.3
-    n1 = cd.sphere_packing(g, 1.0, sep, seed=2)[0].shape[0]
-    n2 = cd.sphere_packing(g, 2.0, sep, seed=2)[0].shape[0]
-    rate = math.log2(n2 / n1)
-    assert abs(rate - (g.Q - 1)) < 0.45
-
-
-def test_sphere_packing_validation(g):
-    with pytest.raises(ValidationError):
-        cd.sphere_packing(g, 1.0, 3.0, seed=0)   # separation >= diameter
-
-
-def loop_packing(g, radius, separation, seed, oversample=16, max_points=2_000_000):
-    """The sequential greedy loop that sphere_packing replaces: one candidate
-    at a time, checked against the accepted points of its 3^(m1+m2) cells."""
-    rng = np.random.default_rng(seed)
-    area = (radius / separation) ** (g.Q - 1)
-    n_cand = int(min(max(oversample * area, 1024), max_points))
-    Z, T = G.sample_sphere(g, G.origin(g), radius, n_cand, rng)
-    bnorm = max(float(np.linalg.norm(Bi, 2)) for Bi in g.B)
-    h_t = separation ** 2 + bnorm * radius * separation
-    keys = np.concatenate([np.floor(Z / separation), np.floor(T / h_t)],
-                          axis=1).astype(np.int64)
-    dims = g.m1 + g.m2
-    deltas = np.stack(np.meshgrid(*([[-1, 0, 1]] * dims), indexing="ij"),
-                      axis=-1).reshape(-1, dims)
-    B = [[list(row) for row in Bi] for Bi in g.B]
-    sep4 = separation ** 4
-    cell = {}
-    accepted = []
-    Zl, Tl = Z.tolist(), T.tolist()
-    keyl = [tuple(k) for k in keys.tolist()]
-    deltal = [tuple(d) for d in deltas.tolist()]
-    m1, m2 = g.m1, g.m2
-    for i in range(n_cand):
-        key = keyl[i]
-        zi, ti = Zl[i], Tl[i]
-        ok = True
-        for dk in deltal:
-            bucket = cell.get(tuple(a + b for a, b in zip(key, dk)))
-            if not bucket:
-                continue
-            for j in bucket:
-                zj, tj = Zl[j], Tl[j]
-                z2 = 0.0
-                for a in range(m1):
-                    v = zj[a] - zi[a]
-                    z2 += v * v
-                t2 = 0.0
-                for s in range(m2):
-                    tau = tj[s] - ti[s]
-                    Bs = B[s]
-                    for a in range(m1):
-                        row = Bs[a]
-                        zja = zj[a]
-                        for b in range(m1):
-                            tau -= row[b] * zi[b] * zja
-                    t2 += tau * tau
-                if z2 * z2 + t2 < sep4:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            cell.setdefault(key, []).append(i)
-            accepted.append(i)
-    idx = np.asarray(accepted)
-    return Z[idx], T[idx]
-
-
-PACKING_GROUPS = [cd.heisenberg(1), cd.heisenberg(2), cd.quaternionic_heisenberg(1)]
-
-
-@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(gk=st.integers(0, 2), shell=st.integers(1, 4), scale=st.sampled_from([1.0, 8.0]),
-       seed=st.integers(0, 2 ** 16), max_points=st.integers(1, 2500),
-       block=st.sampled_from([256, systems.PACKING_BLOCK]))
-def test_sphere_packing_matches_sequential_loop(gk, shell, scale, seed, max_points, block):
-    """The blocked packing accepts exactly the points of the sequential loop,
-    at the Cantor shells' radii and separations (separation_scale 1 and 8);
-    up to 2,500 candidates cross the block boundaries 64, 192, 448, 960, 1984,
-    and blocks capped at 256 reach their full size.  The loop is slow in the
-    7-dimensional cells of quaternionic_heisenberg(1), so it gets at most
-    1,000 candidates."""
-    g = PACKING_GROUPS[gk]
-    max_points = min(max_points, [2500, 2500, 1000][gk])
-    radius = float(np.sum(np.arange(1, shell + 1, dtype=float) ** -2.0))
-    sep = scale * (shell + 2.0) ** -2.0
-    with mock.patch.object(systems, "PACKING_BLOCK", block):
-        Z, T = cd.sphere_packing(g, radius, sep, seed, max_points=max_points)
-    Zo, To = loop_packing(g, radius, sep, seed, max_points=max_points)
-    assert np.array_equal(Z, Zo) and np.array_equal(T, To)
-
-
-@pytest.mark.parametrize("gk, sep, n", [(0, 1e-7, 1500), (2, 1e-3, 300)])
-def test_sphere_packing_wrapped_cell_codes(monkeypatch, gk, sep, n):
-    """A key box with more than 2^64 cells wraps the cell codes; the packing
-    still equals the loop's."""
-    g = PACKING_GROUPS[gk]
-    exact = []
-    cell_codes = systems._cell_codes
-    monkeypatch.setattr(systems, "_cell_codes",
-                        lambda keys: exact.append(cell_codes(keys)[2]) or cell_codes(keys))
-    Z, T = cd.sphere_packing(g, 1.0, sep, seed=3, max_points=n)
-    assert exact == [False]
-    Zo, To = loop_packing(g, 1.0, sep, seed=3, max_points=n)
-    assert np.array_equal(Z, Zo) and np.array_equal(T, To)
-
-
-# ---------------------------------------------------------------------------
 # Cantor systems
 # ---------------------------------------------------------------------------
 
@@ -311,10 +180,9 @@ def test_cf_dimension_brackets_pinned(g, R, h_lo_sampled_k, h_hi):
 def test_cantor_dimension_bracket_pinned(g):
     params = cd.CantorSystemParams(epsilon=2.0, shells=3, separation_scale=8.0)
     sys_ = cd.build_cantor_system(g, params, seed=0)
-    assert np.bincount(sys_.cantor_shells).tolist() == [0, 14, 118, 417]
+    assert np.bincount(sys_.cantor_shells).tolist() == [0, 8, 32, 160]
     db = cd.bowen_dim(sys_, tol=1e-3)
-    assert (db.h_lo, db.h_hi) == (1.3046875, 1.638671875)
-    assert db.h_lo >= 1.2705078125  # h_lo with the former sampled distortion constant
+    assert (db.h_lo, db.h_hi) == (1.09326171875, 1.3720703125)
     assert_lower_root(db, thermo.ensure_weights(sys_))
     # closed-form Lipschitz bound max r_e / inner^2 = 0.04 / 0.81; the former
     # sampled ratio times 1.05 was smaller, so it was not a bound
@@ -433,11 +301,13 @@ def test_spec_chain_certificate_holds_at_samples(g):
 
 
 def test_cantor_containment_failures_raise(g):
-    # shell mode: at separation_scale 10 and seed 2 the image ball of the
-    # first shell-1 map reaches into the hole of radius inner = 0.9
-    with pytest.raises(ValidationError, match="'c0'.*escapes"):
+    # shell mode: at separation_scale 9.44 the one shell has s = 1.0489 and
+    # holds the six lattice points of norm 1; the image ball of the vertical
+    # anchor c2 = (0; -s^2), of radius s / 20 = 0.0524 around a point at
+    # norm 1.0499, reaches past the outer radius 1.1
+    with pytest.raises(ValidationError, match="'c2'.*escapes"):
         cd.build_cantor_system(g, cd.CantorSystemParams(
-            epsilon=2.0, shells=2, separation_scale=10.0), seed=2)
+            epsilon=2.0, shells=1, separation_scale=9.44))
     # explicit mode: an anchor near the boundary of B(c, 1) with a large ratio
     pts = [cd.gpoint([3.0, 0.0], [0.0]), cd.gpoint([3.9, 0.0], [0.0])]
     params = cd.CantorSystemParams(points=pts, radii=[0.05, 0.5],
@@ -509,8 +379,7 @@ def test_cantor_generic_two_points(g):
     images = [e.chain.apply_many(Z, T) for e in sys_.edges]
     for IZ, IT in images:
         assert v.contains(g, IZ, IT, pad=1e-9).all()
-    D = systems._cross_dist(g, images[0][0], images[0][1],
-                            images[1][0], images[1][1])
+    D = cross_dist(g, images[0][0], images[0][1], images[1][0], images[1][1])
     assert D.min() > 0
     db = cd.bowen_dim(sys_)
     assert 0 < db.h_hi < g.Q
@@ -553,6 +422,129 @@ def test_cantor_shell_mode_structure(g):
     fam = cd.cantor_shell_family(sys_)
     assert fam.tail == "power"
     assert fam.n_shells == 3
+
+
+def shell_layers(eps, n_shells, scale):
+    """Radii d_n, separations s_n, layers theta_n and the annulus of the
+    shell construction, from its definition."""
+    n = np.arange(1, n_shells + 1, dtype=float)
+    d = np.cumsum(n ** -eps)
+    inner, outer = d[0] - 0.1, d[-1] + 0.1
+    s = scale * (n + 2.0) ** -eps
+    theta = 0.5 * np.minimum.reduce([s, (n + 1.0) ** -eps, outer - d])
+    return d, s, theta, inner, outer
+
+
+def key_count(m1, r_lo, r_hi):
+    """#{(z, t) in Z^m1 x Z : r_lo <= (|z|^4 + t^2)^(1/4) < r_hi}, compared
+    as integer keys ceil(r_lo^4) <= |z|^4 + t^2 < ceil(r_hi^4)."""
+    L, H = math.ceil(r_lo ** 4), math.ceil(r_hi ** 4)
+    below = lambda n: 2 * math.isqrt(n) + 1 if n >= 0 else 0  # #{t : t^2 <= n}
+    zmax = math.isqrt(math.isqrt(H)) + 1
+    count = 0
+    for z in itertools.product(range(-zmax, zmax + 1), repeat=m1):
+        z4 = sum(x * x for x in z) ** 2
+        count += below(H - 1 - z4) - below(L - 1 - z4)
+    return count
+
+
+def cross_dist(g, Z1, T1, Z2, T2):
+    """Pairwise gauge distances, shape (len(Z1), len(Z2))."""
+    Z, T = G.mul_many(g, -Z1[:, None, :], -T1[:, None, :], Z2[None, :, :], T2[None, :, :])
+    return G.norm_many(g, Z, T)
+
+
+def min_pair_gap(g, Z, T, rho, block=512):
+    """min over pairs i != j of d(c_i, c_j) - rho_i - rho_j, by brute force."""
+    best = np.inf
+    for lo in range(0, len(Z), block):
+        D = cross_dist(g, Z[lo:lo + block], T[lo:lo + block], Z, T)
+        D -= rho[lo:lo + block, None] + rho[None, :]
+        k = np.arange(D.shape[0])
+        D[k, lo + k] = np.inf
+        best = min(best, float(D.min()))
+    return best
+
+
+SHELL_CASES = [(cd.heisenberg(1), 3, 8.0), (cd.heisenberg(1), 6, 8.0),
+               (cd.heisenberg(2), 3, 8.0)]
+SHELL_IDS = ["heis1-3", "heis1-6", "heis2-3"]
+
+
+@pytest.mark.parametrize("grp, n_shells, scale", SHELL_CASES, ids=SHELL_IDS)
+def test_cantor_shells_are_separated(grp, n_shells, scale):
+    """Anchors of shell n are s_n apart and lie in [d_n, d_n + theta_n),
+    inside the annulus; the certified image balls are pairwise disjoint."""
+    sys_ = cd.build_cantor_system(grp, cd.CantorSystemParams(
+        epsilon=2.0, shells=n_shells, separation_scale=scale))
+    d, s, theta, inner, outer = shell_layers(2.0, n_shells, scale)
+    assert sys_.vertices[0].inner_radius == inner and sys_.vertices[0].radius == outer
+    assert (d + theta <= outer).all() and d[0] >= inner
+    anchors = sys_.table.params[:, :grp.m1], sys_.table.params[:, grp.m1:grp.N]
+    norms = G.norm_many(grp, *anchors)
+    for n in range(1, n_shells + 1):
+        on = sys_.cantor_shells == n
+        Z, T = anchors[0][on], anchors[1][on]
+        assert min_pair_gap(grp, Z, T, np.zeros(on.sum())) >= s[n - 1] * (1 - 1e-12)
+        assert (norms[on] >= d[n - 1] * (1 - 1e-12)).all()
+        assert (norms[on] < (d[n - 1] + theta[n - 1]) * (1 + 1e-12)).all()
+        np.testing.assert_allclose(sys_.table.r_f[on], s[n - 1] * inner / 20.0, rtol=1e-15)
+    assert min_pair_gap(grp, *sys_.image_balls) > 0
+
+
+@pytest.mark.parametrize("grp, n_shells, scale", SHELL_CASES + [(cd.heisenberg(1), 2, 1.0)],
+                         ids=SHELL_IDS + ["heis1-2-scale1"])
+def test_cantor_shell_counts_match_integer_keys(grp, n_shells, scale):
+    """Shell n holds the lattice points with d_n / s_n <= ||gamma|| <
+    (d_n + theta_n) / s_n, counted here over integer keys |z|^4 + t^2."""
+    sys_ = cd.build_cantor_system(grp, cd.CantorSystemParams(
+        epsilon=2.0, shells=n_shells, separation_scale=scale))
+    d, s, theta, _, _ = shell_layers(2.0, n_shells, scale)
+    want = [key_count(grp.m1, d[k] / s[k], (d[k] + theta[k]) / s[k]) for k in range(n_shells)]
+    assert np.bincount(sys_.cantor_shells)[1:].tolist() == want
+
+
+def test_cantor_shells_ignore_the_seed(g):
+    params = cd.CantorSystemParams(epsilon=2.0, shells=3, separation_scale=8.0)
+    a, b = (cd.build_cantor_system(g, params, seed=seed) for seed in (0, 5))
+    for name in ("ids", "params", "pole_z", "pole_t", "r_f"):
+        assert np.array_equal(getattr(a.table, name), getattr(b.table, name))
+    assert np.array_equal(a.cantor_shells, b.cantor_shells)
+
+
+def test_cantor_shell_errors(g, monkeypatch):
+    params = cd.CantorSystemParams(epsilon=2.0, shells=2, separation_scale=8.0)
+    # the lattice scan of shell 2, norms below 2.6, visits 5^2 * 13 = 325
+    # candidates, and it is checked before shell 1 (27 candidates) is scanned
+    def no_scan(*args):
+        raise AssertionError("a lattice was scanned")
+    with monkeypatch.context() as m:
+        m.setattr(G, "_lattice_points", no_scan)
+        with pytest.raises(cd.BudgetError, match="3.25e\\+02"):
+            cd.build_cantor_system(g, params, budget=324)
+    # at scale 1e3 shell 1 asks for norms in [0.009, 0.0101): no lattice point
+    with pytest.raises(ValidationError, match="shell 1 .* no dilated lattice point"):
+        cd.build_cantor_system(g, cd.CantorSystemParams(
+            epsilon=2.0, shells=2, separation_scale=1e3))
+    with pytest.raises(ValidationError, match="separation_scale"):
+        cd.build_cantor_system(g, cd.CantorSystemParams(
+            epsilon=2.0, shells=2, separation_scale=0.5))
+
+
+@pytest.mark.parametrize("params", [
+    cd.CantorSystemParams(epsilon=2.0, shells=1),
+    cd.CantorSystemParams(points=[cd.gpoint([3.0, 0, 0, 0], [0.0, 0.0, 0.0])], radii=[0.05],
+                          domain_center=cd.gpoint([3.0, 0, 0, 0], [0.0, 0.0, 0.0]),
+                          domain_radius=1.0),
+], ids=["shell", "explicit"])
+def test_cantor_requires_an_inversion(params, monkeypatch):
+    """Heis^1_H has no inversion here: both modes raise UnsupportedError
+    before any lattice or table work."""
+    def no_scan(*args):
+        raise AssertionError("a lattice was scanned")
+    monkeypatch.setattr(G, "lattice_shell_array", no_scan)
+    with pytest.raises(cd.UnsupportedError):
+        cd.build_cantor_system(cd.quaternionic_heisenberg(1), params)
 
 
 def test_cantor_theta_bracket(g):
