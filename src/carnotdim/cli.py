@@ -46,7 +46,8 @@ def _input_errors(what: str):
         yield
     except KeyError as exc:
         raise ValidationError(f"{what} is missing the key {exc.args[0]!r}") from None
-    except (TypeError, ValueError, AttributeError) as exc:  # JSONDecodeError is a ValueError
+    # JSONDecodeError is a ValueError; int(inf) raises OverflowError
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"malformed {what}: {exc}") from None
 
 
@@ -82,6 +83,20 @@ def parse_group_flag(text: str) -> GroupSpec:
         return group_from_json(obj)
 
 
+def _point(g: GroupSpec, value, what: str):
+    """The point of a spec's coordinate list (z..., t...): m1 + m2 finite numbers."""
+    coords = np.asarray(value, float)
+    if coords.shape != (g.m1 + g.m2,) or not np.isfinite(coords).all():
+        raise ValidationError(f"{what} must be {g.m1 + g.m2} finite numbers, got {value!r}")
+    return G.gpoint(coords[:g.m1], coords[g.m1:])
+
+
+def _name(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def system_from_json(obj) -> GdmsSpec:
     """Build the system of a parsed spec; a malformed spec raises ValidationError."""
     if not isinstance(obj, dict):
@@ -99,8 +114,7 @@ def system_from_json(obj) -> GdmsSpec:
         if kind == "moran":
             maps = []
             for m in obj["maps"]:
-                coords = np.asarray(m["translate"], float)
-                p = G.gpoint(coords[:g.m1], coords[g.m1:])
+                p = _point(g, m["translate"], "a map's translate")
                 if "rotate_theta" in m:
                     maps.append((p, float(m["scale"]), float(m["rotate_theta"])))
                 else:
@@ -108,12 +122,12 @@ def system_from_json(obj) -> GdmsSpec:
         else:
             vertices = []
             for v in obj["vertices"]:
-                coords = np.asarray(v["center"], float)
-                vertices.append(VertexSet(id=v["id"],
-                                          center=G.gpoint(coords[:g.m1], coords[g.m1:]),
+                vertices.append(VertexSet(id=_name(v["id"], "a vertex id"),
+                                          center=_point(g, v["center"], "a vertex center"),
                                           radius=float(v["radius"]),
                                           inner_radius=float(v.get("inner_radius", 0.0))))
-            edges = [EdgeMap(id=e["id"], src=e["src"], dst=e["dst"],
+            edges = [EdgeMap(id=_name(e["id"], "an edge id"), src=_name(e["src"], "an edge src"),
+                             dst=_name(e["dst"], "an edge dst"),
                              chain=chain_from_json(g, e["chain"]))
                      for e in obj["edges"]]
             weights = None

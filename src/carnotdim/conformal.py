@@ -149,6 +149,8 @@ class Rotate(Primitive):
         if (matrix is None) == (theta is None):
             raise ValidationError("Rotate takes exactly one of matrix or theta")
         self.theta = None if theta is None else float(theta)
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise ValidationError(f"rotation angle must be finite, got {self.theta}")
         self.matrix = None if matrix is None else np.asarray(matrix, float)
 
     @staticmethod

@@ -30,7 +30,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -130,6 +130,25 @@ class EdgeMap:
         return f"EdgeMap({self.id!r}, {self.src!r} <- {self.dst!r})"
 
 
+def _edge_ids(prefix: str, columns: np.ndarray) -> np.ndarray:
+    """Ids prefix + comma-joined integer columns, e.g. 'g1,-2,3' or 'c17',
+    formatted by a single `%` over a repeated row template."""
+    cols = np.rint(columns).astype(np.int64)
+    n, k = cols.shape
+    row = prefix + ",".join(["%d"] * k) + "\n"
+    return np.array((row * n % tuple(cols.ravel().tolist())).split("\n")[:-1], dtype=str)
+
+
+class IdRows(NamedTuple):
+    """Edge ids given as data: id k is `prefix` followed by the comma-joined
+    integers of row k of `columns` (`_edge_ids`).  The rows must be distinct;
+    the ids then are too, since the prefix and the commas fix where each
+    integer starts."""
+
+    prefix: str
+    columns: np.ndarray
+
+
 class EdgeTable:
     """The edges of a system as one struct of arrays.
 
@@ -139,14 +158,20 @@ class EdgeTable:
     normal form of phi_e: either a pole a with ||D phi_e(p)|| = r_f / d(p, a)^2
     (`has_pole`, `pole_z`, `pole_t`, `r_f`), or a similarity of ratio r_f.
     A ConformalChain is built only when `chain(k)` asks for one, once per row.
+
+    `ids` is an array of id strings, or an IdRows (the builders' ids): those
+    are formatted by `_edge_ids` when `ids` is first read and kept, the same
+    strings and dtype as an eager call, so a build that never reads an id
+    formats none, and GdmsSpec does not check them for duplicates.
     """
 
     def __init__(self, group: GroupSpec, ids, src, dst, templates, template, params,
                  pole_z, pole_t, has_pole, r_f,
                  chains: Optional[Dict[int, ConformalChain]] = None):
-        n = len(ids)
         self.group = group
-        self.ids = np.asarray(ids, dtype=str)
+        self.id_rows = ids if isinstance(ids, IdRows) else None
+        self._ids = None if self.id_rows is not None else np.asarray(ids, dtype=str)
+        self._n = n = len(ids.columns) if self._ids is None else len(self._ids)
         self.src = np.broadcast_to(np.asarray(src, dtype=str), (n,))
         self.dst = np.broadcast_to(np.asarray(dst, dtype=str), (n,))
         self.templates = tuple(tuple(t) for t in templates)
@@ -185,8 +210,15 @@ class EdgeTable:
             [c.pole is not None for c in chains], [c.r_f for c in chains],
             chains=dict(enumerate(chains)))
 
+    @property
+    def ids(self) -> np.ndarray:
+        """The edge ids, formatted from `id_rows` on first read."""
+        if self._ids is None:
+            self._ids = _edge_ids(*self.id_rows)
+        return self._ids
+
     def __len__(self) -> int:
-        return self.ids.shape[0]
+        return self._n
 
     def take(self, rows, ids, src, dst) -> "EdgeTable":
         """A table of the given rows (repeats allowed) under new ids and vertices."""
@@ -330,7 +362,8 @@ class GdmsSpec:
         self.vertex_index: Dict[str, int] = {v.id: k for k, v in enumerate(self.vertices)}
         if len(self.vertex_index) != len(self.vertices):
             raise ValidationError("duplicate vertex ids")
-        if len(set(edges.ids.tolist())) != len(edges):  # np.unique sorts long strings slowly
+        # IdRows ids are distinct by construction; np.unique sorts long strings slowly
+        if edges.id_rows is None and len(set(edges.ids.tolist())) != len(edges):
             raise ValidationError("duplicate edge ids")
         self.src_idx = self._vertex_rows(edges.src)
         self.dst_idx = self._vertex_rows(edges.dst)
@@ -351,6 +384,9 @@ class GdmsSpec:
         else:
             self.incidence = None  # maximal: admissible iff t(a) == i(b)
 
+        if weights is not None and weights.w_lo.shape != (self.n_edges,):
+            raise ValidationError(f"the weight table has {weights.w_lo.size} rows for "
+                                  f"{self.n_edges} edges")
         self.weights = weights  # optional thermo.WeightTable
         self.cantor_shells = None if cantor_shells is None else np.asarray(cantor_shells)
         self.max_diam = max(v.diameter for v in self.vertices)
@@ -615,8 +651,8 @@ class GdmsSpec:
         letter uniform or stationary, each next one a uniform successor or a
         `markov` step).  The working set is the cloud's arrays, the chaos
         words (int32), and one block of EXPORT_BLOCK_ROWS points.  `budget`
-        bounds the deterministic word count and the chaos letters,
-        samples x depth."""
+        bounds the letters of the words: word count x depth, deterministic,
+        or samples x depth, chaos."""
         if depth < 0:
             raise ValidationError("depth must be >= 0")
         if mode not in ("deterministic", "chaos"):
@@ -628,10 +664,17 @@ class GdmsSpec:
             return PointCloud(g, AZ, AT, np.full(len(self.vertices), self.max_diam))
         bound = self.contraction ** depth * self.max_diam
         if mode == "deterministic":
+            # each word has depth letters: a depth past the budget is refused
+            # before count_words takes its depth - 1 steps
+            if depth > budget:
+                raise BudgetError(f"deterministic cloud of depth {depth} needs at least "
+                                  f"{depth} letters (budget {budget} letters)",
+                                  estimate=depth, budget=budget)
             count = self.count_words(depth)
-            if count > budget:
-                raise BudgetError(f"deterministic cloud needs {count} words (budget {budget})",
-                                  estimate=count, budget=budget)
+            if count * depth > budget:
+                raise BudgetError(f"deterministic cloud needs {count} words of {depth} letters "
+                                  f"(budget {budget} letters)",
+                                  estimate=count * depth, budget=budget)
 
             def block(a, blocks):
                 """Level-k block of edge a, {phi_w(anchor) : w in E_A^k, w_1 = a}:
@@ -640,9 +683,10 @@ class GdmsSpec:
                 if blocks is None:
                     d = self.dst_idx[a]
                     return self._apply_edge(a, AZ[d][None, :], AT[d][None, :])
-                succ = self.successors(a)
-                return self._apply_edge(a, np.concatenate([blocks[b][0] for b in succ]),
-                                        np.concatenate([blocks[b][1] for b in succ]))
+                succ = self.successors(a)  # none for an edge that nothing may follow
+                return self._apply_edge(
+                    a, np.concatenate([blocks[b][0] for b in succ] + [np.empty((0, g.m1))]),
+                    np.concatenate([blocks[b][1] for b in succ] + [np.empty((0, g.m2))]))
 
             blocks = None
             for _ in range(depth - 1):

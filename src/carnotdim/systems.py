@@ -37,7 +37,7 @@ from .errors import BudgetError, ValidationError
 from . import groups as G
 from .groups import DEFAULT_LATTICE_BUDGET, GPoint, GroupSpec
 from .conformal import Dilate, Invert, Rotate, Translate
-from .gdms import EdgeTable, GdmsSpec, VertexSet
+from .gdms import EdgeTable, GdmsSpec, IdRows, VertexSet
 from .thermo import ShellFamily, ensure_weights
 
 
@@ -76,18 +76,10 @@ def cf_alphabet(g: GroupSpec, params: CfSystemParams,
         raise ValidationError("empty continued-fraction alphabet")
     Zf, Tf = Z.astype(float), T.astype(float)
     norms = G.norm_many(g, Zf, Tf)
-    coords = np.concatenate([Z, T], axis=1)
-    order = np.lexsort(np.concatenate([coords.T[::-1], norms[None, :]], axis=0))
+    # the scan lists points in lexicographic (z, t) order, which a stable
+    # sort keeps among equal norms
+    order = np.argsort(norms, kind="stable")
     return Zf[order], Tf[order], norms[order]
-
-
-def _edge_ids(prefix: str, columns: np.ndarray) -> np.ndarray:
-    """Ids prefix + comma-joined integer columns, e.g. 'g1,-2,3' or 'c17',
-    formatted by a single `%` over a repeated row template."""
-    cols = np.rint(columns).astype(np.int64)
-    n, k = cols.shape
-    row = prefix + ",".join(["%d"] * k) + "\n"
-    return np.array((row * n % tuple(cols.ravel().tolist())).split("\n")[:-1], dtype=str)
 
 
 def build_cf_system(g: GroupSpec, params: CfSystemParams,
@@ -107,7 +99,7 @@ def build_cf_system(g: GroupSpec, params: CfSystemParams,
     n = Z.shape[0]
     vertex = VertexSet(id="X", center=G.origin(g), radius=0.5)
     coords = np.concatenate([Z, T], axis=1)
-    table = EdgeTable(g, _edge_ids("g", coords), "X", "X", [(Invert, Translate)], 0,
+    table = EdgeTable(g, IdRows("g", coords), "X", "X", [(Invert, Translate)], 0,
                       coords, -Z, -T, True, np.ones(n))
     return GdmsSpec(g, [vertex], table)
 
@@ -272,7 +264,7 @@ def build_cantor_system(g: GroupSpec, params: CantorSystemParams,
     # translate(p) o dilate(r) o translate(J(p)^{-1}) o J fixes p; pole o, r_f = r
     JZ, JT = Invert().apply_many(g, Z, T)
     n = Z.shape[0]
-    table = EdgeTable(g, _edge_ids("c", np.arange(n)[:, None]), "X", "X",
+    table = EdgeTable(g, IdRows("c", np.arange(n)[:, None]), "X", "X",
                       [(Translate, Dilate, Translate, Invert)], 0,
                       np.concatenate([Z, T, radii[:, None], -JZ, -JT], axis=1),
                       np.zeros((n, g.m1)), np.zeros((n, g.m2)), True, radii)
@@ -333,7 +325,7 @@ def build_self_similar(g: GroupSpec, maps: Sequence[Tuple],
     vertex = VertexSet(id="X", center=G.origin(g), radius=R)
     n = len(prim_lists)
     table = EdgeTable.from_primitives(
-        g, _edge_ids("s", np.arange(n)[:, None]), "X", "X", prim_lists,
+        g, IdRows("s", np.arange(n)[:, None]), "X", "X", prim_lists,
         np.zeros((n, g.m1)), np.zeros((n, g.m2)), False, scales)
     return GdmsSpec(g, [vertex], table, incidence=incidence)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,8 +41,9 @@ def _logsumexp(a, b=None) -> float:
     Entries with b == 0 count as -inf; the maximal entries are taken out of
     the sum (m = their count, or the sum of their b), the rest is summed as
     s = sum(b * exp(a - a_max)), and the result is log1p(s / m) + log(m) +
-    a_max.  Where that is not finite (all -inf, an inf or NaN entry, a
-    negative total), the direct log(sum(b * exp(a))) is returned instead.
+    a_max.  Only where that is not finite (all -inf, an inf or NaN entry, a
+    negative total) is the direct log(sum(b * exp(a))) computed, and returned
+    instead.
     These are the steps, in order, of the usual library routine for real
     float64 input, so results agree with it bit for bit (tests/test_kernels.py),
     except that an entry with b == 0 adds nothing to the direct sum either,
@@ -55,13 +57,14 @@ def _logsumexp(a, b=None) -> float:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if b is not None:
             a = np.where(b == 0, -np.inf, a)
-        direct = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a)))
         a_max = np.max(a)
         top = a == a_max
-        rest = np.where(top, -np.inf, a)
-        top = top.astype(float)
-        m = np.sum(top if b is None else b * top)
-        terms = np.exp(rest - a_max)
+        # exp(a - a_max) with the maximal entries taken out: the same terms
+        # as exp(-inf) at those entries, without a masked copy of a
+        terms = a - a_max
+        np.exp(terms, out=terms)
+        terms[top] = 0.0
+        m = float(np.count_nonzero(top)) if b is None else np.sum(b * top)
         s = np.sum(terms if b is None else b * terms)
         if s != 0:
             s = s / m
@@ -69,9 +72,9 @@ def _logsumexp(a, b=None) -> float:
         if s < -1:
             s = -s - 2
         out = np.log1p(s) + np.log(np.abs(m)) + a_max
-    if negative:
-        out = math.nan
-    return float(out) if np.isfinite(out) else float(direct)
+        if negative or not np.isfinite(out):
+            return float(np.log(np.sum(np.exp(a) if b is None else b * np.exp(a))))
+    return float(out)
 
 
 def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> float:
@@ -158,7 +161,9 @@ class WeightTable:
     word bound ||D phi_w(p)|| at every point too, and K = 1.  K > 1 comes
     only from a given table (a spec's `weights`) whose w_lo bounds just the
     sup norm ||D phi_e||_inf: then the lower pressure bound is discounted
-    by t log K.  A table is exact when w_lo == w_up and K == 1.
+    by t log K.  A table is exact when w_lo == w_up and K == 1.  `exact`
+    and the logs of both sides are computed on first use and kept, so the
+    arrays are not to be changed after construction.
     """
 
     w_lo: np.ndarray
@@ -168,16 +173,30 @@ class WeightTable:
     def __post_init__(self):
         self.w_lo = np.asarray(self.w_lo, float)
         self.w_up = np.asarray(self.w_up, float)
+        if self.w_lo.ndim != 1 or self.w_lo.shape != self.w_up.shape:
+            raise ValidationError(f"w_lo and w_up must be lists of one length, got shapes "
+                                  f"{self.w_lo.shape} and {self.w_up.shape}")
+        if not (np.isfinite(self.w_lo).all() and np.isfinite(self.w_up).all()):
+            raise ValidationError("weights must be finite")
         if (self.w_lo <= 0).any() or (self.w_up <= 0).any():
             raise ValidationError("weights must be positive")
         if (self.w_lo > self.w_up * (1 + 1e-12)).any():
             raise ValidationError("need w_lo <= w_up")
-        if self.distortion < 1.0:
-            raise ValidationError("distortion constant must be >= 1")
+        if not 1.0 <= self.distortion < math.inf:
+            raise ValidationError(f"distortion constant must be finite and >= 1, "
+                                  f"got {self.distortion}")
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return bool(np.array_equal(self.w_lo, self.w_up) and self.distortion == 1.0)
+
+    @cached_property
+    def log_lo(self) -> np.ndarray:
+        return np.log(self.w_lo)
+
+    @cached_property
+    def log_up(self) -> np.ndarray:
+        return np.log(self.w_up)
 
     @property
     def w_mid(self) -> np.ndarray:
@@ -285,11 +304,11 @@ def _log_spectral_radius(sys: GdmsSpec, t: float, side: str) -> float:
     successor index has one nonempty row (a single vertex, or one edge that
     may follow itself), so that every pair of edges is admissible; else the
     log of the Perron eigenvalue (which rejects a matrix with no admissible pair)."""
-    w = ensure_weights(sys).side(side)
+    table = ensure_weights(sys)
     succ, _, ptr, _ = sys._index
     if ptr.size == 2 and succ.size:
-        return _logsumexp(t * np.log(w))
-    return math.log(_transfer_perron(sys, w ** t)[0])
+        return _logsumexp(t * (table.log_lo if side == "lower" else table.log_up))
+    return math.log(_transfer_perron(sys, table.side(side) ** t)[0])
 
 
 def pressure_bracket(sys: GdmsSpec, t: float) -> PressureBracket:

@@ -200,6 +200,7 @@ def test_exit_code_2_json_error(argv, moran4_path):
      "BudgetError"),
     (["limitset", "--spec", "{spec}", "--mode", "chaos", "--samples", "1", "--depth",
       "3000000"], "BudgetError"),
+    (["limitset", "--spec", "{one}", "--depth", "3000000"], "BudgetError"),
     (["pressure", "--spec", "{spec}", "--t-grid", "0:1e9:1e-9"], "BudgetError"),
     (["pressure", "--spec", "{spec}", "--t-grid=-1e308:1e308:1", "--budget", "5"],
      "BudgetError"),
@@ -207,11 +208,13 @@ def test_exit_code_2_json_error(argv, moran4_path):
     (["dim", "--spec", "{spec}", "--tol", "0"], "ValidationError"),
     (["dim", "--system", "cantor", "--shells", "1", "--seed", "-3"], "ValidationError"),
 ], ids=["samples-negative", "seed-negative", "samples-over-memory", "samples-over-budget",
-        "depth-over-budget", "grid-over-budget", "grid-overflows", "tol-negative", "tol-zero", "cantor-seed"])
-def test_sizes_and_seeds_keep_the_exit_codes(argv, error, moran4_path):
+        "depth-over-budget", "one-map-depth-over-budget", "grid-over-budget", "grid-overflows",
+        "tol-negative", "tol-zero", "cantor-seed"])
+def test_sizes_and_seeds_keep_the_exit_codes(argv, error, moran4_path, tmp_path):
     """Each of these once exited 1 with a traceback, never returned, or
     exited 0 with a meaningless tolerance."""
-    rc, out, err = run_cli([a.format(spec=moran4_path) for a in argv])
+    one = write_spec(tmp_path, "one.json", dict(MORAN4, maps=MORAN4["maps"][:1]))
+    rc, out, err = run_cli([a.format(spec=moran4_path, one=one) for a in argv])
     assert rc == {"ValidationError": 2, "BudgetError": 3}[error] and out == b""
     assert json.loads(err.decode().splitlines()[-1])["error"] == error
 
@@ -285,7 +288,27 @@ def test_chaos_samples_up_to_the_budget(moran4_path):
     (json.dumps({**MORAN4, "maps": [{"translate": [0.0, 0.0, 0.0], "scale": "half"}]}),
      "half"),
     (json.dumps(MORAN4)[:40], "malformed spec"),
-], ids=["missing-vertices", "scale-not-a-number", "truncated-json"])
+    # found by the spec fuzz (tests/test_cli_fuzz.py): each exited 1 with a
+    # traceback, or 0 with a meaningless answer
+    (json.dumps({**MORAN4, "maps": [{"translate": math.inf, "scale": 0.5}]}),
+     "translate must be 3 finite numbers"),
+    (json.dumps({**MORAN4, "maps": [dict(m, rotate_theta=-math.inf) for m in MORAN4["maps"]]}),
+     "rotation angle must be finite"),
+    (json.dumps({**MORAN4, "group": {"kind": "heis_c", "n": math.inf}}), "malformed spec"),
+    (json.dumps({**GDMS2, "vertices": [dict(GDMS2["vertices"][0], id=[[]])]}),
+     "vertex id must be a string"),
+    (json.dumps({**GDMS2, "edges": [dict(e, src=[]) for e in GDMS2["edges"]]}),
+     "edge src must be a string"),
+    (json.dumps({**GDMS2, "weights": {"w_lo": [math.nan, 0.4], "w_up": [0.5, 0.5]}}),
+     "weights must be finite"),
+    (json.dumps({**GDMS2, "weights": {"w_lo": [0.4] * 3, "w_up": [0.5] * 3}}),
+     "3 rows for 2 edges"),
+    (json.dumps({**GDMS2, "weights": {"w_lo": [0.4, 0.4], "w_up": 0.5}}), "one length"),
+    (json.dumps({**GDMS2, "weights": {"w_lo": [0.4, 0.4], "w_up": [0.5, 0.5],
+                                      "distortion": math.nan}}), "distortion constant"),
+], ids=["missing-vertices", "scale-not-a-number", "truncated-json", "translate-infinite",
+        "rotation-infinite", "rank-infinite", "vertex-id-list", "edge-src-list",
+        "weights-nan", "weights-too-long", "weights-scalar", "distortion-nan"])
 def test_malformed_spec_exits_2(text, fragment, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(text)

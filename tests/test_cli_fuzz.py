@@ -1,15 +1,18 @@
-"""In-process fuzz of the CLI: the flags of every subcommand, and malformed argv.
+"""In-process fuzz of the CLI: the flags of every subcommand, malformed
+argv, and mutated spec files.
 
 Whatever the arguments, `cli.main` returns 0, 2, 3 or 4, no exception
-escapes it, and a nonzero return leaves a JSON error as the last line of
-stderr.  Sizes are capped (small depths, CF radii, budgets, and Cantor
+escapes it, no traceback or NaN is printed, and a nonzero return leaves a
+JSON error as the last line of stderr.  Sizes are capped (small depths, CF radii, budgets, and Cantor
 systems of one shell) so that every example finishes quickly; sizes past a
 budget are part of the fuzz.
 """
 
 import contextlib
+import copy
 import io
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -128,6 +131,8 @@ def assert_contract(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
     assert rc in (0, 2, 3, 4), (argv, rc)
+    assert "Traceback" not in err.getvalue()
+    assert "nan" not in out.getvalue().lower(), (argv, out.getvalue())
     if rc:
         record = json.loads(err.getvalue().splitlines()[-1])
         assert set(record) == {"error", "message"} and out.getvalue() == ""
@@ -147,3 +152,88 @@ def test_cli_flags_keep_the_exit_code_contract(data, spec_dir):
 @given(argv=malformed())
 def test_malformed_argv_keeps_the_exit_code_contract(argv):
     assert_contract(argv)
+
+
+# ---------------------------------------------------------------------------
+# Mutated spec files
+# ---------------------------------------------------------------------------
+
+# values a mutation writes in place of a spec entry: mistyped, non-finite
+# (written as the NaN / Infinity tokens that json.load accepts), out of range
+ODD_VALUES = [None, True, "x", "", [], {}, [[]], 0, -1, 2, 10 ** 6, 1e308, -1e308, 1e-320,
+              math.nan, math.inf, -math.inf, [math.nan, 0.0, 0.0], [1.0, 2.0], [0.5], 0.5,
+              "heis_c", {"kind": "heis_c", "n": 1}, [{"dilate": 0.5}], [{"invert": True}]]
+
+
+def _paths(obj, path=()):
+    """Every (path, value) of a JSON tree, the root included."""
+    yield path, obj
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _paths(v, path + (k,))
+    elif isinstance(obj, list):
+        for k, v in enumerate(obj):
+            yield from _paths(v, path + (k,))
+
+
+def _get(obj, path):
+    for k in path:
+        obj = obj[k]
+    return obj
+
+
+# the specs of the CLI tests, plus every optional key: a rotation, a hole,
+# a weight table, a declared contraction and a validation mode
+FULL_SPECS = {
+    **SPECS,
+    "moran-rotate": dict(MORAN4, maps=[dict(m, rotate_theta=0.5) for m in MORAN4["maps"]]),
+    "gdms2-full": dict(GDMS2, vertices=[dict(GDMS2["vertices"][0], inner_radius=0.0)],
+                       weights={"w_lo": [0.4, 0.4], "w_up": [0.5, 0.5], "distortion": 1.0},
+                       contraction=0.5, validate="closed_form")}
+
+
+@st.composite
+def mutated_specs(draw):
+    """A moran or gdms spec after 1-3 mutations: a key or list entry removed
+    or replaced by an odd value, `maps` emptied, or `incidence` made ragged,
+    oversized or of the wrong type."""
+    spec = copy.deepcopy(FULL_SPECS[draw(st.sampled_from(sorted(FULL_SPECS)))])
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["delete", "replace", "replace", "replace", "empty-maps",
+                                   "incidence"]))
+        if op == "empty-maps":
+            if spec.get("kind") == "moran":
+                spec["maps"] = []
+            continue
+        if op == "incidence":
+            edges = spec.get("maps", spec.get("edges"))
+            n = len(edges) if isinstance(edges, list) else 2
+            spec["incidence"] = draw(st.sampled_from([
+                [[1] * n] * (n + 1), [[1] * (n + 1)] * n, [[1], [1, 1]], [1] * n,
+                [[1] * 300] * 300, [[math.nan] * n] * n, [["a"] * n] * n, [], 1, "x"]))
+            continue
+        paths = [p for p, _ in _paths(spec) if p and p != ("spec_version",)]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = _get(spec, path[:-1])
+        if op == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+    return spec
+
+
+SPEC_COMMANDS = [["dim"], ["dim", "--tol", "1e-3"], ["pressure", "--t", "1.5"],
+                 ["pressure", "--t-grid", "0:3:1"], ["limitset", "--depth", "2"],
+                 ["limitset", "--depth", "3", "--mode", "chaos", "--samples", "20"],
+                 ["measure", "--t", "1.0", "--depth", "2"],
+                 ["measure-dim", "--bernoulli", "0.5,0.5"]]
+
+
+@settings(FUZZ, max_examples=300)
+@given(spec=mutated_specs(), command=st.sampled_from(SPEC_COMMANDS))
+def test_mutated_specs_keep_the_exit_code_contract(spec, command, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert_contract([command[0], "--spec", str(path)] + command[1:])

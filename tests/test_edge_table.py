@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import carnotdim as cd
 from carnotdim import groups as G
 from carnotdim.errors import ValidationError
-from carnotdim.systems import _edge_ids
+from carnotdim.gdms import _edge_ids
 from conftest import separated_fib2_system
 
 G1 = cd.heisenberg(1)
@@ -250,3 +250,59 @@ def test_builder_and_hat_ids_follow_the_documented_formats():
     assert hat.table.dst.tolist() == ["v[s0]", "v[s1]", "v[s0]"]
     np.testing.assert_array_equal(hat.src_idx, [0, 0, 1])
     np.testing.assert_array_equal(hat.dst_idx, [0, 1, 0])
+
+
+def _builder_systems():
+    """(system, prefix, integer id columns) of each builder: CF at R = 5
+    (the coordinates of gamma), a shell-mode Cantor system and a self-similar
+    system (build order)."""
+    cf_params = cd.CfSystemParams(0.5, 5.0)
+    Z, T, _ = cd.systems.cf_alphabet(G1, cf_params)
+    cantor = cd.build_cantor_system(G1, cd.CantorSystemParams(epsilon=2.0, shells=3,
+                                                              separation_scale=8.0))
+    fib = separated_fib2_system()
+    return [(cd.build_cf_system(G1, cf_params), "g", np.concatenate([Z, T], axis=1)),
+            (cantor, "c", np.arange(cantor.n_edges)[:, None]),
+            (fib, "s", np.arange(fib.n_edges)[:, None])]
+
+
+def test_builder_ids_are_formatted_on_first_read():
+    """The lazily formatted ids are the strings and dtype of an eager call."""
+    for sys_, prefix, columns in _builder_systems():
+        table = sys_.table
+        assert table._ids is None and table.id_rows.prefix == prefix
+        want = _edge_ids(prefix, columns)
+        got = table.ids
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert table.ids is got  # formatted once, then kept
+
+
+def test_build_and_bowen_dim_format_no_id():
+    sys_ = cd.build_cf_system(G1, cd.CfSystemParams(0.5, 5.0))
+    cd.bowen_dim(sys_, tol=1e-3)
+    cd.pressure_bracket(sys_, 2.5)
+    assert sys_.table._ids is None
+
+
+def test_edge_views_and_maximalize_format_the_ids():
+    sys_ = cd.build_cf_system(G1, cd.CfSystemParams(0.5, 4.0))
+    assert sys_.table._ids is None
+    assert sys_.edges[5].id == str(sys_.table._ids[5])
+    fib = separated_fib2_system()
+    assert fib.table._ids is None
+    hat = fib.maximalize()
+    assert fib.table._ids.tolist() == ["s0", "s1"]
+    assert hat.table.id_rows is None  # a|b ids are explicit
+
+
+def test_explicit_duplicate_ids_raise():
+    vertices, edges = _per_edge_system()
+    dup = [edges[0], cd.EdgeMap(id=edges[0].id, src=edges[1].src, dst=edges[1].dst,
+                                chain=edges[1].chain)]
+    with pytest.raises(ValidationError, match="duplicate edge ids"):
+        cd.GdmsSpec(G1, vertices, dup)
+    # the same rows twice under one id, through take
+    table = cd.GdmsSpec(G1, vertices, edges).table
+    with pytest.raises(ValidationError, match="duplicate edge ids"):
+        cd.GdmsSpec(G1, vertices, table.take([0, 1], ["x", "x"], table.src[[0, 1]],
+                                             table.dst[[0, 1]]))

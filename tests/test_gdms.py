@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -362,3 +363,19 @@ def test_word_counts_past_the_float_range():
         sys_.limit_set_cloud(600)
     with pytest.raises(BudgetError):
         cd.transfer_eigenmeasure(sys_, 1.0, 600)
+
+
+def test_deterministic_cloud_charges_letters():
+    """The budget counts words x depth, as in chaos mode, and a depth past
+    the budget is refused before the words are counted (a one-map system
+    has one word of every length, and counting it takes depth - 1 steps)."""
+    sys_ = moran_system([0.5] * 4)
+    assert len(sys_.limit_set_cloud(3, budget=4 ** 3 * 3)) == 4 ** 3
+    with pytest.raises(BudgetError, match="64 words of 3 letters"):
+        sys_.limit_set_cloud(3, budget=4 ** 3 * 3 - 1)
+    one = moran_system([0.5])
+    assert len(one.limit_set_cloud(1000)) == 1
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError):
+        one.limit_set_cloud(3_000_000)
+    assert time.perf_counter() - t0 < 2.0

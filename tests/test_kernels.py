@@ -25,7 +25,10 @@ finite = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def lse_inputs(draw):
-    """(a, b): 1-40 values with repeated maxima, b None or >= 0 with zeros."""
+    """(a, b): 1-40 values with repeated maxima, b None or >= 0 with zeros;
+    one draw in four is long_lse_inputs instead."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(long_lse_inputs())
     a = draw(st.lists(finite, min_size=1, max_size=40))
     ties = draw(st.integers(0, 3))
     a = a + [max(a)] * ties
@@ -35,6 +38,26 @@ def lse_inputs(draw):
     b = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
                       min_size=len(a), max_size=len(a)))
     return np.array(a), np.array(b)
+
+
+@st.composite
+def long_lse_inputs(draw):
+    """(a, b): 500-3,000 values, where numpy's pairwise summation splits the
+    sum into blocks (past 128), so the order of the terms matters: values
+    spread over `scale`, with tied maxima, some -inf entries, and b None or
+    >= 0 with zeros (also at a maximum)."""
+    n = draw(st.integers(500, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.uniform(-1.0, 1.0, n) * draw(st.sampled_from([1.0, 10.0, 300.0, 1e4]))
+    a[rng.choice(n, draw(st.integers(1, 5)), replace=False)] = a.max()
+    a[rng.choice(n, draw(st.integers(0, 50)), replace=False)] = -np.inf
+    if draw(st.booleans()):
+        return a, None
+    b = rng.uniform(1e-6, 1e6, n)
+    b[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+    if draw(st.booleans()):
+        b[np.argmax(a)] = 0.0
+    return a, b
 
 
 def _same_bits(x: float, y: float) -> bool:

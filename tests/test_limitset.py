@@ -89,6 +89,20 @@ def test_deterministic_cloud_is_the_words_in_order():
         assert np.array_equal(cloud.Z, Z) and np.array_equal(cloud.T, T)
 
 
+def test_deterministic_cloud_skips_an_edge_nothing_may_follow():
+    """Edge 1 has an empty incidence row, so it ends no word longer than one
+    letter; the cloud once failed to concatenate its empty block."""
+    g = cd.heisenberg(1)
+    sys_ = cd.build_self_similar(g, [(cd.gpoint([0.0, 0.0], [0.0]), 0.5),
+                                     (cd.gpoint([1.0, 0.0], [0.0]), 1.0 / 3.0)],
+                                 incidence=np.array([[1, 1], [0, 0]], bool))
+    for depth in (1, 2, 4):
+        words = np.array(list(sys_.admissible_words(depth)))
+        cloud = sys_.limit_set_cloud(depth)
+        Z, T = one_shot_chaos(sys_, words)
+        assert np.array_equal(cloud.Z, Z) and np.array_equal(cloud.T, T)
+
+
 def test_chaos_cloud_of_no_samples():
     cloud = fib2_system().limit_set_cloud(5, mode="chaos", samples=0)
     assert cloud.Z.shape == (0, 2) and cloud.T.shape == (0, 1) and len(cloud.err) == 0

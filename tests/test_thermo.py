@@ -372,3 +372,53 @@ def test_power_law_stream_starts_at_its_first_weight_below_one():
     assert next(cd.power_law_weights(5.0, 0.01)) < 1.0  # first k ~ 5^100
     with pytest.raises(ValidationError, match="stay >= 1"):
         next(cd.power_law_weights(5.0, 1e-5))
+
+
+# The whole result, to the last bit: the dyadic endpoints of a tol-1e-3
+# bisection move only when a pressure crosses zero, but the pressures at
+# the endpoints carry every bit of the log-sum-exp behind them.
+SINGLE_VERTEX_PINS = {
+    ("cf", 4.0): "DimBracket(h_lo=2.4443359375, h_hi=3.13427734375, iterations=26, tol=0.001, "
+                 "p_lower_at_h_lo=7.135297681148955e-05, "
+                 "p_upper_at_h_hi=-0.0009032816652672082, slack=0.68894140625, "
+                 "note='pressure bracket width dominates (slack 0.689)')",
+    ("cf", 5.0): "DimBracket(h_lo=2.62353515625, h_hi=3.25830078125, iterations=26, tol=0.001, "
+                 "p_lower_at_h_lo=0.0006368311007083349, "
+                 "p_upper_at_h_hi=-0.0007539634721451804, slack=0.633765625, "
+                 "note='pressure bracket width dominates (slack 0.634)')",
+    ("cf", 6.0): "DimBracket(h_lo=2.70556640625, h_hi=3.29931640625, iterations=26, tol=0.001, "
+                 "p_lower_at_h_lo=0.000412233879699464, "
+                 "p_upper_at_h_hi=-0.000531958686741163, slack=0.59275, "
+                 "note='pressure bracket width dominates (slack 0.593)')",
+    ("cantor", 3): "DimBracket(h_lo=1.09326171875, h_hi=1.3720703125, iterations=26, tol=0.001, "
+                   "p_lower_at_h_lo=0.0011093008445461905, "
+                   "p_upper_at_h_hi=-0.0016112768190721383, slack=0.27780859375, "
+                   "note='pressure bracket width dominates (slack 0.278)')",
+}
+
+
+@pytest.mark.parametrize("kind, size", sorted(SINGLE_VERTEX_PINS))
+def test_single_vertex_brackets_are_pinned_bit_for_bit(kind, size):
+    g = cd.heisenberg(1)
+    if kind == "cf":
+        sys_ = cd.build_cf_system(g, cd.CfSystemParams(0.5, size))
+    else:
+        sys_ = cd.build_cantor_system(g, cd.CantorSystemParams(
+            epsilon=2.0, shells=size, separation_scale=8.0))
+    assert repr(cd.bowen_dim(sys_, tol=1e-3)) == SINGLE_VERTEX_PINS[kind, size]
+
+
+def test_cf_theta_is_pinned_bit_for_bit():
+    est = cd.theta_estimate(cd.cf_shell_family(cd.heisenberg(1), 0.5, 60, n_shells=8))
+    assert repr((est.lo, est.hi, est.estimate)) == (
+        "(1.9798602337983926, 2.007336301090619, 1.9977123625862372)")
+
+
+def test_weight_table_keeps_its_logs_and_exactness():
+    sys_ = cd.build_cf_system(cd.heisenberg(1), cd.CfSystemParams(0.5, 4.0))
+    cd.bowen_dim(sys_, tol=1e-3)
+    wt = thermo.ensure_weights(sys_)
+    assert wt.log_lo is wt.log_lo and wt.log_up is wt.log_up  # computed once
+    assert np.array_equal(wt.log_lo, np.log(wt.w_lo))
+    assert np.array_equal(wt.log_up, np.log(wt.w_up))
+    assert not wt.exact and "exact" in vars(wt)
