@@ -562,9 +562,15 @@ class GdmsSpec:
         words (or of one word's successors): (k, parent, last) holds words of
         length k, word i being word parent[i] of the latest block of length
         k - 1 (the empty word if k = 1) followed by edge last[i].  The blocks of
-        each length list E_A^k in lexicographic edge order."""
+        each length list E_A^k in lexicographic edge order.  BudgetError when
+        n or |E_A^n| exceeds budget."""
         if n < 0:
             raise ValidationError("word length must be >= 0")
+        # one level of blocks per letter: a length past the budget is refused
+        # before count_words takes its n - 1 steps
+        if n > budget:
+            raise BudgetError(f"words of length {n} take {n} block levels (budget {budget})",
+                              estimate=n, budget=budget)
         count = self.count_words(n)
         if count > budget:
             raise BudgetError(f"E_A^{n} has ~{count} words (budget {budget})",
@@ -574,8 +580,9 @@ class GdmsSpec:
         succ_all, row, ptr, _ = self._index
 
         def extend(k, lo, cum, succ):
-            """Blocks of the extensions by succ[lo[i] + j], j < cum[i + 1] - cum[i],
-            of the words i of length k, each followed by its own extensions."""
+            """Nonempty blocks of the extensions by succ[lo[i] + j],
+            j < cum[i + 1] - cum[i], of the words i of length k, each paired
+            with whether words of length k remain after its run."""
             p0 = 0
             while p0 < lo.size:
                 # the next run of words with at most WORD_BLOCK extensions in all
@@ -585,16 +592,30 @@ class GdmsSpec:
                 last = succ[np.arange(parent.size)
                             + np.repeat(lo[p0:p1] - (cum[p0:p1] - cum[p0]), deg)]
                 if last.size:
-                    yield k + 1, parent, last
-                    if k + 1 < n:
-                        r = row[last]
-                        cum_next = np.concatenate(([0], np.cumsum(ptr[r + 1] - ptr[r])))
-                        yield from extend(k + 1, ptr[r], cum_next, succ_all)
+                    yield (k + 1, parent, last), p1 < lo.size
                 p0 = p1
 
-        # the empty word is followed by every edge
-        yield from extend(0, np.zeros(1, dtype=np.int64), np.array([0, self.n_edges]),
-                          np.arange(self.n_edges))
+        # one generator per word length on an explicit stack, so that each
+        # block is followed by its own extensions at any depth; a generator
+        # leaves the stack with its last block, so that a chain of one-block
+        # lengths keeps the stack one deep: the empty word is followed by
+        # every edge
+        stack = [extend(0, np.zeros(1, dtype=np.int64), np.array([0, self.n_edges]),
+                        np.arange(self.n_edges))]
+        while stack:
+            item = next(stack[-1], None)
+            if item is None:
+                stack.pop()
+                continue
+            block, more = item
+            if not more:
+                stack.pop()
+            yield block
+            k, _, last = block
+            if k < n:
+                r = row[last]
+                cum_next = np.concatenate(([0], np.cumsum(ptr[r + 1] - ptr[r])))
+                stack.append(extend(k, ptr[r], cum_next, succ_all))
 
     def admissible_words(self, n: int, budget: int = DEFAULT_WORD_BUDGET) -> Iterator[Word]:
         """Words of E_A^n in lexicographic edge order."""

@@ -17,7 +17,7 @@ import itertools
 import math
 import mmap
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +45,8 @@ class GroupSpec:
     iwasawa_kind: Optional[str] = None  # None | "heis_c" | "heis_q"
     n: Optional[int] = None  # Heisenberg rank when iwasawa_kind is set
     integer_structure: bool = False
+    # (i, a, b, B[i, a, b]) over the nonzero structure constants, in index order
+    B_terms: Tuple[Tuple[int, int, int, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.m1 < 1 or self.m2 < 1:
@@ -60,6 +62,9 @@ class GroupSpec:
             if not np.array_equal(B[i].T, -B[i]):
                 raise ValidationError(f"structure matrix B^{i+1} is not skew-symmetric")
         object.__setattr__(self, "B", _readonly(B))
+        nz = np.nonzero(B)
+        object.__setattr__(self, "B_terms", tuple(zip(*(a.tolist() for a in nz),
+                                                      B[nz].tolist())))
         object.__setattr__(self, "integer_structure",
                            bool(np.array_equal(B, np.round(B))))
         if self.iwasawa_kind == "heis_c":
@@ -233,8 +238,11 @@ def mul_many(g: GroupSpec, Z1, T1, Z2, T2):
     Z1 = np.asarray(Z1, float); Z2 = np.asarray(Z2, float)
     T1 = np.asarray(T1, float); T2 = np.asarray(T2, float)
     Z = Z1 + Z2
-    # ((B^i z).w)_a-sum: sum_{a,b} B[i,a,b] z_b w_a
-    bil = np.einsum("iab,...b,...a->...i", g.B, Z1, Z2)
+    # (B^i z) . w = sum_{a,b} B[i,a,b] z_b w_a over the nonzero B[i,a,b] only,
+    # added term by term in index order: a three-operand einsum's sums, to the bit
+    bil = np.zeros(Z.shape[:-1] + (g.m2,))
+    for i, a, b, v in g.B_terms:
+        bil[..., i] += v * Z1[..., b] * Z2[..., a]
     T = T1 + T2 + bil
     return Z, T
 

@@ -6,8 +6,9 @@ w_lo(e) <= ||D phi_e|| <= w_up(e) (closed forms that hold at every point of
 the domain, so K = 1, unless a given table declares a distortion constant
 K > 1), and report brackets, never bare point estimates.  The pressure is
 log rho(A * diag(w^t)) from the successor index's rows (vertices if maximal,
-else edges): a log-sum-exp when it has one row, else the Perron eigenvalue of
-the row-by-row transfer matrix, one bincount over the index's cells.
+else edges): a sum over the table's distinct weights when it has one row,
+else the Perron eigenvalue of the row-by-row transfer matrix, one bincount
+over the index's cells.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ class WeightTable:
     only from a given table (a spec's `weights`) whose w_lo bounds just the
     sup norm ||D phi_e||_inf: then the lower pressure bound is discounted
     by t log K.  A table is exact when w_lo == w_up and K == 1.  `exact`
-    and the logs of both sides are computed on first use and kept, so the
-    arrays are not to be changed after construction.
+    and `rows` are computed on first use and kept, so the arrays are not to
+    be changed after construction.
     """
 
     w_lo: np.ndarray
@@ -191,12 +192,17 @@ class WeightTable:
         return bool(np.array_equal(self.w_lo, self.w_up) and self.distortion == 1.0)
 
     @cached_property
-    def log_lo(self) -> np.ndarray:
-        return np.log(self.w_lo)
-
-    @cached_property
-    def log_up(self) -> np.ndarray:
-        return np.log(self.w_up)
+    def rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(log w_lo, log w_up, count) over the distinct (w_lo, w_up) pairs,
+        in increasing order of w_up, then w_lo: all that a single-vertex
+        pressure reads.  A CF table has one row per integer norm key."""
+        order = np.lexsort((self.w_lo, self.w_up))
+        lo, up = self.w_lo[order], self.w_up[order]
+        new = np.ones(order.size, bool)
+        new[1:] = (lo[1:] != lo[:-1]) | (up[1:] != up[:-1])
+        start = np.flatnonzero(new)
+        count = np.diff(np.append(start, order.size)).astype(float)
+        return np.log(lo[start]), np.log(up[start]), count
 
     @property
     def w_mid(self) -> np.ndarray:
@@ -299,15 +305,26 @@ class PressureBracket:
                 "method": self.method, "distortion": self.distortion}
 
 
+def _log_row_sum(log_w: np.ndarray, count: np.ndarray, t: float) -> float:
+    """log sum_k count_k w_k^t over weight rows, as
+    log(sum count * exp(t (log w - top))) + t top with top = max log w.
+    Every term is at most its count and the top row's is at least 1, so the
+    sum neither overflows nor vanishes and needs no fallback."""
+    top = log_w.max()
+    return float(np.log((count * np.exp(t * (log_w - top))).sum()) + t * top)
+
+
 def _log_spectral_radius(sys: GdmsSpec, t: float, side: str) -> float:
-    """log rho of the transfer matrix A * w_side^t: log sum w^t when the
-    successor index has one nonempty row (a single vertex, or one edge that
-    may follow itself), so that every pair of edges is admissible; else the
-    log of the Perron eigenvalue (which rejects a matrix with no admissible pair)."""
+    """log rho of the transfer matrix A * w_side^t: log sum w^t over the
+    table's rows when the successor index has one nonempty row (a single
+    vertex, or one edge that may follow itself), so that every pair of edges
+    is admissible; else the log of the Perron eigenvalue (which rejects a
+    matrix with no admissible pair)."""
     table = ensure_weights(sys)
     succ, _, ptr, _ = sys._index
     if ptr.size == 2 and succ.size:
-        return _logsumexp(t * (table.log_lo if side == "lower" else table.log_up))
+        log_lo, log_up, count = table.rows
+        return _log_row_sum(log_lo if side == "lower" else log_up, count, t)
     return math.log(_transfer_perron(sys, table.side(side) ** t)[0])
 
 
@@ -383,20 +400,32 @@ def bowen_dim(sys: GdmsSpec, tol: float = BISECTION_TOL) -> DimBracket:
     """Bracket [h_lo, h_hi] for the Bowen parameter inf{t : P(t) <= 0}.
 
     Certified by the final pressure evaluations: P_lower(h_lo) >= 0 and
-    P_upper(h_hi) <= 0.  When the pressure bracket is wider than tol the
-    extra width is reported as slack, never hidden.
+    P_upper(h_hi) <= 0.  Each root is bisected on its own side of the
+    pressure bracket (pressure_bracket), which is evaluated only there; an
+    exact table has one side.  When the pressure bracket is wider than tol
+    the extra width is reported as slack, never hidden.
     """
     if not tol > 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
-    cache = {}
+    table = ensure_weights(sys)
+    log_k = math.log(table.distortion)
+    upper = {}
+    lower = upper if table.exact else {}
 
-    def press(t: float) -> PressureBracket:
-        if t not in cache:
-            cache[t] = pressure_bracket(sys, t)
-        return cache[t]
+    def f_up(t: float) -> float:
+        if t not in upper:
+            upper[t] = _log_spectral_radius(sys, t, "upper")
+        return upper[t]
 
-    f_up = lambda t: press(t).upper
-    f_lo = lambda t: press(t).lower
+    def f_lo(t: float) -> float:
+        if t not in lower:
+            # capped by the upper side where that is known, as in pressure_bracket:
+            # both bisections start at [0, hi], so no rounding of the two sides
+            # can send the lower one past the upper one
+            lower[t] = min(_log_spectral_radius(sys, t, "lower") - t * log_k,
+                           upper.get(t, math.inf))
+        return lower[t]
+
     Q = sys.group.Q
     iters = 0
     note = ""
@@ -589,12 +618,13 @@ def transfer_eigenmeasure(sys: GdmsSpec, t: float, depth: int,
     w_t = ensure_weights(sys).w_mid ** t
     lam, v = _transfer_perron(sys, w_t)
     Zc = float((w_t * v).sum() / lam)  # depth-independent normalization
+    w_t = w_t / lam  # lam^-|w| letter by letter, so that long words do not underflow
     prod = [np.ones(1)] + [None] * depth  # per length: products along the latest block
     masses = []
     for k, parent, last in sys.word_blocks(depth, budget):
         prod[k] = prod[k - 1][parent] * w_t[last]  # left to right along each word
         if k == depth:
-            masses.append(prod[k] * v[last] / (lam ** depth * Zc))
+            masses.append(prod[k] * v[last] / Zc)
     masses = np.concatenate(masses)
     total = masses.sum()
     if abs(total - 1.0) > 1e-9:
@@ -613,14 +643,15 @@ def gibbs_check(measure: CylinderMeasure, sys: GdmsSpec, t: float,
     """
     table = ensure_weights(sys)
     lam, v, Zc = measure.eigenvalue, measure.eigenvector, measure.norm_const
-    # columns: w_mid^t, which gives the cylinder masses, and w_side^t
-    w_t = np.column_stack([table.w_mid ** t, table.side(side) ** t])
+    # columns: w_mid^t, which gives the cylinder masses, and w_side^t, both
+    # over lam letter by letter, so that long words do not underflow
+    w_t = np.column_stack([table.w_mid ** t, table.side(side) ** t]) / lam
     prod = [np.ones((1, 2))] + [None] * measure.depth
     lo, hi = math.inf, -math.inf
     for k, parent, last in sys.word_blocks(measure.depth, budget):
         prod[k] = prod[k - 1][parent] * w_t[last]
         # column 0: masses of the consistent family; column 1: their predictions
-        m = prod[k] * v[last, None] / (lam ** k * Zc)
+        m = prod[k] * v[last, None] / Zc
         r = m[:, 0] / m[:, 1]
         # fmin/fmax skip NaN ratios (0/0 after underflow), as builtin min/max do
         lo, hi = min(lo, np.fmin.reduce(r)), max(hi, np.fmax.reduce(r))

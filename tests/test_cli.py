@@ -104,6 +104,18 @@ def test_measure_command(fib2_path):
     assert rec["gibbs_max"] == pytest.approx(1.0)
 
 
+def test_measure_past_the_recursion_limit(tmp_path):
+    """A one-map spec at depth 2000: the word blocks once recursed once per
+    letter (RecursionError, exit 1), and 0.5^2000 once underflowed the
+    cylinder masses (NaN, exit 4)."""
+    one = write_spec(tmp_path, "one.json", dict(MORAN4, maps=MORAN4["maps"][:1]))
+    rc, out, err = run_cli(["measure", "--spec", one, "--t", "1", "--depth", "2000"])
+    assert rc == 0 and b"Traceback" not in err and b"Warning" not in err
+    rec = parse(out)
+    assert (rec["depth"], rec["mass_total"], rec["gibbs_min"], rec["gibbs_max"]) == (
+        2000, 1.0, 1.0, 1.0)
+
+
 def test_limitset_stdout_and_files(moran4_path, tmp_path):
     rc, out, _ = run_cli(["limitset", "--spec", moran4_path, "--depth", "2"])
     assert rc == 0
@@ -201,6 +213,7 @@ def test_exit_code_2_json_error(argv, moran4_path):
     (["limitset", "--spec", "{spec}", "--mode", "chaos", "--samples", "1", "--depth",
       "3000000"], "BudgetError"),
     (["limitset", "--spec", "{one}", "--depth", "3000000"], "BudgetError"),
+    (["measure", "--spec", "{one}", "--t", "1", "--depth", "3000000"], "BudgetError"),
     (["pressure", "--spec", "{spec}", "--t-grid", "0:1e9:1e-9"], "BudgetError"),
     (["pressure", "--spec", "{spec}", "--t-grid=-1e308:1e308:1", "--budget", "5"],
      "BudgetError"),
@@ -208,7 +221,8 @@ def test_exit_code_2_json_error(argv, moran4_path):
     (["dim", "--spec", "{spec}", "--tol", "0"], "ValidationError"),
     (["dim", "--system", "cantor", "--shells", "1", "--seed", "-3"], "ValidationError"),
 ], ids=["samples-negative", "seed-negative", "samples-over-memory", "samples-over-budget",
-        "depth-over-budget", "one-map-depth-over-budget", "grid-over-budget", "grid-overflows",
+        "depth-over-budget", "one-map-depth-over-budget", "one-map-measure-depth-over-budget",
+        "grid-over-budget", "grid-overflows",
         "tol-negative", "tol-zero", "cantor-seed"])
 def test_sizes_and_seeds_keep_the_exit_codes(argv, error, moran4_path, tmp_path):
     """Each of these once exited 1 with a traceback, never returned, or

@@ -1,7 +1,9 @@
 import itertools
 import math
+import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -231,6 +233,41 @@ def test_admissible_words_match_filtered_product(monkeypatch, block):
                     if all(A[a, b] for a, b in zip(w, w[1:]))]
             assert list(sys_.admissible_words(n)) == want
             assert sys_.count_words(n) == len(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 4), density=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(0, 5), block=st.sampled_from([1, 2, 3, 1024]))
+def test_word_blocks_match_filtered_product(k, density, seed, n, block):
+    """Words from the stack of per-length block generators against the
+    filtered product of the alphabet, on random incidences."""
+    A = np.random.default_rng(seed).random((k, k)) < density
+    sys_ = cd.build_self_similar(cd.heisenberg(1), line_maps(k, 0.01), incidence=A)
+    with mock.patch.object(cd.gdms, "WORD_BLOCK", block):
+        words = list(sys_.admissible_words(n))
+    assert words == [w for w in itertools.product(range(k), repeat=n)
+                     if all(A[a, b] for a, b in zip(w, w[1:]))]
+
+
+def test_word_blocks_go_past_the_recursion_limit():
+    """One map: one block per length, at a depth past the interpreter's
+    recursion limit, where a recursive generator per letter failed."""
+    one = cd.build_self_similar(cd.heisenberg(1), line_maps(1, 0.5))
+    depth = sys.getrecursionlimit() + 500
+    blocks = list(one.word_blocks(depth))
+    assert [k for k, _, _ in blocks] == list(range(1, depth + 1))
+    assert all(p.tolist() == [0] and last.tolist() == [0] for _, p, last in blocks)
+    assert next(one.admissible_words(depth)) == (0,) * depth
+    # a level leaves the stack with its last block, so the chain keeps one
+    tracemalloc.start()
+    for _ in one.word_blocks(4 * depth):
+        pass
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2 ** 20
+    # one level per letter: a length past the budget is refused before counting
+    with pytest.raises(BudgetError, match="length 11"):
+        next(one.word_blocks(11, budget=10))
 
 
 def test_maximal_and_explicit_twins_agree(monkeypatch):

@@ -306,3 +306,39 @@ def test_infinity_handling(h1):
         J.apply(cd.origin(h1))
     back = J.apply(cd.INFINITY)
     assert np.allclose(back.z, 0) and np.allclose(back.t, 0)
+
+
+def dense_step2(seed: int = 7, m1: int = 5, m2: int = 3) -> G.GroupSpec:
+    """A step-2 group whose structure matrices have every off-diagonal entry nonzero."""
+    A = np.random.default_rng(seed).normal(size=(m2, m1, m1))
+    return cd.step2(A - A.transpose(0, 2, 1))
+
+
+MUL_GROUPS = {"heis_c1": cd.heisenberg(1), "heis_c3": cd.heisenberg(3),
+              "heis_q2": cd.quaternionic_heisenberg(2), "dense_step2": dense_step2()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(MUL_GROUPS)),
+       shapes=st.sampled_from([((), ()), ((), (9,)), ((9,), ()), ((4, 9), (9,)),
+                               ((1, 9), (4, 1)), ((5920,), (5920,))]),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_mul_many_equals_the_einsum_bit_for_bit(name, shapes, seed, scale):
+    """The bilinear term from the nonzero structure constants, added in index
+    order, is the three-operand einsum's sum to the bit, with broadcasting."""
+    g = MUL_GROUPS[name]
+    rng = np.random.default_rng(seed)
+    (s1, s2) = shapes
+    Z1, Z2 = scale * rng.normal(size=s1 + (g.m1,)), rng.normal(size=s2 + (g.m1,))
+    T1, T2 = rng.normal(size=s1 + (g.m2,)), rng.normal(size=s2 + (g.m2,))
+    Z, T = G.mul_many(g, Z1, T1, Z2, T2)
+    want = T1 + T2 + np.einsum("iab,...b,...a->...i", g.B, Z1, Z2)
+    assert T.shape == want.shape and T.tobytes() == want.tobytes()
+    assert Z.tobytes() == (Z1 + Z2).tobytes()
+
+
+def test_structure_terms_are_the_nonzero_constants():
+    g = cd.heisenberg(1)
+    assert g.B_terms == ((0, 0, 1, 2.0), (0, 1, 0, -2.0))
+    assert len(cd.quaternionic_heisenberg(2).B_terms) == 3 * 4 * 2
+    assert len(MUL_GROUPS["dense_step2"].B_terms) == 3 * 5 * 4

@@ -1,7 +1,10 @@
 import functools
 import itertools
 import math
+import re
 import tracemalloc
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -195,10 +198,11 @@ def test_eigenmeasure_children_sum_to_parent():
     for w in sys_.admissible_words(4):
         children = sum(m.mass(w + (b,)) for b in sys_.successors(w[-1]))
         assert np.isclose(m4.mass(w), children, rtol=1e-12)
-    # every mass is the per-word product formula, to the bit
+    # every mass is the per-word product formula, to the bit (lam^-|w| is
+    # taken letter by letter, so that long words do not underflow)
     w_t = thermo.ensure_weights(sys_).w_mid ** t
     lam, v, Zc = m.eigenvalue, m.eigenvector, m.norm_const
-    assert m.masses.tolist() == [math.prod(w_t[a] for a in w) * v[w[-1]] / (lam ** 5 * Zc)
+    assert m.masses.tolist() == [math.prod(w_t[a] / lam for a in w) * v[w[-1]] / Zc
                                  for w in m.words]
 
 
@@ -384,10 +388,10 @@ SINGLE_VERTEX_PINS = {
                  "note='pressure bracket width dominates (slack 0.689)')",
     ("cf", 5.0): "DimBracket(h_lo=2.62353515625, h_hi=3.25830078125, iterations=26, tol=0.001, "
                  "p_lower_at_h_lo=0.0006368311007083349, "
-                 "p_upper_at_h_hi=-0.0007539634721451804, slack=0.633765625, "
+                 "p_upper_at_h_hi=-0.0007539634721442923, slack=0.633765625, "
                  "note='pressure bracket width dominates (slack 0.634)')",
     ("cf", 6.0): "DimBracket(h_lo=2.70556640625, h_hi=3.29931640625, iterations=26, tol=0.001, "
-                 "p_lower_at_h_lo=0.000412233879699464, "
+                 "p_lower_at_h_lo=0.0004122338797003522, "
                  "p_upper_at_h_hi=-0.000531958686741163, slack=0.59275, "
                  "note='pressure bracket width dominates (slack 0.593)')",
     ("cantor", 3): "DimBracket(h_lo=1.09326171875, h_hi=1.3720703125, iterations=26, tol=0.001, "
@@ -397,15 +401,47 @@ SINGLE_VERTEX_PINS = {
 }
 
 
-@pytest.mark.parametrize("kind, size", sorted(SINGLE_VERTEX_PINS))
-def test_single_vertex_brackets_are_pinned_bit_for_bit(kind, size):
+def single_vertex_system(kind, size):
     g = cd.heisenberg(1)
     if kind == "cf":
-        sys_ = cd.build_cf_system(g, cd.CfSystemParams(0.5, size))
-    else:
-        sys_ = cd.build_cantor_system(g, cd.CantorSystemParams(
-            epsilon=2.0, shells=size, separation_scale=8.0))
+        return cd.build_cf_system(g, cd.CfSystemParams(0.5, size))
+    return cd.build_cantor_system(g, cd.CantorSystemParams(
+        epsilon=2.0, shells=size, separation_scale=8.0))
+
+
+@pytest.mark.parametrize("kind, size", sorted(SINGLE_VERTEX_PINS))
+def test_single_vertex_brackets_are_pinned_bit_for_bit(kind, size):
+    sys_ = single_vertex_system(kind, size)
     assert repr(cd.bowen_dim(sys_, tol=1e-3)) == SINGLE_VERTEX_PINS[kind, size]
+
+
+def mp_log_sum_pow(weights, t, counts=None):
+    """log sum count * w^t at 50 digits, each float weight taken exactly."""
+    counts = np.ones(len(weights)) if counts is None else counts
+    with mpmath.workdps(50):
+        return mpmath.log(mpmath.fsum(int(c) * mpmath.mpf(float(w)) ** mpmath.mpf(t)
+                                      for w, c in zip(weights, counts)))
+
+
+def assert_near_mp(value, exact, t, log_w):
+    """|value - exact| <= 1e-15 (1 + t max |log w|): the rounding of t log w."""
+    err = abs(mpmath.mpf(value) - exact)
+    assert err <= 1e-15 * (1 + t * float(np.abs(log_w).max())), (value, float(exact), float(err))
+
+
+@pytest.mark.parametrize("kind, size", sorted(SINGLE_VERTEX_PINS))
+def test_pinned_endpoint_pressures_agree_with_mpmath(kind, size):
+    """Both pinned endpoint pressures against log sum w^t at 50 digits, over
+    the distinct weights of the table and their multiplicities (K = 1)."""
+    pin = dict(re.findall(r"(h_lo|h_hi|p_lower_at_h_lo|p_upper_at_h_hi)=([-0-9.e]+)",
+                          SINGLE_VERTEX_PINS[kind, size]))
+    wt = thermo.ensure_weights(single_vertex_system(kind, size))
+    assert wt.distortion == 1.0
+    for t, p, w in [(pin["h_lo"], pin["p_lower_at_h_lo"], wt.w_lo),
+                    (pin["h_hi"], pin["p_upper_at_h_hi"], wt.w_up)]:
+        distinct, counts = np.unique(w, return_counts=True)
+        assert_near_mp(float(p), mp_log_sum_pow(distinct, float(t), counts), float(t),
+                       np.log(distinct).max(keepdims=True))
 
 
 def test_cf_theta_is_pinned_bit_for_bit():
@@ -415,10 +451,107 @@ def test_cf_theta_is_pinned_bit_for_bit():
 
 
 def test_weight_table_keeps_its_logs_and_exactness():
+    """The table keeps the logs of its distinct weight pairs, with counts: one
+    row per integer norm key on CF R = 4 (53 for 848 edges)."""
     sys_ = cd.build_cf_system(cd.heisenberg(1), cd.CfSystemParams(0.5, 4.0))
     cd.bowen_dim(sys_, tol=1e-3)
     wt = thermo.ensure_weights(sys_)
-    assert wt.log_lo is wt.log_lo and wt.log_up is wt.log_up  # computed once
-    assert np.array_equal(wt.log_lo, np.log(wt.w_lo))
-    assert np.array_equal(wt.log_up, np.log(wt.w_up))
+    assert wt.rows is wt.rows  # computed once
+    log_lo, log_up, count = wt.rows
+    pairs, counts = np.unique(np.column_stack([wt.w_up, wt.w_lo]), axis=0, return_counts=True)
+    assert (len(count), count.sum()) == (53, sys_.n_edges) == (len(pairs), 848)
+    assert np.array_equal(log_up, np.log(pairs[:, 0]))
+    assert np.array_equal(log_lo, np.log(pairs[:, 1]))
+    assert np.array_equal(count, counts)
     assert not wt.exact and "exact" in vars(wt)
+
+
+def test_bowen_dim_never_inverts_the_bracket():
+    """w_lo above w_up by the 1e-12 that validation allows puts the lower
+    side's root past the upper one's; on a grid finer than their gap the
+    h_lo bisection, capped by the upper side where that is known, still
+    stops at or below h_hi."""
+    sys_ = moran_system([0.3, 0.3, 0.4])
+    w = thermo.ensure_weights(sys_).w_up
+    sys_.weights = thermo.WeightTable(w * (1 + 1e-12), w)
+    res = cd.bowen_dim(sys_, tol=1e-14)
+    assert res.h_lo <= res.h_hi and res.p_lower_at_h_lo >= 0 >= res.p_upper_at_h_hi
+
+
+@st.composite
+def weight_rows(draw):
+    """Per-edge weights with repeats: a few distinct w_up values (the largest
+    one repeated, so that the maximum ties), each with one or more w_lo."""
+    ups = draw(st.lists(st.floats(1e-8, 4.0), min_size=1, max_size=5))
+    ups.append(max(ups))
+    w_lo, w_up = [], []
+    for u in ups:
+        for f in draw(st.lists(st.sampled_from([1.0, 0.5, 1e-3]) | st.floats(1e-6, 1.0),
+                               min_size=1, max_size=3)):
+            n = draw(st.integers(1, 40))
+            w_lo += [u * f] * n
+            w_up += [u] * n
+    perm = draw(st.permutations(range(len(w_up))))
+    return np.array(w_lo)[perm], np.array(w_up)[perm]
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=weight_rows(), t=st.just(0.0) | st.floats(0.0, 64.0))
+def test_row_kernel_agrees_with_mpmath(w, t):
+    """log sum w^t over the table's distinct rows and counts, on each side,
+    against the 50-digit sum over every edge."""
+    wt = thermo.WeightTable(*w)
+    log_lo, log_up, count = wt.rows
+    assert count.sum() == w[0].size
+    for log_w, per_edge in [(log_lo, wt.w_lo), (log_up, wt.w_up)]:
+        assert_near_mp(thermo._log_row_sum(log_w, count, t), mp_log_sum_pow(per_edge, t),
+                       t, log_w)
+
+
+def replay_bisection(calls, hi, tol):
+    """The dyadic bisection of [0, hi] that the recorded (t, value) calls
+    drive, one midpoint per call; returns its final (a, b)."""
+    a, b = 0.0, hi
+    for t, value in calls:
+        assert b - a > tol and t == 0.5 * (a + b)
+        a, b = (t, b) if value >= 0 else (a, t)
+    assert b - a <= tol
+    return a, b
+
+
+def test_bowen_dim_evaluates_each_side_at_its_own_roots_points(monkeypatch):
+    """CF R = 5: the upper side is evaluated at the interval checks, at 0 and
+    at the h_hi bisection's midpoints, the lower side at 0 and at the h_lo
+    bisection's midpoints, each point once: 29 evaluations, where both sides
+    at each of the 26 distinct points took 52."""
+    sys_ = cd.build_cf_system(cd.heisenberg(1), cd.CfSystemParams(0.5, 5.0))
+    calls = {"upper": [], "lower": []}
+    inner = thermo._log_spectral_radius
+
+    def spy(sys_, t, side):
+        value = inner(sys_, t, side)
+        calls[side].append((t, value))
+        return value
+
+    monkeypatch.setattr(thermo, "_log_spectral_radius", spy)
+    res = cd.bowen_dim(sys_, tol=1e-3)
+    up, lo = calls["upper"], calls["lower"]
+    assert [t for t, _ in up[:2]] == [4.0, 0.0] and up[0][1] <= 0 < up[1][1]
+    assert lo[0][0] == 0.0 and lo[0][1] > 0
+    assert replay_bisection(up[2:], 4.0, 5e-4)[1] == res.h_hi
+    assert replay_bisection(lo[1:], 4.0, 5e-4)[0] == res.h_lo
+    assert len(up) + len(lo) == res.iterations + 3 == 29
+    for side in calls:
+        assert len({t for t, _ in calls[side]}) == len(calls[side])
+    assert (res.p_upper_at_h_hi, res.p_lower_at_h_lo) == (dict(up)[res.h_hi], dict(lo)[res.h_lo])
+
+
+def test_bowen_dim_of_an_exact_table_evaluates_one_side(monkeypatch):
+    sys_ = moran_system([0.3, 0.3, 0.4])
+    sides = []
+    inner = thermo._log_spectral_radius
+    monkeypatch.setattr(thermo, "_log_spectral_radius",
+                        lambda s, t, side: sides.append(side) or inner(s, t, side))
+    res = cd.bowen_dim(sys_, tol=1e-9)
+    assert set(sides) == {"upper"} and len(sides) == res.iterations / 2 + 2
+    assert res.h_lo < res.h_hi and res.p_lower_at_h_lo >= 0 >= res.p_upper_at_h_hi
