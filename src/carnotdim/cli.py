@@ -306,7 +306,7 @@ def cmd_measure_dim(args):
         mu = InvariantMeasureSpec.markov(P)
     else:
         raise ValidationError("measure-dim needs --bernoulli p1,p2,... or --markov FILE")
-    val = measure_dimension(sys, mu, depth=args.depth)
+    val = measure_dimension(sys, mu)
     _emit(args, _record(args, "measure-dim", {"dimension": val}))
 
 
@@ -399,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, system=True)
     p.add_argument("--bernoulli", default=None)
     p.add_argument("--markov", default=None)
-    p.add_argument("--depth", type=int, default=8)
     p.set_defaults(func=cmd_measure_dim)
 
     p = sub.add_parser("subsystem", help="greedy subsystem with target dimension")

@@ -45,6 +45,9 @@ Word = Tuple[int, ...]  # edge indices; () is the empty word
 DEFAULT_WORD_BUDGET = 1_000_000
 # words per block of word_blocks: bounds the working memory of word loops
 WORD_BLOCK = 1 << 10
+# power iteration of stationary_distribution
+STATIONARY_TOL = 1e-14
+STATIONARY_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -82,21 +85,6 @@ class VertexSet:
         e = np.zeros(g.m1)
         e[0] = (self.inner_radius + self.radius) / 2
         return G.group_mul(g, self.center, GPoint(e, np.zeros(g.m2)))
-
-    def sample(self, g: GroupSpec, k: int, rng: np.random.Generator):
-        if self.inner_radius == 0:
-            return G.sample_ball(g, self.center, self.radius, k, rng)
-        frac = self.inner_radius / self.radius
-        out_Z = np.empty((0, g.m1)); out_T = np.empty((0, g.m2))
-        while out_Z.shape[0] < k:
-            m = max(2 * (k - out_Z.shape[0]), 64)
-            Z, T = G.sample_box(g, m, rng, 1.0)
-            norms = G.norm_many(g, Z, T)
-            keep = (norms <= 1.0) & (norms >= frac)
-            Z, T = Z[keep], T[keep]
-            out_Z = np.concatenate([out_Z, Z]); out_T = np.concatenate([out_T, T])
-        Z, T = G.dilate_many(g, self.radius, out_Z[:k], out_T[:k])
-        return G.mul_many(g, self.center.z, self.center.t, Z, T)
 
 
 class EdgeMap:
@@ -447,12 +435,16 @@ class GdmsSpec:
         c of X_t(e) = B(c, R) minus the open ball of radius R_in, and gap =
         max(d - R, R_in - d) is the least distance from a to X_t(e), so that
         r_f / (d + R)^2 <= ||D phi_e|| <= r_f / gap^2 there; gap is 1 for a
-        similarity.  Raises ValidationError when a pole touches its domain."""
+        similarity.  Raises ValidationError when a pole touches its domain.
+        Coordinates near the float range give a non-finite d, which no
+        certificate accepts, so its overflow is not reported here or in
+        image_balls and _check_containment."""
         table = self.table
         cz, ct, R, inner = self.vertex_arrays()
         v = self.dst_idx
-        d = G.dist_many(self.group, table.pole_z, table.pole_t, cz[v], ct[v])
-        gap = np.where(table.has_pole, np.maximum(d - R[v], inner[v] - d), 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = G.dist_many(self.group, table.pole_z, table.pole_t, cz[v], ct[v])
+            gap = np.where(table.has_pole, np.maximum(d - R[v], inner[v] - d), 1.0)
         if (gap <= EPS_FLOOR).any():
             k = int(np.flatnonzero(gap <= EPS_FLOOR)[0])
             raise ValidationError(f"edge {str(table.ids[k])!r}: map blows up at its pole, "
@@ -482,20 +474,22 @@ class GdmsSpec:
         at_c = ~table.has_pole | (d > R[v])
         c_rows, inf_rows = np.flatnonzero(at_c), np.flatnonzero(~at_c)
         Z, T = np.empty((self.n_edges, g.m1)), np.empty((self.n_edges, g.m2))
-        FZ, FT = table.apply(c_rows, cz[v[c_rows], None], ct[v[c_rows], None])
-        Z[c_rows], T[c_rows] = FZ[:, 0], FT[:, 0]
-        Z[inf_rows], T[inf_rows] = table.image_of_infinity(inf_rows)
-        return Z, T, table.r_f / gap * np.where(
-            at_c, R[v] / np.where(at_c & table.has_pole, d, 1.0), 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            FZ, FT = table.apply(c_rows, cz[v[c_rows], None], ct[v[c_rows], None])
+            Z[c_rows], T[c_rows] = FZ[:, 0], FT[:, 0]
+            Z[inf_rows], T[inf_rows] = table.image_of_infinity(inf_rows)
+            return Z, T, table.r_f / gap * np.where(
+                at_c, R[v] / np.where(at_c & table.has_pole, d, 1.0), 1.0)
 
     def _check_containment(self):
         """phi_e(X_t(e)) in X_i(e): each image ball lies in X_i(e)'s ball, outside its hole."""
         Z, T, rho = self.image_balls
         cz, ct, R, inner = self.vertex_arrays()
         s = self.src_idx
-        d = G.dist_many(self.group, cz[s], ct[s], Z, T)
-        ok = (d + rho <= R[s] * (1 + 1e-12)) & ((d - rho >= inner[s] * (1 - 1e-12))
-                                                | (inner[s] == 0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = G.dist_many(self.group, cz[s], ct[s], Z, T)
+            ok = (d + rho <= R[s] * (1 + 1e-12)) & ((d - rho >= inner[s] * (1 - 1e-12))
+                                                    | (inner[s] == 0))
         if not ok.all():
             k = int(np.flatnonzero(~ok)[0])
             v = self.vertices[s[k]]
@@ -854,14 +848,14 @@ class GdmsSpec:
                 f"{inc}, s={self.contraction:g})")
 
 
-def stationary_distribution(P: np.ndarray, iters: int = 100_000,
-                            tol: float = 1e-14) -> np.ndarray:
-    """Stationary distribution of a row-stochastic matrix by power iteration."""
+def stationary_distribution(P: np.ndarray) -> np.ndarray:
+    """Stationary distribution of a row-stochastic matrix by power iteration,
+    to STATIONARY_TOL within STATIONARY_MAX_ITER steps."""
     P = np.asarray(P, float)
     pi = np.full(P.shape[0], 1.0 / P.shape[0])
-    for _ in range(iters):
+    for _ in range(STATIONARY_MAX_ITER):
         nxt = pi @ P
-        if np.abs(nxt - pi).max() < tol:
+        if np.abs(nxt - pi).max() < STATIONARY_TOL:
             return nxt / nxt.sum()
         pi = nxt
     return pi / pi.sum()

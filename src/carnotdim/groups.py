@@ -655,28 +655,3 @@ def lattice_norm_histogram(g: GroupSpec, r_lo: float, r_hi: float, bins: int = 4
     cuts = np.concatenate([_norm_key_cuts(edges[:-1], strict=False),
                            _norm_key_cuts(edges[-1:], strict=True)])
     return edges, np.diff(_count_keys_below(g, np.clip(cuts, L, H)))
-
-
-# ---------------------------------------------------------------------------
-# Sampling helpers (shared by tests and validation)
-# ---------------------------------------------------------------------------
-
-def sample_box(g: GroupSpec, k: int, rng: np.random.Generator, scale: float = 1.0):
-    """k points uniform in the coordinate box [-scale, scale]^{m1} x [-scale^2, scale^2]^{m2}."""
-    Z = rng.uniform(-scale, scale, size=(k, g.m1))
-    T = rng.uniform(-scale * scale, scale * scale, size=(k, g.m2))
-    return Z, T
-
-
-def sample_ball(g: GroupSpec, center: GPoint, radius: float, k: int,
-                rng: np.random.Generator):
-    """k points in the closed gauge ball B(center, radius) by rejection sampling."""
-    _check_point(g, center, "center")
-    out_Z = np.empty((0, g.m1)); out_T = np.empty((0, g.m2))
-    while out_Z.shape[0] < k:
-        m = max(2 * (k - out_Z.shape[0]), 64)
-        Z, T = sample_box(g, m, rng, 1.0)
-        keep = norm_many(g, Z, T) <= 1.0
-        out_Z = np.concatenate([out_Z, Z[keep]]); out_T = np.concatenate([out_T, T[keep]])
-    Z, T = dilate_many(g, radius, out_Z[:k], out_T[:k])
-    return mul_many(g, center.z, center.t, Z, T)

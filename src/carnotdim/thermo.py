@@ -8,7 +8,9 @@ K > 1), and report brackets, never bare point estimates.  The pressure is
 log rho(A * diag(w^t)) from the successor index's rows (vertices if maximal,
 else edges): a sum over the table's distinct weights when it has one row,
 else the Perron eigenvalue of the row-by-row transfer matrix, one bincount
-over the index's cells.
+over the index's cells.  Theta's shell sums go through the same log-sum
+kernel, and every root is bracketed: Bowen parameters and theta fits by
+bisection, Moran roots by tangent steps on the convex log sum w^t.
 """
 
 from __future__ import annotations
@@ -28,124 +30,8 @@ BISECTION_TOL = 1e-6
 BISECTION_MAX_ITER = 200
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 100_000
-BRENT_RTOL = 4 * math.ulp(1.0)  # 4 * machine epsilon
-BRENT_MAX_ITER = 100
-
-
-# ---------------------------------------------------------------------------
-# Scalar kernels: log-sum-exp and Brent's root finder
-# ---------------------------------------------------------------------------
-
-def _logsumexp(a, b=None) -> float:
-    """log(sum(b * exp(a))) over all elements of real arrays, without overflow.
-
-    Entries with b == 0 count as -inf; the maximal entries are taken out of
-    the sum (m = their count, or the sum of their b), the rest is summed as
-    s = sum(b * exp(a - a_max)), and the result is log1p(s / m) + log(m) +
-    a_max.  Only where that is not finite (all -inf, an inf or NaN entry, a
-    negative total) is the direct log(sum(b * exp(a))) computed, and returned
-    instead.
-    These are the steps, in order, of the usual library routine for real
-    float64 input, so results agree with it bit for bit (tests/test_kernels.py),
-    except that an entry with b == 0 adds nothing to the direct sum either,
-    where the library returns NaN if its exp(a) overflows.
-    """
-    a = np.asarray(a, dtype=float).ravel()
-    if b is not None:
-        b = np.broadcast_to(np.asarray(b, dtype=float).ravel(), a.shape)
-    if a.size == 0:
-        return -math.inf
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if b is not None:
-            a = np.where(b == 0, -np.inf, a)
-        a_max = np.max(a)
-        top = a == a_max
-        # exp(a - a_max) with the maximal entries taken out: the same terms
-        # as exp(-inf) at those entries, without a masked copy of a
-        terms = a - a_max
-        np.exp(terms, out=terms)
-        terms[top] = 0.0
-        m = float(np.count_nonzero(top)) if b is None else np.sum(b * top)
-        s = np.sum(terms if b is None else b * terms)
-        if s != 0:
-            s = s / m
-        negative = np.sign(s + 1) * np.sign(m) < 0
-        if s < -1:
-            s = -s - 2
-        out = np.log1p(s) + np.log(np.abs(m)) + a_max
-        if negative or not np.isfinite(out):
-            return float(np.log(np.sum(np.exp(a) if b is None else b * np.exp(a))))
-    return float(out)
-
-
-def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> float:
-    """Root of f in [xa, xb] by Brent's method (inverse quadratic
-    interpolation with bisection safeguards).
-
-    The steps of the classic C brentq (tolerance xtol + BRENT_RTOL * |x|,
-    the same bracket bookkeeping and step rules), line by line, so roots
-    agree bit for bit with that library routine (tests/test_kernels.py).
-    Raises ValidationError when f(xa) and f(xb) have the same sign and
-    NonConvergenceError after BRENT_MAX_ITER steps or when f returns NaN.
-    """
-    if xtol <= 0:
-        raise ValidationError(f"xtol too small ({xtol:g} <= 0)")
-
-    def call(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise NonConvergenceError(f"root finder: f({x!r}) is NaN")
-        return fx
-
-    def signbit(x: float) -> bool:
-        return math.copysign(1.0, x) < 0
-
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if signbit(fpre) == signbit(fcur):
-        raise ValidationError("root finder: f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(BRENT_MAX_ITER):
-        if fpre != 0 and fcur != 0 and signbit(fpre) != signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # den underflows to 0 only; C's x / 0 is then inf or NaN,
-                # which fails the step test below as inf does
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise NonConvergenceError(f"root finder did not converge in {BRENT_MAX_ITER} iterations")
+THETA_XTOL = 1e-10
+THETA_T_MAX = 64.0
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +131,12 @@ def ensure_weights(sys: GdmsSpec) -> WeightTable:
 # Transfer operator and pressure
 # ---------------------------------------------------------------------------
 
-def perron_eigenvalue(M: np.ndarray, tol: float = POWER_TOL,
-                      max_iter: int = POWER_MAX_ITER):
+def perron_eigenvalue(M: np.ndarray):
     """Perron eigenvalue and right eigenvector of a nonnegative matrix.
 
     Power iteration on M + sigma*I (the shift removes periodicity and drops
-    out of the eigenvalue exactly).
+    out of the eigenvalue exactly), to relative tolerance POWER_TOL within
+    POWER_MAX_ITER steps.
     """
     M = np.asarray(M, float)
     if (M < 0).any():
@@ -263,13 +149,13 @@ def perron_eigenvalue(M: np.ndarray, tol: float = POWER_TOL,
     Ms.flat[::n + 1] += sigma
     v = np.ones(n)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = Ms @ v
         lam_new = float(w.max())
         if lam_new <= 0:
             raise ValidationError("matrix is reducible to zero action")
         w /= lam_new
-        if abs(lam_new - lam) <= tol * max(lam_new, 1.0) and np.abs(w - v).max() < 1e-13:
+        if abs(lam_new - lam) <= POWER_TOL * max(lam_new, 1.0) and np.abs(w - v).max() < 1e-13:
             return lam_new - sigma, w
         v, lam = w, lam_new
     raise NonConvergenceError("power iteration did not converge")
@@ -308,8 +194,9 @@ class PressureBracket:
 def _log_row_sum(log_w: np.ndarray, count: np.ndarray, t: float) -> float:
     """log sum_k count_k w_k^t over weight rows, as
     log(sum count * exp(t (log w - top))) + t top with top = max log w.
-    Every term is at most its count and the top row's is at least 1, so the
-    sum neither overflows nor vanishes and needs no fallback."""
+    Every term is at most its count and the top row's equals its count, so
+    with positive counts the sum neither overflows nor vanishes and needs
+    no fallback."""
     top = log_w.max()
     return float(np.log((count * np.exp(t * (log_w - top))).sum()) + t * top)
 
@@ -470,7 +357,9 @@ class ShellFamily:
     sum_k S_k(t) is geometric and converges iff the fitted log S_k slope in
     k is negative.  tail = "power": shells at polynomially growing scales;
     the tail behaves like sum_k k^a and converges iff the fitted slope of
-    log S_k against log k is < -1.
+    log S_k against log k is < -1.  Shell k holds the weight rows
+    log_weights[k] with positive multiplicities counts[k] (ones when no
+    counts are given); no shell is empty.
     """
 
     log_weights: List[np.ndarray]
@@ -481,8 +370,18 @@ class ShellFamily:
     def __post_init__(self):
         if self.tail not in ("geometric", "power"):
             raise ValidationError(f"unknown tail type {self.tail!r}")
-        if self.counts is not None and len(self.counts) != len(self.log_weights):
+        self.log_weights = [np.asarray(lw, float) for lw in self.log_weights]
+        if self.counts is None:
+            self.counts = [np.ones(lw.shape) for lw in self.log_weights]
+        self.counts = [np.asarray(c, float) for c in self.counts]
+        if [c.shape for c in self.counts] != [lw.shape for lw in self.log_weights]:
             raise ValidationError("counts/log_weights length mismatch")
+        for k, (lw, c) in enumerate(zip(self.log_weights, self.counts)):
+            if lw.ndim != 1 or lw.size == 0:
+                raise ValidationError(f"shell {k} is empty or not a list")
+            if not (np.isfinite(lw).all() and np.isfinite(c).all() and (c > 0).all()):
+                raise ValidationError(f"shell {k}: log weights must be finite and "
+                                      f"counts positive")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, float)
             if self.labels.shape != (len(self.log_weights),):
@@ -493,10 +392,7 @@ class ShellFamily:
         return len(self.log_weights)
 
     def log_shell_sum(self, k: int, t: float) -> float:
-        lw = t * self.log_weights[k]
-        if self.counts is None:
-            return _logsumexp(lw)
-        return _logsumexp(lw, b=self.counts[k].astype(float))
+        return _log_row_sum(self.log_weights[k], self.counts[k], t)
 
 
 @dataclass
@@ -531,17 +427,18 @@ def _tail_slope(family: ShellFamily, t: float, n_shells: int, start: int = 0):
     return slope, se
 
 
-def theta_estimate(family: ShellFamily, t_max: float = 64.0) -> ThetaEstimate:
+def theta_estimate(family: ShellFamily) -> ThetaEstimate:
     """Finiteness threshold of Z_1(t) fitted from shell sums.
 
-    Solves slope(t) = target (0 for geometric tails, -1 for power tails).
-    The earliest shell carries the largest finite-size bias, so with >= 6
-    shells the point estimate drops it (burn-in of one shell).  The bracket
-    is the hull of three estimator variants (with/without burn-in, last vs
-    previous truncation) widened on both sides by the variant spread plus
-    twice the regression standard error: the spread is a proxy for the
-    still-unconverged truncation bias (whose sign is not known a priori),
-    the 2-sigma term covers shell-sum fluctuations.
+    Solves slope(t) = target (0 for geometric tails, -1 for power tails) by
+    bisection to THETA_XTOL, within t <= THETA_T_MAX.  The earliest shell
+    carries the largest finite-size bias, so with >= 6 shells the point
+    estimate drops it (burn-in of one shell).  The bracket is the hull of the
+    bisection brackets of three estimator variants (with/without burn-in,
+    last vs previous truncation) widened on both sides by the spread of their
+    midpoints plus twice the regression standard error: the spread is a
+    proxy for the still-unconverged truncation bias (whose sign is not known
+    a priori), the 2-sigma term covers shell-sum fluctuations.
     """
     K = family.n_shells
     if K < 4:
@@ -549,31 +446,34 @@ def theta_estimate(family: ShellFamily, t_max: float = 64.0) -> ThetaEstimate:
     target = 0.0 if family.tail == "geometric" else -1.0
     burn = 1 if K >= 6 else 0
 
-    def solve(start: int, n_shells: int) -> Tuple[float, float]:
+    def solve(start: int, n_shells: int) -> Tuple[float, float, float]:
+        """(a, b, stderr): a bisection bracket of the root, and the standard
+        error of the root at its midpoint."""
         def g(t):
             return _tail_slope(family, t, n_shells, start)[0] - target
         if g(0.0) <= 0:
-            return 0.0, _tail_slope(family, 0.0, n_shells, start)[1]
+            return 0.0, 0.0, _tail_slope(family, 0.0, n_shells, start)[1]
         hi = 1.0
         while g(hi) > 0:
             hi *= 2.0
-            if hi > t_max:
+            if hi > THETA_T_MAX:
                 raise NonConvergenceError("shell sums do not decay within the t range")
-        root = _brentq(g, hi / 2 if g(hi / 2) > 0 else 0.0, hi, xtol=1e-10)
+        a, b, _ = _bisect_root(g, hi / 2 if g(hi / 2) > 0 else 0.0, hi, THETA_XTOL)
+        root = 0.5 * (a + b)
         slope_se = _tail_slope(family, root, n_shells, start)[1]
         dg = (g(root + 1e-4) - g(root - 1e-4)) / 2e-4
         t_se = abs(slope_se / dg) if dg != 0 else slope_se
-        return root, t_se
+        return a, b, t_se
 
-    full, se = solve(burn, K)
-    prev, _ = solve(burn, K - 1)
-    cands = [full, prev]
+    variants = [solve(burn, K), solve(burn, K - 1)]
     if burn:
-        cands.append(solve(0, K)[0])
-    spread = max(cands) - min(cands)
-    lo = max(min(cands) - spread - 2 * se, 0.0)
-    hi = max(cands) + spread + 2 * se
-    return ThetaEstimate(lo=lo, hi=hi, estimate=full, previous=prev,
+        variants.append(solve(0, K))
+    mids = [0.5 * (a + b) for a, b, _ in variants]
+    se = variants[0][2]
+    spread = max(mids) - min(mids)
+    lo = max(min(a for a, _, _ in variants) - spread - 2 * se, 0.0)
+    hi = max(b for _, b, _ in variants) + spread + 2 * se
+    return ThetaEstimate(lo=lo, hi=hi, estimate=mids[0], previous=mids[1],
                          stderr=se, shells=K)
 
 
@@ -687,17 +587,16 @@ class InvariantMeasureSpec:
         return InvariantMeasureSpec("markov", P=P, pi=np.asarray(pi, float))
 
 
-def measure_dimension(sys: GdmsSpec, mu: InvariantMeasureSpec, depth: int = 8) -> float:
+def measure_dimension(sys: GdmsSpec, mu: InvariantMeasureSpec) -> float:
     """h_mu / chi_mu: entropy over Lyapunov exponent of the shift-invariant
     measure projected to the limit set.
 
-    The Lyapunov exponent is the depth-cylinder discretization
-    -sum_{|w|=depth} mu([w]) (1/depth) log w_mid(w); because the word
-    weights are per-edge products and mu is shift-invariant this telescopes
-    exactly to -sum_e freq_mu(e) log w_mid(e), which is what is evaluated.
+    The Lyapunov exponent of the cylinders of any depth n,
+    -sum_{|w|=n} mu([w]) (1/n) log w_mid(w), telescopes (the word weights
+    are per-edge products and mu is shift-invariant) to
+    -sum_e freq_mu(e) log w_mid(e), which is what is evaluated.
     """
     table = ensure_weights(sys)
-    logw = np.log(table.w_mid)
     nE = sys.n_edges
     if mu.kind == "bernoulli":
         p = mu.probs
@@ -724,11 +623,11 @@ def measure_dimension(sys: GdmsSpec, mu: InvariantMeasureSpec, depth: int = 8) -
         freq = pi
     else:
         raise ValidationError(f"unknown measure kind {mu.kind!r}")
-    if depth < 1:
-        raise ValidationError("depth must be >= 1")
-    chi = float(-(freq * logw).sum())
-    if chi <= 0:
-        raise ValidationError(f"nonpositive Lyapunov exponent {chi:g}")
+    # a weight that underflows to 0 gives chi = inf, or NaN at frequency 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chi = float(-(freq * np.log(table.w_mid)).sum())
+    if not 0 < chi < math.inf:
+        raise ValidationError(f"Lyapunov exponent {chi:g} is not positive and finite")
     if h == 0.0:
         return 0.0
     return h / chi
@@ -739,23 +638,43 @@ def measure_dimension(sys: GdmsSpec, mu: InvariantMeasureSpec, depth: int = 8) -
 # ---------------------------------------------------------------------------
 
 def similarity_dimension(weights: Sequence[float], tol: float = 1e-12) -> float:
-    """Root of sum w^t = 1 (Moran equation); 0 for a single map."""
+    """Root of sum w^t = 1 (Moran equation); 0 for a single map or none.
+
+    f(t) = log sum w^t is convex and decreasing, so tangent steps from t = 0
+    stay below the root and reach it quadratically.  Once a step is at most
+    tol / 2, a + tol is tried as the upper end; a tangent point that rounding
+    puts past the root serves as one too.  The result lies in a pair
+    f(a) >= 0 >= f(b) with b - a <= tol (or 4 ulp of a, if that is more).
+    f is log1p of the sum minus 1, with w^t - 1 at the largest weight taken
+    by expm1, so that it keeps its relative precision near the root even for
+    weights close to 1.
+    """
     w = np.asarray(weights, float)
-    if (w <= 0).any() or (w >= 1).any():
+    if not ((w > 0) & (w < 1)).all():
         raise ValidationError("similarity weights must lie in (0,1)")
-    logw = np.log(w)
-
-    def f(t):
-        return _logsumexp(t * logw)
-
-    if f(0.0) <= 0:
+    if not tol > 0:
+        raise ValidationError(f"tol must be > 0, got {tol}")
+    if w.size < 2:
         return 0.0
-    hi = 1.0
-    while f(hi) > 0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise NonConvergenceError("Moran equation has no root in range")
-    return _brentq(f, 0.0, hi, xtol=tol)
+    logw = np.log(w)
+    top = int(np.argmax(logw))
+    a, b, x = 0.0, math.inf, 0.0
+    for _ in range(BISECTION_MAX_ITER):
+        p = np.exp(x * logw)
+        p[top] = math.expm1(x * logw[top])
+        s1 = float(p.sum())  # sum w^x - 1
+        fx = math.log1p(s1)
+        if fx >= 0:
+            a, step = x, fx * (1 + s1) / -(float(p @ logw) + logw[top])
+        else:
+            b = x
+        gap = max(tol, 4 * math.ulp(a))
+        if b - a <= gap:
+            return min(a + step, b)
+        x = a + step if step > gap / 2 else a + gap
+        if x >= b:  # rounding put a tangent point past the root
+            x = max(b - gap, 0.5 * (a + b))
+    raise NonConvergenceError("Moran equation: no root bracket within the step limit")
 
 
 @dataclass

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import carnotdim as cd
+from carnotdim import groups as G
 
 
 def run_cli(args, env=None):
@@ -108,3 +109,25 @@ def moran_system(scales, seed=0):
         t = rng.uniform(-1, 1, size=1)
         maps.append((cd.gpoint(z, t), float(s)))
     return cd.build_self_similar(g, maps)
+
+
+def sample_box(g, k, rng, scale=1.0):
+    """k points uniform in the coordinate box [-scale, scale]^{m1} x [-scale^2, scale^2]^{m2}."""
+    Z = rng.uniform(-scale, scale, size=(k, g.m1))
+    T = rng.uniform(-scale * scale, scale * scale, size=(k, g.m2))
+    return Z, T
+
+
+def sample_vertex(g, v, k, rng):
+    """k points of the vertex set v (its ball, or its annulus if it has an
+    inner radius): unit-box draws kept when their gauge norm lies in
+    [inner_radius / radius, 1], then dilated and translated onto v."""
+    out_Z = np.empty((0, g.m1)); out_T = np.empty((0, g.m2))
+    while out_Z.shape[0] < k:
+        m = max(2 * (k - out_Z.shape[0]), 64)
+        Z, T = sample_box(g, m, rng)
+        norms = G.norm_many(g, Z, T)
+        keep = (norms <= 1.0) & (norms >= v.inner_radius / v.radius)
+        out_Z = np.concatenate([out_Z, Z[keep]]); out_T = np.concatenate([out_T, T[keep]])
+    Z, T = G.dilate_many(g, v.radius, out_Z[:k], out_T[:k])
+    return G.mul_many(g, v.center.z, v.center.t, Z, T)

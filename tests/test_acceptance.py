@@ -12,7 +12,7 @@ import carnotdim as cd
 from carnotdim import thermo
 
 from conftest import (FIB2, GDMS2, MORAN4, fib2_system, moran_system, run_cli,
-                      write_spec)
+                      sample_box, write_spec)
 
 
 @contextlib.contextmanager
@@ -128,7 +128,7 @@ def test_criterion_2_spectral_oracle():
 # ---------------------------------------------------------------------------
 
 def _check_inequalities(g, n, rng, slack=1e-12):
-    P = [cd.groups.sample_box(g, n, rng) for _ in range(4)]
+    P = [sample_box(g, n, rng) for _ in range(4)]
     d = lambda a, b: cd.groups.dist_many(g, P[a][0], P[a][1], P[b][0], P[b][1])
     d01, d02, d12 = d(0, 1), d(0, 2), d(1, 2)
     tri = d02 - (d01 + d12)
@@ -150,11 +150,11 @@ def test_criterion_3_metric_moebius_suite():
         # Moebius identities on the complex Heisenberg group
         g = h1
         n = 10_000
-        Z, T = cd.groups.sample_box(g, 4 * n, rng)
+        Z, T = sample_box(g, 4 * n, rng)
         norms = cd.groups.norm_many(g, Z, T)
         keep = norms > 0.2
         Z, T, norms = Z[keep][:n], T[keep][:n], norms[keep][:n]
-        W, S = cd.groups.sample_box(g, 4 * n, rng)
+        W, S = sample_box(g, 4 * n, rng)
         nw = cd.groups.norm_many(g, W, S)
         keep = nw > 0.2
         W, S, nw = W[keep][:n], S[keep][:n], nw[keep][:n]
@@ -188,7 +188,7 @@ def test_criterion_3_metric_moebius_suite():
         m = cd.ConformalChain(g, [cd.Invert(),
                                   cd.Translate(cd.gpoint([3.0, 0.0], [0.0])),
                                   cd.Dilate(0.6)])
-        P = [cd.groups.sample_box(g, n, rng) for _ in range(4)]
+        P = [sample_box(g, n, rng) for _ in range(4)]
         def ratio(pts):
             d = lambda a, b: cd.groups.dist_many(g, pts[a][0], pts[a][1],
                                                  pts[b][0], pts[b][1])
@@ -302,7 +302,7 @@ def test_criterion_9_lattice_geometry():
 
         rng = np.random.default_rng(17)
         A2 = cd.lattice_A2(g)
-        Z, T = cd.groups.sample_box(g, 10_000, rng, scale=5.0)
+        Z, T = sample_box(g, 10_000, rng, scale=5.0)
         for k in range(Z.shape[0]):
             p = cd.gpoint(Z[k], T[k])
             q = cd.lattice_round(g, p).to_gpoint()

@@ -140,6 +140,12 @@ def test_compare_dim_command():
     assert rec["Q"] == 4.0 and rec["N"] == 3.0
 
 
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, carnotdim.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
+    assert proc.stdout.strip() == b"False"
+
+
 def test_commands_leave_numpy_ma_out(moran4_path, fib2_path):
     """No command pays for importing numpy.ma (np.unique loads it)."""
     runs = [["compare-dim", "--h", "2.0"], ["dim", "--spec", fib2_path],
@@ -240,13 +246,15 @@ def test_sizes_and_seeds_keep_the_exit_codes(argv, error, moran4_path, tmp_path)
     (["subsystem", "--target", "0.6", "--tol", "0"], "ValidationError"),
     (["subsystem", "--target", "0.6", "--c", "5", "--exponent", "1e-5"], "ValidationError"),
     (["measure-dim", "--spec", "{spec}", "--bernoulli", "a,b"], "ValidationError"),
+    (["measure-dim", "--spec", "{spec}", "--bernoulli", "0.25,0.25,0.25,0.25", "--depth", "8"],
+     "ValidationError"),
     (["dim", "--bogus"], "ValidationError"),
     (["measure", "--spec", "{spec}"], "ValidationError"),
     (["frobnicate"], "ValidationError"),
     ([], "ValidationError"),
 ], ids=["limitset-count-overflow", "measure-count-overflow", "subsystem-tol-negative",
         "subsystem-tol-zero", "subsystem-no-weight-below-1", "bernoulli-not-numbers",
-        "unknown-flag", "measure-without-t", "unknown-command", "no-command"])
+        "measure-dim-depth", "unknown-flag", "measure-without-t", "unknown-command", "no-command"])
 def test_argv_and_overflows_keep_the_exit_codes(argv, error, moran4_path):
     """Each of these once exited 1 with a traceback, exited 2 with no JSON
     error, never returned, or exited 0 with a meaningless tolerance."""
@@ -330,6 +338,20 @@ def test_malformed_spec_exits_2(text, fragment, tmp_path):
     assert rc == 2 and out == b""
     rec = json.loads(err.decode().splitlines()[-1])
     assert rec["error"] == "ValidationError" and fragment in rec["message"]
+
+
+def test_coordinates_near_the_float_range_leave_stderr_clean(tmp_path):
+    """A vertex and a translation at 1e200: the distances overflow to a
+    non-finite value, which fails the closed-form certificate, and no numpy
+    RuntimeWarning precedes the JSON error line."""
+    far = [1e200, 1e200, 0.0]
+    a, b = GDMS2["edges"]
+    spec = {**GDMS2, "vertices": [dict(GDMS2["vertices"][0], center=far)],
+            "edges": [dict(a, chain=[{"translate": far}, {"dilate": 0.5}]), b]}
+    rc, out, err = run_cli(["dim", "--spec", write_spec(tmp_path, "far.json", spec)])
+    assert rc == 2 and out == b""
+    lines = err.decode().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ValidationError", lines
 
 
 def test_spec_directory_exits_2(tmp_path):

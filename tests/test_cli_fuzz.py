@@ -3,7 +3,9 @@ argv, and mutated spec files.
 
 Whatever the arguments, `cli.main` returns 0, 2, 3 or 4, no exception
 escapes it, no traceback or NaN is printed, and a nonzero return leaves a
-JSON error as the last line of stderr.  Sizes are capped (small depths, CF radii, budgets, and Cantor
+JSON error as the last line of stderr.  With a well-formed argv (the spec
+fuzz) stderr holds nothing else: no warning, only the JSON line or, on
+success, the `wallclock_s=` line.  Sizes are capped (small depths, CF radii, budgets, and Cantor
 systems of one shell) so that every example finishes quickly; sizes past a
 budget are part of the fuzz.
 """
@@ -13,6 +15,7 @@ import copy
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -104,8 +107,7 @@ def argvs(draw, spec_dir):
         probs = st.lists(floats, max_size=5).map(lambda p: ",".join(map(repr, p)))
         markov = st.sampled_from(sorted(MARKOV) + ["missing"]).map(
             lambda k: str(spec_dir / f"markov-{k}.json"))
-        opts = [flag("bernoulli", st.one_of(probs, texts)), flag("markov", markov),
-                flag("depth", st.integers(-3, 12))]
+        opts = [flag("bernoulli", st.one_of(probs, texts)), flag("markov", markov)]
     else:
         opts = [flag("c", floats), flag("exponent", floats), flag("target", floats),
                 flag("tol", floats), flag("budget", budgets)]
@@ -126,16 +128,26 @@ def malformed(draw):
     return [command] + draw(st.lists(st.sampled_from(TOKENS), max_size=6))
 
 
-def assert_contract(argv):
+def assert_contract(argv, clean_stderr=False):
+    """The exit-code contract; with clean_stderr, also that stderr holds one
+    line (the JSON error, or wallclock_s= on success) and that no warning,
+    which a run outside pytest would print there, was issued.  Without it,
+    warnings reach pytest's summary as before."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=clean_stderr) as caught:
+        warnings.simplefilter("always")
         rc = cli.main(argv)
     assert rc in (0, 2, 3, 4), (argv, rc)
     assert "Traceback" not in err.getvalue()
     assert "nan" not in out.getvalue().lower(), (argv, out.getvalue())
+    lines = err.getvalue().splitlines()
     if rc:
-        record = json.loads(err.getvalue().splitlines()[-1])
+        record = json.loads(lines[-1])
         assert set(record) == {"error", "message"} and out.getvalue() == ""
+    if clean_stderr:
+        assert not caught, (argv, [str(w.message) for w in caught])
+        assert len(lines) == 1 and (rc or lines[0].startswith("wallclock_s=")), (argv, lines)
 
 
 FUZZ = settings(deadline=None,
@@ -236,4 +248,4 @@ SPEC_COMMANDS = [["dim"], ["dim", "--tol", "1e-3"], ["pressure", "--t", "1.5"],
 def test_mutated_specs_keep_the_exit_code_contract(spec, command, tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    assert_contract([command[0], "--spec", str(path)] + command[1:])
+    assert_contract([command[0], "--spec", str(path)] + command[1:], clean_stderr=True)

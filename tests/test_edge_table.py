@@ -11,7 +11,7 @@ import carnotdim as cd
 from carnotdim import groups as G
 from carnotdim.errors import ValidationError
 from carnotdim.gdms import _edge_ids
-from conftest import separated_fib2_system
+from conftest import sample_box, sample_vertex, separated_fib2_system
 
 G1 = cd.heisenberg(1)
 SETTINGS = settings(max_examples=25, deadline=None,
@@ -25,7 +25,7 @@ def check_rows(sys_, rows, seed=0):
     """Row normal form and batched apply against the materialised chains."""
     table = sys_.table
     rng = np.random.default_rng(seed)
-    Z, T = sys_.vertices[0].sample(G1, 16, rng)
+    Z, T = sample_vertex(G1, sys_.vertices[0], 16, rng)
     FZ, FT = table.apply(rows, Z, T)
     for j, k in enumerate(rows):
         chain = sys_.edges[k].chain
@@ -212,7 +212,7 @@ def test_gdms_spec_per_edge_vertices_and_templates():
     # rows out of order, with a repeat, mixing both templates
     rows = [5, 0, 8, 3, 3, 1, 6]
     rng = np.random.default_rng(4)
-    Z, T = G.sample_box(G1, 12, rng, scale=2.0)
+    Z, T = sample_box(G1, 12, rng, scale=2.0)
     FZ, FT = table.apply(rows, Z, T)
     for j, k in enumerate(rows):
         chain = edges[k].chain

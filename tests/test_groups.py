@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import carnotdim as cd
 from carnotdim import groups as G
 from carnotdim.errors import BudgetError, ValidationError
+from conftest import sample_box, sample_vertex
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +88,8 @@ def test_left_invariance(h1, hq):
 
 def test_vectorized_matches_scalar(h1):
     rng = np.random.default_rng(3)
-    Z1, T1 = G.sample_box(h1, 50, rng)
-    Z2, T2 = G.sample_box(h1, 50, rng)
+    Z1, T1 = sample_box(h1, 50, rng)
+    Z2, T2 = sample_box(h1, 50, rng)
     Zm, Tm = G.mul_many(h1, Z1, T1, Z2, T2)
     D = G.dist_many(h1, Z1, T1, Z2, T2)
     for k in range(0, 50, 7):
@@ -280,7 +281,7 @@ def test_isqrt_exact_near_squares():
 def test_sampling_shapes_and_support(h1):
     rng = np.random.default_rng(5)
     c = cd.gpoint([1.0, 0.0], [0.0])
-    Z, T = G.sample_ball(h1, c, 0.5, 200, rng)
+    Z, T = sample_vertex(h1, cd.VertexSet("X", c, 0.5), 200, rng)
     D = G.dist_many(h1, Z, T, np.tile(c.z, (200, 1)), np.tile(c.t, (200, 1)))
     assert (D <= 0.5 + 1e-9).all()
 

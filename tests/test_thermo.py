@@ -3,19 +3,20 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import mpmath
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import carnotdim as cd
 from carnotdim import thermo
 from carnotdim.errors import BudgetError, ValidationError
 
-from conftest import fib2_system, moran_system, separated_fib2_system
+from conftest import fib2_system, moran_system, sample_vertex, separated_fib2_system
 
 
 def test_weight_table_mid_and_sides():
@@ -66,7 +67,7 @@ def test_word_derivative_within_weight_products(kind, letters, seed):
     assert weights.distortion == 1.0
     word = tuple(k % sys_.n_edges for k in letters)
     v = sys_.vertices[sys_.dst_idx[word[-1]]]
-    Z, T = v.sample(sys_.group, 32, np.random.default_rng(seed))
+    Z, T = sample_vertex(sys_.group, v, 32, np.random.default_rng(seed))
     deriv = sys_.word_map(word).deriv_norm_many(Z, T)
     lo = math.prod(weights.w_lo[a] for a in word)
     up = math.prod(weights.w_up[a] for a in word)
@@ -151,6 +152,39 @@ def test_similarity_dimension_matches_bowen():
                       atol=1e-8)
 
 
+moran_weights = st.lists(st.floats(1e-3, 0.99), min_size=2, max_size=20)
+
+
+def mp_moran_root(w):
+    """The root of sum w^t = 1 at 50 digits."""
+    with mpmath.workdps(50):
+        ws = [mpmath.mpf(x) for x in w]
+        f = lambda t: mpmath.fsum(x ** t for x in ws) - 1
+        hi = mpmath.mpf(1)
+        while f(hi) > 0:
+            hi *= 2
+        return mpmath.findroot(f, (mpmath.mpf(0), hi), solver="anderson")
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=moran_weights, tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-2]))
+@example(w=[1 - 1e-9, 0.5], tol=1e-12)  # the log1p form keeps f exact near its root
+@example(w=[0.99] * 20, tol=1e-12)      # root near 298
+def test_similarity_dimension_agrees_with_mpmath(w, tol):
+    h = thermo.similarity_dimension(w, tol=tol)
+    assert abs(h - mp_moran_root(w)) <= tol
+
+
+def test_similarity_dimension_of_one_map_or_none_is_zero():
+    assert thermo.similarity_dimension([0.5]) == 0.0
+    assert thermo.similarity_dimension([]) == 0.0
+    for bad in ([0.5, 1.0], [0.5, 0.0], [0.5, math.nan]):
+        with pytest.raises(ValidationError):
+            thermo.similarity_dimension(bad)
+    with pytest.raises(ValidationError):
+        thermo.similarity_dimension([0.5, 0.5], tol=0.0)
+
+
 def test_shell_family_geometric_theta():
     # one map of scale 2^-k in shell k: Z_1(t) = sum 2^-kt, threshold t = 0
     fam = thermo.ShellFamily(
@@ -179,6 +213,26 @@ def test_shell_family_power_theta():
     est = cd.theta_estimate(fam)
     assert est.lo <= 2.0 <= est.hi
     assert abs(est.estimate - 2.0) < 1e-6
+
+
+@pytest.mark.parametrize("log_weights, counts", [
+    ([np.array([-1.0]), np.array([])], None),
+    ([np.array([-1.0]), np.array([])], [np.array([1.0]), np.array([])]),
+    ([np.array([-1.0])], [np.array([0.0])]),
+    ([np.array([-1.0])], [np.array([1.0, 2.0])]),
+    ([np.array([-1.0])], [np.array([1.0])] * 2),
+    ([np.array([math.nan])], None),
+], ids=["empty", "empty-counted", "zero-count", "count-shape", "shell-count", "nan"])
+def test_shell_family_rejects_empty_or_malformed_shells(log_weights, counts):
+    with pytest.raises(ValidationError):
+        thermo.ShellFamily(log_weights=log_weights, counts=counts)
+
+
+def test_shell_family_holds_counts():
+    fam = thermo.ShellFamily(log_weights=[np.array([-1.0, -2.0])])
+    assert np.array_equal(fam.counts[0], [1.0, 1.0])
+    assert fam.log_shell_sum(0, 2.0) == thermo._log_row_sum(np.array([-1.0, -2.0]),
+                                                            np.ones(2), 2.0)
 
 
 def test_theta_needs_enough_shells():
@@ -246,6 +300,16 @@ def test_measure_dimension_rejects_bad_support():
     assert cd.measure_dimension(hat, thermo.InvariantMeasureSpec.bernoulli([1, 0, 0])) == 0.0
     with pytest.raises(ValidationError, match="inadmissible"):
         cd.measure_dimension(hat, thermo.InvariantMeasureSpec.bernoulli([0.5, 0.5, 0]))
+
+
+def test_measure_dimension_rejects_a_weight_that_underflows():
+    """w_mid = sqrt(w_lo w_up) underflows to 0 at scale 1e-320: its log would
+    make the Lyapunov exponent infinite, and no warning is issued."""
+    sys_ = moran_system([1e-320, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="Lyapunov exponent"):
+            cd.measure_dimension(sys_, thermo.InvariantMeasureSpec.bernoulli([0.5, 0.5]))
 
 
 def test_dirac_measure_has_dimension_zero():
@@ -423,10 +487,10 @@ def mp_log_sum_pow(weights, t, counts=None):
                                       for w, c in zip(weights, counts)))
 
 
-def assert_near_mp(value, exact, t, log_w):
-    """|value - exact| <= 1e-15 (1 + t max |log w|): the rounding of t log w."""
+def assert_near_mp(value, exact, t, log_w, eps=1e-15):
+    """|value - exact| <= eps (1 + t max |log w|): the rounding of t log w."""
     err = abs(mpmath.mpf(value) - exact)
-    assert err <= 1e-15 * (1 + t * float(np.abs(log_w).max())), (value, float(exact), float(err))
+    assert err <= eps * (1 + t * float(np.abs(log_w).max())), (value, float(exact), float(err))
 
 
 @pytest.mark.parametrize("kind, size", sorted(SINGLE_VERTEX_PINS))
@@ -447,7 +511,7 @@ def test_pinned_endpoint_pressures_agree_with_mpmath(kind, size):
 def test_cf_theta_is_pinned_bit_for_bit():
     est = cd.theta_estimate(cd.cf_shell_family(cd.heisenberg(1), 0.5, 60, n_shells=8))
     assert repr((est.lo, est.hi, est.estimate)) == (
-        "(1.9798602337983926, 2.007336301090619, 1.9977123625862372)")
+        "(1.9798602338502438, 2.007336301080019, 1.9977123625867534)")
 
 
 def test_weight_table_keeps_its_logs_and_exactness():
@@ -506,6 +570,34 @@ def test_row_kernel_agrees_with_mpmath(w, t):
     for log_w, per_edge in [(log_lo, wt.w_lo), (log_up, wt.w_up)]:
         assert_near_mp(thermo._log_row_sum(log_w, count, t), mp_log_sum_pow(per_edge, t),
                        t, log_w)
+
+
+@st.composite
+def long_rows(draw):
+    """(log w, count): 500-3,000 rows, where numpy's pairwise summation
+    splits the sum into blocks (past 128), so the order of the terms
+    matters: log weights spread over `scale` with tied maxima, and counts
+    all 1 or spread over [1, 1e6]."""
+    n = draw(st.integers(500, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    log_w = rng.uniform(-1.0, 1.0, n) * draw(st.sampled_from([1.0, 10.0, 300.0, 1e4]))
+    log_w[rng.choice(n, draw(st.integers(1, 5)), replace=False)] = log_w.max()
+    count = np.ones(n) if draw(st.booleans()) else rng.uniform(1.0, 1e6, n)
+    return log_w, count
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=long_rows(), t=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 4.0))
+def test_row_kernel_agrees_with_mpmath_on_long_rows(rows, t):
+    """The same kernel on long, wide-spread rows, against the 50-digit sum;
+    the tolerance is ten times wider for the pairwise sum of up to 3,000
+    terms."""
+    log_w, count = rows
+    with mpmath.workdps(50):
+        exact = mpmath.log(mpmath.fsum(
+            mpmath.mpf(float(c)) * mpmath.exp(mpmath.mpf(t) * mpmath.mpf(float(lw)))
+            for lw, c in zip(log_w, count)))
+    assert_near_mp(thermo._log_row_sum(log_w, count, t), exact, t, log_w, eps=1e-14)
 
 
 def replay_bisection(calls, hi, tol):
