@@ -493,9 +493,10 @@ class GdmsSpec:
         if not ok.all():
             k = int(np.flatnonzero(~ok)[0])
             v = self.vertices[s[k]]
+            dist = f"{d[k]:g}" if np.isfinite(d[k]) else "a distance that is not finite"
             raise ValidationError(
                 f"edge {str(self.table.ids[k])!r}: image ball (radius {rho[k]:g}, "
-                f"{d[k]:g} from the center of X_{v.id!r}) escapes X_{v.id!r} "
+                f"{dist} from the center of X_{v.id!r}) escapes X_{v.id!r} "
                 f"(radii {v.inner_radius:g} to {v.radius:g})")
 
     # -- basic structure ---------------------------------------------------

@@ -390,10 +390,10 @@ def lattice_round(g: GroupSpec, p: GPoint) -> LatticePoint:
     return LatticePoint(gz.astype(np.int64), gt.astype(np.int64))
 
 
-def _z_candidates(m1: int, zmax: int) -> np.ndarray:
-    """All integer z vectors with |z_j| <= zmax, in lexicographic order."""
-    rng = np.arange(-zmax, zmax + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * m1), indexing="ij")
+def _int_box(m: int, b: int) -> np.ndarray:
+    """All integer vectors x in Z^m with |x_j| <= b, in lexicographic order."""
+    rng = np.arange(-b, b + 1, dtype=np.int64)
+    grids = np.meshgrid(*([rng] * m), indexing="ij")
     return np.stack([grid.ravel() for grid in grids], axis=-1)
 
 
@@ -417,12 +417,25 @@ def _mapped_zeros(n: int, m: int) -> np.ndarray:
 
 
 def _isqrt(n) -> np.ndarray:
-    """floor(sqrt(n)) elementwise for an integer array 0 <= n < 2**53."""
+    """floor(sqrt(n)) elementwise for an integer array 0 <= n < 2**53.
+
+    n converts to float64 exactly and sqrt rounds correctly, hence
+    monotonically, so the float root of n is never below k = floor(sqrt(n)),
+    a double no larger than sqrt(n), and at most k + 1; the correction
+    s -= s*s > n removes the k + 1.  It is needed only from n = 2**50 on.
+    For n < 2**50, k + 1 <= 2**25, and since n <= (k + 1)**2 - 1,
+
+        (k + 1) - sqrt(n) >= 1 / (k + 1 + sqrt((k + 1)**2 - 1))
+                           > 1 / (2 (k + 1)) >= 2**-26,
+
+    while sqrt(n) < 2**25, where doubles are at most 2**-28 apart, so
+    rounding moves it by at most 2**-29 and the float root stays below
+    k + 1.  The pass is skipped when the largest n is below 2**50.
+    """
     n = np.asarray(n, dtype=np.int64)
     s = np.sqrt(n.astype(np.float64)).astype(np.int64)
-    # n converts exactly and sqrt rounds correctly (hence monotonically), so
-    # the float root is never below the integer root and at most one above
-    s -= s * s > n
+    if n.max(initial=0) >= 1 << 50:
+        s -= s * s > n
     return s
 
 
@@ -456,63 +469,94 @@ def check_lattice_scan(g: GroupSpec, r_hi: float, budget: int):
     return zmax, tmax
 
 
+# Points per block of whole z rows in _lattice_points.  A block's temporaries,
+# a few int64 arrays of this length (256 KB of z rows on Heis^1), stay in the
+# L2 cache and small enough for malloc to reuse from block to block; larger
+# ones are handed back to the system and faulted in again, block after block.
+LATTICE_BLOCK = 1 << 14
+
+
 def _lattice_points(g: GroupSpec, r_lo: float, r_hi: float, budget: int):
     """Integer arrays (Z, T) of the lattice points with r_lo <= norm < r_hi.
 
     Points come in lexicographic order over (z, t) from the bounding box
-    |z_j| <= r_hi, |t_j| <= r_hi^2.  When m2 == 1 each z row holds the t with
-    L <= |z|^4 + t^2 < H, two integer ranges read off integer square roots;
-    otherwise the t-box is enumerated and filtered row by row.
+    |z_j| <= r_hi, |t_j| <= r_hi^2.  The row of z holds, in ascending order,
+    the t with L <= |z|^4 + |t|^2 < H (L, H from _key_range), and is made of
+    runs: output position i of a run that starts at position p holds the
+    value (m2 == 1) or the index (m2 > 1) i + off, off = (first entry) - p.
+
+    - m2 == 1: a row is one run of integers, [-tcap, tcap], or two,
+      [-tcap, -tlow] and [tlow, tcap], when it has a gap; tcap and tlow are
+      integer square roots.
+    - m2 > 1: the t-box is sorted once by |t|^2, so a row's t-set is the
+      stretch between one searchsorted pair in that order.  Rows with the
+      same |z|^2 share it, so each distinct set is sorted back into
+      lexicographic order once, into `lex`, and a row is one run of `lex`.
+
+    The rows are filled in blocks of whole rows of about LATTICE_BLOCK
+    points (or one row, if it is longer): Z from one repeat of the block's
+    z rows, T from one repeat of the run offsets plus a ramp 0, 1, 2, ...
+    shared by all blocks.  Every output element is written once.
+    The temporaries are O(block), besides `lex`, which holds the t-set of
+    one row per distinct |z|^2 and so is never longer than the output.
     """
     if r_lo < 0 or r_hi <= r_lo:
         raise ValidationError("need 0 <= r_lo < r_hi")
     zmax, tmax = check_lattice_scan(g, r_hi, budget)
     L, H = _key_range(r_lo, r_hi)
-    Zs = _z_candidates(g.m1, zmax)
+    Zs = _int_box(g.m1, zmax)
     z2 = np.einsum("ki,ki->k", Zs, Zs)
     z4 = z2 * z2
     keep = z4 < H
-    Zs = Zs[keep]; z4 = z4[keep]
+    Zs = Zs[keep]; z2 = z2[keep]; z4 = z4[keep]
 
     if g.m2 == 1:
-        # row k holds -tcap..-tlow and tlow..tcap (one range -tcap..tcap if tlow == 0)
         tcap = _isqrt(H - 1 - z4)
         low = L - z4
         tlow = np.where(low > 0, _isqrt(np.maximum(low - 1, 0)) + 1, 0)
         half = np.maximum(tcap - tlow + 1, 0)
         counts = 2 * half - ((tlow == 0) & (half > 0))
-        rows = counts > 0
-        Zs, tcap, tlow, half, counts = Zs[rows], tcap[rows], tlow[rows], half[rows], counts[rows]
         start = np.cumsum(counts) - counts
-        n = int(counts.sum())
-        # Z and t are running sums, built in place so that they are the only
-        # large arrays: Z steps from row to row, t steps by one except where
-        # a row starts (from the last row's tcap to -tcap) and past a row's
-        # gap (from -tlow to tlow)
-        Z = _mapped_zeros(n, g.m1)
-        Z[start] = np.diff(Zs, axis=0, prepend=0)
-        np.cumsum(Z, axis=0, out=Z)
-        T = _mapped_zeros(n, 1)
-        t = T[:, 0]
-        t += 1
-        t[start] = -tcap - np.concatenate([[0], tcap[:-1]])
         gapped = tlow > 0
-        t[start[gapped] + half[gapped]] = 2 * tlow[gapped]
-        np.cumsum(t, out=t)
-        return Z, T
+        nseg = 1 + gapped
+        seg = np.concatenate([[0], np.cumsum(nseg)])  # row k's runs: seg[k]:seg[k + 1]
+        run_len = np.repeat(np.where(gapped, half, counts), nseg)
+        run_off = np.repeat(-tcap - start, nseg)
+        run_off[seg[1:][gapped] - 1] = (tlow - start - half)[gapped]
+    else:
+        Ts = _int_box(g.m2, tmax)
+        t2 = np.einsum("ki,ki->k", Ts, Ts)
+        order = np.argsort(t2)
+        t2 = t2[order]
+        u = np.flatnonzero(np.bincount(z2))  # the distinct |z|^2, ascending
+        inv = np.searchsorted(u, z2)
+        first = np.searchsorted(t2, L - u * u)
+        size = np.searchsorted(t2, H - u * u) - first
+        lex = np.concatenate([np.sort(order[f:f + c]) for f, c in zip(first, size)])
+        counts = size[inv]
+        start = np.cumsum(counts) - counts
+        seg = np.arange(counts.size + 1)
+        run_len, run_off = counts, (np.cumsum(size) - size)[inv] - start
 
-    trng = np.arange(-tmax, tmax + 1, dtype=np.int64)
-    tgrids = np.meshgrid(*([trng] * g.m2), indexing="ij")
-    Ts = np.stack([grid.ravel() for grid in tgrids], axis=-1)
-    t2 = np.einsum("ki,ki->k", Ts, Ts)
-    Zb, Tb = [np.zeros((0, g.m1), dtype=np.int64)], [np.zeros((0, g.m2), dtype=np.int64)]
-    for k in range(Zs.shape[0]):
-        tv = Ts[(t2 >= L - z4[k]) & (t2 < H - z4[k])]
-        Zb.append(np.repeat(Zs[k][None, :], tv.shape[0], axis=0))
-        Tb.append(tv)
-    n = sum(b.shape[0] for b in Zb)
-    return (np.concatenate(Zb, axis=0, out=_mapped_zeros(n, g.m1)),
-            np.concatenate(Tb, axis=0, out=_mapped_zeros(n, g.m2)))
+    ends = start + counts  # the origin's row is always kept, so ends is not empty
+    n = int(ends[-1])
+    Z, T = _mapped_zeros(n, g.m1), _mapped_zeros(n, g.m2)
+    ramp = np.arange(min(n, max(LATTICE_BLOCK, int(counts.max()))))  # i - a over a block a:b
+    r0 = 0
+    while r0 < counts.size:
+        a = int(start[r0])
+        r1 = max(int(np.searchsorted(ends, a + LATTICE_BLOCK, "right")), r0 + 1)
+        b = int(ends[r1 - 1])
+        Z[a:b] = np.repeat(Zs[r0:r1], counts[r0:r1], axis=0)
+        s0, s1 = seg[r0], seg[r1]
+        off = np.repeat(run_off[s0:s1] + a, run_len[s0:s1])
+        if g.m2 == 1:
+            np.add(ramp[:b - a], off, out=T[a:b, 0])
+        else:
+            off += ramp[:b - a]
+            np.take(Ts, lex[off], axis=0, out=T[a:b])
+        r0 = r1
+    return Z, T
 
 
 def lattice_shell_array(g: GroupSpec, r_lo: float, r_hi: float,
@@ -585,7 +629,9 @@ def _count_keys_below(g: GroupSpec, cuts: np.ndarray) -> np.ndarray:
     if g.m2 > 1:
         # C_t(n) = prefix[n + 1], with prefix[0] = 0 standing for n = -1
         prefix = np.concatenate([[0], np.cumsum(_square_counts(top, g.m2))])
-    step = max(1, (1 << 16) // cuts.size)  # keep the row blocks in cache
+    # row blocks of 2^14 keys: their temporaries stay in cache, and malloc
+    # reuses them rather than returning them to the system after each block
+    step = max(1, (1 << 14) // cuts.size)
     for a in range(0, u.size, step):
         n = cuts[None, :] - 1 - u2[a:a + step, None]
         if g.m2 == 1:

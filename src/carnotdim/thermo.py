@@ -510,6 +510,8 @@ class CylinderMeasure:
 
 def transfer_eigenmeasure(sys: GdmsSpec, t: float, depth: int,
                           budget: int = DEFAULT_WORD_BUDGET) -> CylinderMeasure:
+    if t < 0:
+        raise ValidationError("t must be >= 0")
     if depth < 1:
         raise ValidationError("depth must be >= 1")
     kind, _ = sys.finite_irreducibility()
@@ -552,7 +554,8 @@ def gibbs_check(measure: CylinderMeasure, sys: GdmsSpec, t: float,
         prod[k] = prod[k - 1][parent] * w_t[last]
         # column 0: masses of the consistent family; column 1: their predictions
         m = prod[k] * v[last, None] / Zc
-        r = m[:, 0] / m[:, 1]
+        with np.errstate(invalid="ignore"):
+            r = m[:, 0] / m[:, 1]
         # fmin/fmax skip NaN ratios (0/0 after underflow), as builtin min/max do
         lo, hi = min(lo, np.fmin.reduce(r)), max(hi, np.fmax.reduce(r))
     return lo, hi

@@ -343,7 +343,8 @@ def test_malformed_spec_exits_2(text, fragment, tmp_path):
 def test_coordinates_near_the_float_range_leave_stderr_clean(tmp_path):
     """A vertex and a translation at 1e200: the distances overflow to a
     non-finite value, which fails the closed-form certificate, and no numpy
-    RuntimeWarning precedes the JSON error line."""
+    RuntimeWarning precedes the JSON error line.  The message calls the
+    distance not finite rather than printing a NaN."""
     far = [1e200, 1e200, 0.0]
     a, b = GDMS2["edges"]
     spec = {**GDMS2, "vertices": [dict(GDMS2["vertices"][0], center=far)],
@@ -352,6 +353,8 @@ def test_coordinates_near_the_float_range_leave_stderr_clean(tmp_path):
     assert rc == 2 and out == b""
     lines = err.decode().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "ValidationError", lines
+    message = json.loads(lines[0])["message"]
+    assert "not finite" in message and "nan" not in message.lower(), message
 
 
 def test_spec_directory_exits_2(tmp_path):

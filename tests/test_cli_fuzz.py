@@ -3,11 +3,12 @@ argv, and mutated spec files.
 
 Whatever the arguments, `cli.main` returns 0, 2, 3 or 4, no exception
 escapes it, no traceback or NaN is printed, and a nonzero return leaves a
-JSON error as the last line of stderr.  With a well-formed argv (the spec
-fuzz) stderr holds nothing else: no warning, only the JSON line or, on
-success, the `wallclock_s=` line.  Sizes are capped (small depths, CF radii, budgets, and Cantor
-systems of one shell) so that every example finishes quickly; sizes past a
-budget are part of the fuzz.
+JSON error as the last line of stderr.  In the flag and spec fuzz stderr
+holds nothing else: no warning, only the JSON line (after the usage text,
+on a usage error) or, on success, the `wallclock_s=` line.  Sizes are
+capped (small depths, CF radii, budgets, and Cantor systems of one shell)
+so that every example finishes quickly; sizes past a budget are part of
+the fuzz.
 """
 
 import contextlib
@@ -130,9 +131,10 @@ def malformed(draw):
 
 def assert_contract(argv, clean_stderr=False):
     """The exit-code contract; with clean_stderr, also that stderr holds one
-    line (the JSON error, or wallclock_s= on success) and that no warning,
-    which a run outside pytest would print there, was issued.  Without it,
-    warnings reach pytest's summary as before."""
+    line (the JSON error, or wallclock_s= on success), after the parser's
+    usage text on a usage error, and that no warning, which a run outside
+    pytest would print there, was issued.  Without it, warnings reach
+    pytest's summary as before."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=clean_stderr) as caught:
@@ -147,7 +149,10 @@ def assert_contract(argv, clean_stderr=False):
         assert set(record) == {"error", "message"} and out.getvalue() == ""
     if clean_stderr:
         assert not caught, (argv, [str(w.message) for w in caught])
-        assert len(lines) == 1 and (rc or lines[0].startswith("wallclock_s=")), (argv, lines)
+        usage = (rc == 2 and lines[0].startswith("usage: carnotdim")
+                 and record["message"].startswith("carnotdim"))
+        assert (len(lines) == 1 or usage) and (rc or lines[0].startswith("wallclock_s=")), \
+            (argv, lines)
 
 
 FUZZ = settings(deadline=None,
@@ -157,7 +162,15 @@ FUZZ = settings(deadline=None,
 @settings(FUZZ, max_examples=300)
 @given(data=st.data())
 def test_cli_flags_keep_the_exit_code_contract(data, spec_dir):
-    assert_contract(data.draw(argvs(spec_dir)))
+    assert_contract(data.draw(argvs(spec_dir)), clean_stderr=True)
+
+
+@pytest.mark.parametrize("t", ["613", "-647"])
+def test_measure_at_extreme_t_leaves_stderr_clean(t, spec_dir):
+    """Masses that underflow to 0 at t = 613 (their 0/0 Gibbs ratios are
+    skipped) and a negative t (refused) print no warning."""
+    assert_contract(["measure", "--spec", str(spec_dir / "fib2.json"), f"--t={t}"],
+                    clean_stderr=True)
 
 
 @settings(FUZZ, max_examples=150)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -268,14 +271,58 @@ def test_lattice_shell_array_matches_brute_force(g, r_max, data):
     assert np.array_equal(Z, want_Z) and np.array_equal(T, want_T)
 
 
+@pytest.mark.parametrize("block", [1, 2, 7])
+@pytest.mark.parametrize("g,r_lo,r_hi", [
+    (cd.heisenberg(1), 2.3, 4.1), (cd.heisenberg(1), 0.0, 3.7),
+    (cd.heisenberg(2), 1.9, 3.2), (cd.quaternionic_heisenberg(1), 1.3, 2.6),
+], ids=["heis1-gapped", "heis1-ball", "heis2-gapped", "quat1-gapped"])
+def test_lattice_blocks_of_any_size_match_brute_force(monkeypatch, block, g, r_lo, r_hi):
+    """Blocks of 1, 2 and 7 points end at every row boundary, and rows
+    longer than a block fill a block each."""
+    monkeypatch.setattr(G, "LATTICE_BLOCK", block)
+    Z, T = cd.lattice_shell_array(g, r_lo, r_hi)
+    want_Z, want_T = brute_shell(g, r_lo, r_hi)
+    assert np.array_equal(Z, want_Z) and np.array_equal(T, want_T)
+    if r_lo > 0:  # some z row skips the t of small |t| (the origin's row does)
+        same_row = (np.diff(Z, axis=0) == 0).all(axis=1)
+        assert (np.abs(np.diff(T, axis=0)).max(axis=1)[same_row] > 1).any()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM (Linux)")
+def test_lattice_shell_memory_is_the_output():
+    """The R = 30 shell on Heis^1 (4.0M points, 91 MiB of int64 output) raises
+    the peak RSS by its output and O(block) temporaries, at most 8 MiB.
+
+    A child process reads its own high-water mark, VmHWM: its ru_maxrss
+    would start at the peak of the pytest process it was spawned from."""
+    code = ("import carnotdim as cd\n"
+            "def status(key):\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(line.split()[1]) * 1024 for line in f\n"
+            "                    if line.startswith(key + ':'))\n"
+            "g = cd.heisenberg(1)\n"
+            "cd.lattice_shell_array(g, 0.0, 2.0)\n"
+            "before = status('VmRSS')\n"
+            "Z, T = cd.lattice_shell_array(g, 0.0, 30.0)\n"
+            "print(status('VmHWM') - before, Z.nbytes + T.nbytes)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
+    grown, output = map(int, proc.stdout.split())
+    assert output == 3_993_695 * 3 * 8
+    assert grown <= output + 8 * 2 ** 20, (grown, output)
+
+
 def test_isqrt_exact_near_squares():
-    # float roots round up to an integer near k = 2^26 and k = sqrt(2^53)
-    k = np.concatenate([np.arange(0, 3000), np.arange(2 ** 26 - 3000, 2 ** 26 + 3000),
+    # float roots round up to an integer near k = 2^26 and k = sqrt(2^53);
+    # below n = 2^50 (k < 2^25) they cannot, and the correction is skipped
+    k = np.concatenate([np.arange(0, 3000), np.arange(2 ** 25 - 3000, 2 ** 25 + 3000),
+                        np.arange(2 ** 26 - 3000, 2 ** 26 + 3000),
                         np.arange(94_903_000, 94_906_266)])
     n = np.concatenate([k * k - 1, k * k, k * k + 1])
     n = n[(n >= 0) & (n < 2 ** 53)]
     want = np.array([math.isqrt(int(v)) for v in n])
     assert np.array_equal(G._isqrt(n), want)
+    for part in (n < 2 ** 50, n >= 2 ** 50, (n >= 2 ** 49) & (n < 2 ** 51)):
+        assert np.array_equal(G._isqrt(n[part]), want[part])
 
 
 def test_sampling_shapes_and_support(h1):

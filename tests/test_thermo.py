@@ -267,6 +267,19 @@ def test_gibbs_exact_for_similarities():
     assert hi / lo <= 1.0 + 1e-9
 
 
+def test_eigenmeasure_rejects_negative_t_and_gibbs_skips_underflow_silently():
+    """A negative t is refused as in pressure_bracket; at t = 613 the depth-6
+    masses of fib2 underflow to 0, and their 0/0 ratios are skipped without
+    a RuntimeWarning."""
+    sys_ = fib2_system()
+    with pytest.raises(ValidationError):
+        cd.transfer_eigenmeasure(sys_, -1.0, depth=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = cd.transfer_eigenmeasure(sys_, 613.0, depth=6)
+        assert cd.gibbs_check(m, sys_, 613.0) == (1.0, 1.0)
+
+
 def test_measure_dimension_bernoulli():
     sys_ = moran_system([0.5, 0.5])
     # uniform: h = log 2, chi = log 2 -> dimension 1
