@@ -4,13 +4,15 @@ eigenmeasures, Gibbs checks, and invariant-measure dimension.
 All weight-based quantities work on two-sided per-edge bounds
 w_lo(e) <= ||D phi_e|| <= w_up(e) (closed forms that hold at every point of
 the domain, so K = 1, unless a given table declares a distortion constant
-K > 1), and report brackets, never bare point estimates.  The pressure is
-log rho(A * diag(w^t)) from the successor index's rows (vertices if maximal,
-else edges): a sum over the table's distinct weights when it has one row,
-else the Perron eigenvalue of the row-by-row transfer matrix, one bincount
-over the index's cells.  Theta's shell sums go through the same log-sum
-kernel, and every root is bracketed: Bowen parameters and theta fits by
-bisection, Moran roots by tangent steps on the convex log sum w^t.
+K > 1), and report brackets, never bare point estimates.  One kernel,
+_log_transfer, gives log rho(A * diag(w^t)) over the successor index's rows
+(vertices if maximal, else edges) from the table's distinct weights, each
+taken as exp(t (log w - log w_max)) so that any t >= 0 neither overflows
+nor underflows the largest: a sum when the index has one row, else a Perron
+root of the bincount row matrix.  Pressures, Bowen parameters,
+eigenmeasures, Gibbs checks and theta's shell sums all go through it.
+Every root is bracketed: Bowen parameters and theta fits by bisection,
+Moran roots by tangent steps on the convex log sum w^t.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from .gdms import (DEFAULT_WORD_BUDGET, GdmsSpec, Word, WordList,
 BISECTION_TOL = 1e-6
 BISECTION_MAX_ITER = 200
 POWER_TOL = 1e-12
+POWER_ULPS = 64 * np.finfo(float).eps
 POWER_MAX_ITER = 100_000
+POWER_SLOW_ITER = 1_000
 THETA_XTOL = 1e-10
 THETA_T_MAX = 64.0
 
@@ -78,30 +82,24 @@ class WeightTable:
         return bool(np.array_equal(self.w_lo, self.w_up) and self.distortion == 1.0)
 
     @cached_property
-    def rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(log w_lo, log w_up, count) over the distinct (w_lo, w_up) pairs,
-        in increasing order of w_up, then w_lo: all that a single-vertex
-        pressure reads.  A CF table has one row per integer norm key."""
+    def rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(log w_lo, log w_up, count, pair) over the distinct (w_lo, w_up)
+        pairs, in increasing order of w_up, then w_lo, with pair[e] the row
+        of edge e: all that the transfer kernel reads.  A CF table has one
+        row per integer norm key."""
         order = np.lexsort((self.w_lo, self.w_up))
         lo, up = self.w_lo[order], self.w_up[order]
         new = np.ones(order.size, bool)
         new[1:] = (lo[1:] != lo[:-1]) | (up[1:] != up[:-1])
         start = np.flatnonzero(new)
         count = np.diff(np.append(start, order.size)).astype(float)
-        return np.log(lo[start]), np.log(up[start]), count
+        pair = np.empty(order.size, np.intp)
+        pair[order] = np.cumsum(new) - 1
+        return np.log(lo[start]), np.log(up[start]), count, pair
 
     @property
     def w_mid(self) -> np.ndarray:
         return np.sqrt(self.w_lo * self.w_up)
-
-    def side(self, which: str) -> np.ndarray:
-        if which == "lower":
-            return self.w_lo
-        if which == "upper":
-            return self.w_up
-        if which == "mid":
-            return self.w_mid
-        raise ValidationError(f"unknown weight side {which!r}")
 
 
 def compute_weight_table(sys: GdmsSpec) -> WeightTable:
@@ -131,47 +129,69 @@ def ensure_weights(sys: GdmsSpec) -> WeightTable:
 # Transfer operator and pressure
 # ---------------------------------------------------------------------------
 
-def perron_eigenvalue(M: np.ndarray):
-    """Perron eigenvalue and right eigenvector of a nonnegative matrix.
+def _cyclic_classes(M: np.ndarray) -> List[np.ndarray]:
+    """The strongly connected classes of the pattern M > 0 that hold a cycle.
 
-    Power iteration on M + sigma*I (the shift removes periodicity and drops
-    out of the eigenvalue exactly), to relative tolerance POWER_TOL within
-    POWER_MAX_ITER steps.
+    C_ij = [a path of positive length leads from i to j], closed under
+    squaring; i lies on a cycle iff C_ii, and i, j share a class iff each
+    reaches the other."""
+    C = M > 0
+    while True:
+        D = C | ((C.astype(float) @ C.astype(float)) > 0)
+        if (D == C).all():
+            break
+        C = D
+    cyc = np.flatnonzero(C.diagonal())
+    label = (C & C.T)[cyc].argmax(axis=1)
+    return [cyc[label == k] for k in np.unique(label)]
+
+
+def perron_eigenvalue(M: np.ndarray):
+    """Perron root and right eigenvector (largest entry 1) of M >= 0.
+
+    Power iteration on Ms = M + sigma I, sigma = 0.05 max M (the shift
+    removes periodicity).  Once max(Ms v) changes by at most POWER_ULPS of
+    itself, or after POWER_SLOW_ITER steps, each step takes the
+    Collatz-Wielandt bounds min <= rho <= max of (Mv)_i / v_i and returns
+    their midpoint once their gap is at most POWER_ULPS of it, or at most
+    POWER_TOL of it and no longer closing (rounding level).  Rows that reach
+    no class of the largest growth, or chained classes of it, keep the gap
+    open: a gap that stalls above that, or a run of POWER_SLOW_ITER steps,
+    splits M once into its strongly connected classes, and with several,
+    rho is the largest of their roots and v the last iterate.  No cycle of
+    nonzero weight: NonConvergenceError.
     """
     M = np.asarray(M, float)
     if (M < 0).any():
         raise ValidationError("matrix must be nonnegative")
-    n = M.shape[0]
     sigma = 0.05 * float(M.max())
     if sigma == 0:
         raise ValidationError("zero matrix has no Perron data")
     Ms = M.copy()
-    Ms.flat[::n + 1] += sigma
-    v = np.ones(n)
-    lam = 0.0
-    for _ in range(POWER_MAX_ITER):
-        w = Ms @ v
-        lam_new = float(w.max())
-        if lam_new <= 0:
-            raise ValidationError("matrix is reducible to zero action")
-        w /= lam_new
-        if abs(lam_new - lam) <= POWER_TOL * max(lam_new, 1.0) and np.abs(w - v).max() < 1e-13:
-            return lam_new - sigma, w
-        v, lam = w, lam_new
+    Ms.flat[::M.shape[0] + 1] += sigma
+    v, lam, last, split = np.ones(M.shape[0]), 0.0, math.inf, False
+    with np.errstate(divide="ignore", invalid="ignore"):  # entries of v that underflow
+        for step in range(POWER_MAX_ITER):
+            w = Ms @ v
+            lam_new = float(w.max())
+            stalled = False
+            # the bounds cost as much as a step on a small M: only once it settles
+            if abs(lam_new - lam) <= POWER_ULPS * lam_new or step >= POWER_SLOW_ITER:
+                r = (M @ v) / v
+                lo, hi = float(r.min()), float(r.max())
+                root, gap = 0.5 * (lo + hi), hi - lo
+                if gap <= POWER_ULPS * root or (gap <= POWER_TOL * root and gap >= last):
+                    return root, v
+                stalled, last = not gap < last, gap  # also on a NaN gap
+            if not split and (stalled or step == POWER_SLOW_ITER):
+                classes, split = _cyclic_classes(M), True
+                if not classes:
+                    raise NonConvergenceError("no cycle of nonzero weight: no Perron root "
+                                              "in the float range")
+                if classes[0].size < M.shape[0]:
+                    return max(perron_eigenvalue(M[np.ix_(c, c)])[0] for c in classes), v
+            v, lam = w / lam_new, lam_new
     raise NonConvergenceError("power iteration did not converge")
-
-
-def _transfer_perron(sys: GdmsSpec, w_t: np.ndarray):
-    """Perron eigenvalue and right eigenvector (one entry per edge) of A * diag(w_t).
-
-    Over the successor index's rows, A diag(w_t) = S T with S_ar = [row(a) = r]
-    and T_rb = [b follows row r] w_t(b); M = T S (M_rs = sum of w_t(b), b in
-    row r, row(b) = s) has the same eigenvalue and eigenvector u, v_a = u[row(a)]."""
-    succ, row, ptr, cell = sys._index
-    n = ptr.size - 1
-    lam, u = perron_eigenvalue(
-        np.bincount(cell, weights=w_t[succ], minlength=n * n).reshape(n, n))
-    return lam, u[row]
 
 
 @dataclass
@@ -191,28 +211,34 @@ class PressureBracket:
                 "method": self.method, "distortion": self.distortion}
 
 
-def _log_row_sum(log_w: np.ndarray, count: np.ndarray, t: float) -> float:
-    """log sum_k count_k w_k^t over weight rows, as
-    log(sum count * exp(t (log w - top))) + t top with top = max log w.
-    Every term is at most its count and the top row's equals its count, so
-    with positive counts the sum neither overflows nor vanishes and needs
-    no fallback."""
+def _log_transfer(log_w: np.ndarray, count: np.ndarray, t: float,
+                  pair: Optional[np.ndarray] = None, index=None, vector: bool = False):
+    """log rho of the transfer operator with letter weights w^t over weight
+    rows (distinct log weights, counts) and, for a system, each edge's row
+    `pair` and the successor index (succ, row, ptr, cell).
+
+    Each weight enters as x = exp(t (log w - top)), top = max log w, so the
+    largest is 1 and log rho = log rho(x) + t top.  With no index, or one
+    index row that has successors, rho(x) = sum count * x.  Else it is the
+    Perron root of M_rs = sum of x over the successors b of row r with
+    row(b) = s, one bincount over the cells: A diag(x) = S T with S_ar =
+    [row(a) = r], T_rb = [b follows row r] x(b), and M = T S has the same
+    eigenvalue, with eigenvector u, v_a = u[row(a)].  With `vector`,
+    (log rho, v, y): v per edge and y = x[pair] / rho(x) = w^t / rho.
+    """
     top = log_w.max()
-    return float(np.log((count * np.exp(t * (log_w - top))).sum()) + t * top)
-
-
-def _log_spectral_radius(sys: GdmsSpec, t: float, side: str) -> float:
-    """log rho of the transfer matrix A * w_side^t: log sum w^t over the
-    table's rows when the successor index has one nonempty row (a single
-    vertex, or one edge that may follow itself), so that every pair of edges
-    is admissible; else the log of the Perron eigenvalue (which rejects a
-    matrix with no admissible pair)."""
-    table = ensure_weights(sys)
-    succ, _, ptr, _ = sys._index
-    if ptr.size == 2 and succ.size:
-        log_lo, log_up, count = table.rows
-        return _log_row_sum(log_lo if side == "lower" else log_up, count, t)
-    return math.log(_transfer_perron(sys, table.side(side) ** t)[0])
+    x = np.exp(t * (log_w - top))
+    if index is None or (index[2].size == 2 and index[0].size):
+        lam, u = (count * x).sum(), None  # u = [1]
+    else:
+        succ, row, ptr, cell = index
+        n = ptr.size - 1
+        lam, u = perron_eigenvalue(
+            np.bincount(cell, weights=x[pair][succ], minlength=n * n).reshape(n, n))
+    log_rho = float(np.log(lam) + t * top)
+    if not vector:
+        return log_rho
+    return log_rho, np.ones(pair.size) if u is None else u[index[1]], x[pair] / lam
 
 
 def pressure_bracket(sys: GdmsSpec, t: float) -> PressureBracket:
@@ -229,10 +255,11 @@ def pressure_bracket(sys: GdmsSpec, t: float) -> PressureBracket:
     if t < 0:
         raise ValidationError("t must be >= 0")
     table = ensure_weights(sys)
-    upper = _log_spectral_radius(sys, t, "upper")
+    log_lo, log_up, count, pair = table.rows
+    upper = _log_transfer(log_up, count, t, pair, sys._index)
     if table.exact:
         return PressureBracket(t, upper, upper, "exact")
-    lower = _log_spectral_radius(sys, t, "lower") - t * math.log(table.distortion)
+    lower = _log_transfer(log_lo, count, t, pair, sys._index) - t * math.log(table.distortion)
     method = "subadditive" if sys._index[2].size == 2 else "spectral"  # one index row
     return PressureBracket(t, min(lower, upper), upper, method, table.distortion)
 
@@ -295,13 +322,14 @@ def bowen_dim(sys: GdmsSpec, tol: float = BISECTION_TOL) -> DimBracket:
     if not tol > 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
     table = ensure_weights(sys)
+    log_lo, log_up, count, pair = table.rows
     log_k = math.log(table.distortion)
     upper = {}
     lower = upper if table.exact else {}
 
     def f_up(t: float) -> float:
         if t not in upper:
-            upper[t] = _log_spectral_radius(sys, t, "upper")
+            upper[t] = _log_transfer(log_up, count, t, pair, sys._index)
         return upper[t]
 
     def f_lo(t: float) -> float:
@@ -309,7 +337,7 @@ def bowen_dim(sys: GdmsSpec, tol: float = BISECTION_TOL) -> DimBracket:
             # capped by the upper side where that is known, as in pressure_bracket:
             # both bisections start at [0, hi], so no rounding of the two sides
             # can send the lower one past the upper one
-            lower[t] = min(_log_spectral_radius(sys, t, "lower") - t * log_k,
+            lower[t] = min(_log_transfer(log_lo, count, t, pair, sys._index) - t * log_k,
                            upper.get(t, math.inf))
         return lower[t]
 
@@ -392,7 +420,7 @@ class ShellFamily:
         return len(self.log_weights)
 
     def log_shell_sum(self, k: int, t: float) -> float:
-        return _log_row_sum(self.log_weights[k], self.counts[k], t)
+        return _log_transfer(self.log_weights[k], self.counts[k], t)
 
 
 @dataclass
@@ -488,7 +516,9 @@ class CylinderMeasure:
     Masses follow m([w]) = w_mid(w)^t * v(w_n) * lam^-|w| / Z with v the
     (right) Perron eigenvector of M_ab = A_ab w_mid(b)^t; this choice makes
     children masses sum exactly to the parent mass.  masses[k] is the mass
-    of words[k], the depth-n words in lexicographic order.
+    of words[k], the depth-n words in lexicographic order.  letters[e] =
+    w_mid(e)^t / lam from the transfer kernel, which takes lam^-|w| letter
+    by letter: lam may underflow to 0, the masses do not.
     """
 
     depth: int
@@ -498,6 +528,7 @@ class CylinderMeasure:
     t: float
     eigenvector: np.ndarray
     norm_const: float
+    letters: np.ndarray
 
     def mass(self, word: Word) -> float:
         try:
@@ -517,14 +548,14 @@ def transfer_eigenmeasure(sys: GdmsSpec, t: float, depth: int,
     kind, _ = sys.finite_irreducibility()
     if kind != "irreducible":
         raise ValidationError("transfer eigenmeasure requires an irreducible system")
-    w_t = ensure_weights(sys).w_mid ** t
-    lam, v = _transfer_perron(sys, w_t)
-    Zc = float((w_t * v).sum() / lam)  # depth-independent normalization
-    w_t = w_t / lam  # lam^-|w| letter by letter, so that long words do not underflow
+    log_lo, log_up, count, pair = ensure_weights(sys).rows
+    log_mid = 0.5 * (log_lo + log_up)
+    log_rho, v, y = _log_transfer(log_mid, count, t, pair, sys._index, vector=True)
+    Zc = float((y * v).sum())  # depth-independent normalization
     prod = [np.ones(1)] + [None] * depth  # per length: products along the latest block
     masses = []
     for k, parent, last in sys.word_blocks(depth, budget):
-        prod[k] = prod[k - 1][parent] * w_t[last]  # left to right along each word
+        prod[k] = prod[k - 1][parent] * y[last]  # left to right along each word
         if k == depth:
             masses.append(prod[k] * v[last] / Zc)
     masses = np.concatenate(masses)
@@ -532,31 +563,39 @@ def transfer_eigenmeasure(sys: GdmsSpec, t: float, depth: int,
     if abs(total - 1.0) > 1e-9:
         masses = masses / total
     return CylinderMeasure(depth=depth, words=WordList(sys, depth), masses=masses,
-                           eigenvalue=lam, t=t, eigenvector=v, norm_const=Zc)
+                           eigenvalue=math.exp(log_rho), t=t, eigenvector=v, norm_const=Zc,
+                           letters=y)
 
 
 def gibbs_check(measure: CylinderMeasure, sys: GdmsSpec, t: float,
                 side: str = "mid", budget: int = DEFAULT_WORD_BUDGET):
     """(min, max) of the Gibbs ratios over all cylinders of depth <= measure.depth.
 
-    The ratio compares each cylinder mass against the eigen-structure
-    prediction w_side(w)^t * v(w_n) * lam^-|w| / Z; for exact similarity
-    weights it is identically 1 up to floating-point rounding.
+    The ratio compares each cylinder mass, w_mid(w)^t * v(w_n) * lam^-|w| / Z
+    from the measure's letters, eigenvector and norm_const, against the
+    prediction w_side(w)^t * v(w_n) * lam^-|w| / Z.  Both share every factor
+    but the weights, so the ratio is the closed form prod (w_mid / w_side)^t
+    along the word: with side="mid" it is 1 by construction, and with
+    "lower" or "upper" it reads the weight bracket, not the measure (ratios
+    0/0 after underflow are skipped).
     """
-    table = ensure_weights(sys)
-    lam, v, Zc = measure.eigenvalue, measure.eigenvector, measure.norm_const
-    # columns: w_mid^t, which gives the cylinder masses, and w_side^t, both
-    # over lam letter by letter, so that long words do not underflow
-    w_t = np.column_stack([table.w_mid ** t, table.side(side) ** t]) / lam
+    half = {"lower": -0.5, "mid": 0.0, "upper": 0.5}
+    if side not in half:
+        raise ValidationError(f"unknown weight side {side!r}")
+    log_lo, log_up, _, pair = ensure_weights(sys).rows
+    y, v, Zc = measure.letters, measure.eigenvector, measure.norm_const
+    # columns: w_mid^t / lam, for the cylinder masses, and w_side^t / lam, with
+    # log(w_side / w_mid) = half[side] (log w_up - log w_lo), log w_mid their mean
+    y = np.column_stack([y, y * np.exp(half[side] * t * (log_up - log_lo))[pair]])
     prod = [np.ones((1, 2))] + [None] * measure.depth
     lo, hi = math.inf, -math.inf
     for k, parent, last in sys.word_blocks(measure.depth, budget):
-        prod[k] = prod[k - 1][parent] * w_t[last]
-        # column 0: masses of the consistent family; column 1: their predictions
-        m = prod[k] * v[last, None] / Zc
-        with np.errstate(invalid="ignore"):
+        prod[k] = prod[k - 1][parent] * y[last]
+        m = prod[k] * v[last, None] / Zc  # the masses and their predictions
+        with np.errstate(divide="ignore", invalid="ignore"):
             r = m[:, 0] / m[:, 1]
-        # fmin/fmax skip NaN ratios (0/0 after underflow), as builtin min/max do
+        # fmin/fmax skip NaN ratios (0/0 after underflow), as builtin min/max do;
+        # a prediction that underflows alone gives an inf ratio, reported as such
         lo, hi = min(lo, np.fmin.reduce(r)), max(hi, np.fmax.reduce(r))
     return lo, hi
 

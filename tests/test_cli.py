@@ -116,6 +116,22 @@ def test_measure_past_the_recursion_limit(tmp_path):
         2000, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["pressure", "--t", "1100"], {"P_hi": pytest.approx(1100 * math.log(0.5), rel=1e-12)}),
+    (["pressure", "--t", "2000"], {"P_hi": pytest.approx(2000 * math.log(0.5), rel=1e-12)}),
+    (["measure", "--t", "2000", "--depth", "4"],
+     {"mass_total": pytest.approx(1.0, abs=1e-9), "gibbs_min": 1.0, "gibbs_max": 1.0}),
+], ids=["pressure-t1100", "pressure-t2000", "measure-t2000"])
+def test_large_t_exits_0(argv, want, fib2_path):
+    """fib2 at t where 0.5^t and 3^-t underflow: the transfer kernel scales
+    every weight by the largest, so these answer; each exited 2 ("zero
+    matrix has no Perron data") while w^t was formed unscaled."""
+    rc, out, err = run_cli([argv[0], "--spec", fib2_path] + argv[1:])
+    assert rc == 0 and b"Warning" not in err, err
+    rec = parse(out)
+    assert {k: rec[k] for k in want} == want
+
+
 def test_limitset_stdout_and_files(moran4_path, tmp_path):
     rc, out, _ = run_cli(["limitset", "--spec", moran4_path, "--depth", "2"])
     assert rc == 0

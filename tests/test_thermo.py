@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import carnotdim as cd
 from carnotdim import thermo
-from carnotdim.errors import BudgetError, ValidationError
+from carnotdim.errors import BudgetError, NonConvergenceError, ValidationError
 
 from conftest import fib2_system, moran_system, sample_vertex, separated_fib2_system
 
@@ -22,9 +22,8 @@ from conftest import fib2_system, moran_system, sample_vertex, separated_fib2_sy
 def test_weight_table_mid_and_sides():
     wt = thermo.WeightTable(np.array([0.25]), np.array([0.36]), distortion=1.5)
     assert np.isclose(wt.w_mid[0], 0.3)
-    assert wt.side("lower")[0] == 0.25
-    assert wt.side("upper")[0] == 0.36
-    assert wt.side("mid")[0] == wt.w_mid[0]
+    assert wt.w_lo[0] == 0.25
+    assert wt.w_up[0] == 0.36
     with pytest.raises(ValidationError):
         thermo.WeightTable(np.array([0.5]), np.array([0.4]), distortion=1.0)
 
@@ -231,8 +230,8 @@ def test_shell_family_rejects_empty_or_malformed_shells(log_weights, counts):
 def test_shell_family_holds_counts():
     fam = thermo.ShellFamily(log_weights=[np.array([-1.0, -2.0])])
     assert np.array_equal(fam.counts[0], [1.0, 1.0])
-    assert fam.log_shell_sum(0, 2.0) == thermo._log_row_sum(np.array([-1.0, -2.0]),
-                                                            np.ones(2), 2.0)
+    assert fam.log_shell_sum(0, 2.0) == thermo._log_transfer(np.array([-1.0, -2.0]),
+                                                             np.ones(2), 2.0)
 
 
 def test_theta_needs_enough_shells():
@@ -240,6 +239,18 @@ def test_theta_needs_enough_shells():
                              counts=None, tail="geometric")
     with pytest.raises(ValidationError):
         cd.theta_estimate(fam)
+
+
+def scaled_weights(log_w, t):
+    """Per-edge x = exp(t (log w - top)), top = max log w, and top."""
+    top = log_w.max()
+    return np.exp(t * (log_w - top)), top
+
+
+def log_mid_per_edge(sys_):
+    """Per-edge log w_mid, as the mean of the logs of the two sides."""
+    wt = thermo.ensure_weights(sys_)
+    return 0.5 * (np.log(wt.w_lo) + np.log(wt.w_up))
 
 
 def test_eigenmeasure_children_sum_to_parent():
@@ -252,11 +263,16 @@ def test_eigenmeasure_children_sum_to_parent():
     for w in sys_.admissible_words(4):
         children = sum(m.mass(w + (b,)) for b in sys_.successors(w[-1]))
         assert np.isclose(m4.mass(w), children, rtol=1e-12)
-    # every mass is the per-word product formula, to the bit (lam^-|w| is
-    # taken letter by letter, so that long words do not underflow)
-    w_t = thermo.ensure_weights(sys_).w_mid ** t
-    lam, v, Zc = m.eigenvalue, m.eigenvector, m.norm_const
-    assert m.masses.tolist() == [math.prod(w_t[a] / lam for a in w) * v[w[-1]] / Zc
+    # every mass is the per-word product formula, to the bit, against a
+    # dense A diag(x) in the scaled arithmetic: x = w_mid^t / w_max^t, and
+    # lam^-|w| taken letter by letter, so that long words do not underflow
+    x, top = scaled_weights(log_mid_per_edge(sys_), t)
+    lam, v = thermo.perron_eigenvalue(sys_.incidence * x[None, :])
+    y = x / lam
+    Zc = float((y * v).sum())
+    assert (m.eigenvector.tolist(), m.norm_const) == (v.tolist(), Zc)
+    assert m.eigenvalue == math.exp(np.log(lam) + t * top)
+    assert m.masses.tolist() == [math.prod(y[a] for a in w) * v[w[-1]] / Zc
                                  for w in m.words]
 
 
@@ -367,13 +383,25 @@ def test_perron_eigenvalue_known_matrix():
     lam, v = thermo.perron_eigenvalue(M)
     assert np.isclose(lam, (1 + math.sqrt(5)) / 2, atol=1e-10)
     assert np.allclose(M @ v, lam * v, atol=1e-9)
+    # reducible: a row of smaller growth, a row without successors, and two
+    # chained classes of one growth (a Jordan block, whose gap closes only
+    # like 1/n) give the root of their classes, with no warning from the
+    # entries of v that decay to 0; a nilpotent matrix has no root
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for M, root in [([[1.0, 1.0], [0.0, 0.5]], 1.0), ([[3.0, 2.0], [0.0, 0.0]], 3.0),
+                        ([[1.0, 1.0], [0.0, 1.0]], 1.0)]:
+            assert thermo.perron_eigenvalue(np.array(M))[0] == root
+        with pytest.raises(NonConvergenceError):
+            thermo.perron_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_row_transfer_matrix_is_the_edge_and_vertex_matrix():
     """The transfer matrix built row by row from the successor index gives,
-    bit for bit, the pressures of A * diag(w^t) for an explicit incidence
-    and of the vertex matrix M_uv = sum of w^t over the edges u -> v for a
-    maximal system."""
+    bit for bit, the pressures of A * diag(x) for an explicit incidence and
+    of the vertex matrix M_uv = sum of x over the edges u -> v for a maximal
+    system, in the scaled arithmetic: x = exp(t (log w - top)), top the
+    largest log weight, and P = log rho(x) + t top."""
     g = cd.heisenberg(1)
     base = cd.build_cf_system(g, cd.CfSystemParams(0.5, 3.15))
     rng = np.random.default_rng(5)
@@ -384,13 +412,15 @@ def test_row_transfer_matrix_is_the_edge_and_vertex_matrix():
     nV = len(hat.vertices)
     for t in (0.0, 0.5, 1.0, 2.0, 3.0):
         pb = thermo.pressure_bracket(explicit, t)
-        for side in ("lower", "upper"):
-            w = thermo.ensure_weights(explicit).side(side) ** t
-            assert getattr(pb, side) == math.log(thermo.perron_eigenvalue(A * w[None, :])[0])
-        w = thermo.ensure_weights(hat).w_up ** t
-        M = np.bincount(hat.src_idx * nV + hat.dst_idx, weights=w, minlength=nV * nV)
+        wt = thermo.ensure_weights(explicit)
+        for side, w in (("lower", wt.w_lo), ("upper", wt.w_up)):
+            x, top = scaled_weights(np.log(w), t)
+            assert getattr(pb, side) == (np.log(thermo.perron_eigenvalue(A * x[None, :])[0])
+                                         + t * top)
+        x, top = scaled_weights(np.log(thermo.ensure_weights(hat).w_up), t)
+        M = np.bincount(hat.src_idx * nV + hat.dst_idx, weights=x, minlength=nV * nV)
         assert (thermo.pressure_bracket(hat, t).upper
-                == math.log(thermo.perron_eigenvalue(M.reshape(nV, nV))[0]))
+                == np.log(thermo.perron_eigenvalue(M.reshape(nV, nV))[0]) + t * top)
 
 
 def test_one_row_index_takes_the_subadditive_path():
@@ -534,7 +564,7 @@ def test_weight_table_keeps_its_logs_and_exactness():
     cd.bowen_dim(sys_, tol=1e-3)
     wt = thermo.ensure_weights(sys_)
     assert wt.rows is wt.rows  # computed once
-    log_lo, log_up, count = wt.rows
+    log_lo, log_up, count, _ = wt.rows
     pairs, counts = np.unique(np.column_stack([wt.w_up, wt.w_lo]), axis=0, return_counts=True)
     assert (len(count), count.sum()) == (53, sys_.n_edges) == (len(pairs), 848)
     assert np.array_equal(log_up, np.log(pairs[:, 0]))
@@ -578,10 +608,10 @@ def test_row_kernel_agrees_with_mpmath(w, t):
     """log sum w^t over the table's distinct rows and counts, on each side,
     against the 50-digit sum over every edge."""
     wt = thermo.WeightTable(*w)
-    log_lo, log_up, count = wt.rows
+    log_lo, log_up, count, _ = wt.rows
     assert count.sum() == w[0].size
     for log_w, per_edge in [(log_lo, wt.w_lo), (log_up, wt.w_up)]:
-        assert_near_mp(thermo._log_row_sum(log_w, count, t), mp_log_sum_pow(per_edge, t),
+        assert_near_mp(thermo._log_transfer(log_w, count, t), mp_log_sum_pow(per_edge, t),
                        t, log_w)
 
 
@@ -610,7 +640,7 @@ def test_row_kernel_agrees_with_mpmath_on_long_rows(rows, t):
         exact = mpmath.log(mpmath.fsum(
             mpmath.mpf(float(c)) * mpmath.exp(mpmath.mpf(t) * mpmath.mpf(float(lw)))
             for lw, c in zip(log_w, count)))
-    assert_near_mp(thermo._log_row_sum(log_w, count, t), exact, t, log_w, eps=1e-14)
+    assert_near_mp(thermo._log_transfer(log_w, count, t), exact, t, log_w, eps=1e-14)
 
 
 def replay_bisection(calls, hi, tol):
@@ -631,14 +661,15 @@ def test_bowen_dim_evaluates_each_side_at_its_own_roots_points(monkeypatch):
     at each of the 26 distinct points took 52."""
     sys_ = cd.build_cf_system(cd.heisenberg(1), cd.CfSystemParams(0.5, 5.0))
     calls = {"upper": [], "lower": []}
-    inner = thermo._log_spectral_radius
+    inner = thermo._log_transfer
+    log_up = thermo.ensure_weights(sys_).rows[1]
 
-    def spy(sys_, t, side):
-        value = inner(sys_, t, side)
-        calls[side].append((t, value))
+    def spy(log_w, count, t, *index):
+        value = inner(log_w, count, t, *index)
+        calls["upper" if log_w is log_up else "lower"].append((t, value))
         return value
 
-    monkeypatch.setattr(thermo, "_log_spectral_radius", spy)
+    monkeypatch.setattr(thermo, "_log_transfer", spy)
     res = cd.bowen_dim(sys_, tol=1e-3)
     up, lo = calls["upper"], calls["lower"]
     assert [t for t, _ in up[:2]] == [4.0, 0.0] and up[0][1] <= 0 < up[1][1]
@@ -654,9 +685,129 @@ def test_bowen_dim_evaluates_each_side_at_its_own_roots_points(monkeypatch):
 def test_bowen_dim_of_an_exact_table_evaluates_one_side(monkeypatch):
     sys_ = moran_system([0.3, 0.3, 0.4])
     sides = []
-    inner = thermo._log_spectral_radius
-    monkeypatch.setattr(thermo, "_log_spectral_radius",
-                        lambda s, t, side: sides.append(side) or inner(s, t, side))
+    inner = thermo._log_transfer
+    log_up = thermo.ensure_weights(sys_).rows[1]
+    monkeypatch.setattr(thermo, "_log_transfer", lambda log_w, count, t, *index: sides.append(
+        "upper" if log_w is log_up else "lower") or inner(log_w, count, t, *index))
     res = cd.bowen_dim(sys_, tol=1e-9)
     assert set(sides) == {"upper"} and len(sides) == res.iterations / 2 + 2
     assert res.h_lo < res.h_hi and res.p_lower_at_h_lo >= 0 >= res.p_upper_at_h_hi
+
+
+def two_map_cycle():
+    """Maps of scale 0.9 and 0.1 that must alternate: rho = sqrt(0.9^t 0.1^t),
+    a period-2 matrix far below its largest entry 0.9^t."""
+    g = cd.heisenberg(1)
+    return cd.build_self_similar(g, [(cd.gpoint([0.0, 0.0], [0.0]), 0.9),
+                                     (cd.gpoint([3.0, 0.0], [0.0]), 0.1)],
+                                 incidence=np.array([[0, 1], [1, 0]], bool))
+
+
+def test_perron_stops_on_its_collatz_wielandt_gap():
+    """The iteration on the two-map cycle converges slowly (rate about
+    1 - 2 rho / sigma), so a stop on successive differences with an absolute
+    floor returned P 1.6e-10 above (t/2) log 0.09 at t = 5 and 8.7e-6 above
+    at t = 10.  The Collatz-Wielandt gap holds both to 1e-12 relative, and
+    at t = 20, where the gap cannot close in POWER_MAX_ITER steps, there is
+    no answer."""
+    sys_ = two_map_cycle()
+    for t in (5.0, 10.0):
+        exact = 0.5 * t * math.log(0.09)
+        assert abs(thermo.pressure_bracket(sys_, t).upper - exact) <= 1e-12 * abs(exact)
+    with pytest.raises(NonConvergenceError):
+        thermo.pressure_bracket(sys_, 20.0)
+
+
+def reducible_system(ratios, incidence):
+    """Similarities of the given ratios, 3 apart on the x axis, whose
+    incidence leaves some edges outside the class of the largest growth."""
+    g = cd.heisenberg(1)
+    return cd.build_self_similar(g, [(cd.gpoint([3.0 * k, 0.0], [0.0]), r)
+                                     for k, r in enumerate(ratios)],
+                                 incidence=np.array(incidence, bool))
+
+
+@pytest.mark.parametrize("ratios, incidence, log_rho", [
+    ([0.5, 1 / 3], [[1, 1], [0, 0]], lambda t: t * math.log(0.5)),
+    ([0.5, 1 / 3], [[1, 1], [0, 1]], lambda t: t * math.log(0.5)),
+    ([0.5, 0.5, 1 / 3], [[1, 1, 1], [1, 1, 1], [0, 0, 1]],
+     lambda t: math.log(2) + t * math.log(0.5)),
+], ids=["edge-without-successor", "smaller-class", "two-classes"])
+def test_reducible_incidence_takes_its_largest_class(ratios, incidence, log_rho):
+    """Rows that reach no class of the largest growth keep the Collatz-Wielandt
+    gap open over all rows, so the root is the largest among the strongly
+    connected classes: 0.5^t from edge 0's loop (2 * 0.5^t from edges 0 and
+    1), not the 3^-t of the last edge nor the 0 of an edge that ends every
+    word.  At t = 0 the smaller class has equal growth (a Jordan block).
+    Pressures and the Bowen bracket follow."""
+    sys_ = reducible_system(ratios, incidence)
+    for t in (0.0, 0.5, 1.0, 3.0, 50.0, 2000.0):
+        pb = thermo.pressure_bracket(sys_, t)
+        assert abs(pb.upper - log_rho(t)) <= 1e-15 * (1 + abs(log_rho(t)))
+    res = cd.bowen_dim(sys_, tol=1e-9)
+    root = -log_rho(0.0) / math.log(0.5) if log_rho(0.0) else 0.0
+    assert res.h_lo <= root <= res.h_hi and res.h_hi - res.h_lo <= 1e-9
+
+
+def random_five_edge_system():
+    """Five similarities with ratios in [0.1, 0.6] on a seeded random
+    incidence of density 0.4 that contains the cycle 0 -> 1 -> ... -> 0."""
+    rng = np.random.default_rng(0)
+    ratios = rng.uniform(0.1, 0.6, 5)
+    A = rng.random((5, 5)) < 0.4
+    A[np.arange(5), (np.arange(5) + 1) % 5] = True
+    g = cd.heisenberg(1)
+    return cd.build_self_similar(g, [(cd.gpoint([3.0 * k, 0.0], [0.0]), float(r))
+                                     for k, r in enumerate(ratios)], incidence=A)
+
+
+def mp_perron_log(M):
+    """log rho of a nonnegative mpmath matrix: the closed form for 2 x 2,
+    else the largest modulus among mp.eig's eigenvalues."""
+    if M.rows == 2:
+        tr, det = M[0, 0] + M[1, 1], M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+        return mpmath.log((tr + mpmath.sqrt(tr * tr - 4 * det)) / 2)
+    return mpmath.log(max(abs(e) for e in mpmath.eig(M, left=False, right=False)))
+
+
+def mp_transfer_matrix(sys_, t):
+    """The index-row transfer matrix at 50 digits, each float weight taken
+    exactly: A_ab w_b^t for an explicit incidence, else the vertex matrix
+    M_uv = sum of w^t over the edges u -> v."""
+    w = [mpmath.mpf(float(x)) ** mpmath.mpf(t) for x in thermo.ensure_weights(sys_).w_up]
+    if sys_.incidence is not None:
+        n = sys_.n_edges
+        return mpmath.matrix([[w[b] if sys_.incidence[a, b] else 0 for b in range(n)]
+                              for a in range(n)])
+    n = len(sys_.vertices)
+    M = mpmath.zeros(n, n)
+    for e in range(sys_.n_edges):
+        M[int(sys_.src_idx[e]), int(sys_.dst_idx[e])] += w[e]
+    return M
+
+
+# (system, t) pairs with no answer: the largest weight lies on no cycle of
+# the matrix's growth, so sigma = 0.05 max M is far above rho and the rate
+# 1 - rho / sigma is too slow (t = 50), or every cycle's scaled weight
+# exp(t (log w - log w_max)) underflows to 0 (t = 1100, 2000)
+NO_PERRON_ANSWER = {("cycle", 50), ("cycle", 1100), ("cycle", 2000),
+                    ("random5", 50), ("random5", 1100), ("random5", 2000)}
+
+
+@pytest.mark.parametrize("t", [0, 0.5, 3, 50, 1100, 2000])
+@pytest.mark.parametrize("name", ["fib2", "cycle", "hat", "random5"])
+def test_multi_row_kernel_agrees_with_mpmath(name, t):
+    """Several index rows: the scaled kernel against 50-digit Perron roots,
+    to 1e-14 (1 + t |log w_max|), the rounding of t log w_max."""
+    with mpmath.workdps(50):
+        sys_ = {"fib2": fib2_system, "cycle": two_map_cycle, "random5": random_five_edge_system,
+                "hat": lambda: separated_fib2_system().maximalize()}[name]()
+        assert sys_._index[2].size > 2
+        if (name, t) in NO_PERRON_ANSWER:
+            with pytest.raises(NonConvergenceError):
+                thermo.pressure_bracket(sys_, float(t))
+            return
+        P = thermo.pressure_bracket(sys_, float(t)).upper
+        exact = mp_perron_log(mp_transfer_matrix(sys_, t))
+        log_top = abs(math.log(thermo.ensure_weights(sys_).w_up.max()))
+        assert abs(mpmath.mpf(P) - exact) <= 1e-14 * (1 + t * log_top), (P, float(exact))
