@@ -261,7 +261,7 @@ def cmd_theta(args):
 def cmd_measure(args):
     sys = load_system(args)
     m = transfer_eigenmeasure(sys, args.t, args.depth, budget=args.budget)
-    lo, hi = gibbs_check(m, sys, args.t, side=args.side, budget=args.budget)
+    lo, hi = gibbs_check(m, sys, args.t, side=args.side)
     payload = {"eigenvalue": m.eigenvalue, "depth": m.depth, "t": m.t,
                "mass_total": float(m.masses.sum()),
                "gibbs_min": lo, "gibbs_max": hi,

@@ -231,9 +231,7 @@ class Invert(Primitive):
         return origin(g)
 
     def norm_factor_many(self, g, Z, T):
-        d = G.norm_many(g, Z, T)
-        with np.errstate(divide="ignore"):
-            return 1.0 / (d * d)
+        return G.inverse_square(1.0, G.norm_many(g, Z, T))
 
     @property
     def is_inversion(self):
@@ -300,8 +298,8 @@ class ConformalChain:
             for sign in (1.0, -1.0):
                 e = np.zeros(g.m1); e[j] = sign
                 probes.append(GPoint(e, np.zeros(g.m2)))
-        dist2 = [1.0 if self.pole is None else G.gauge_dist(g, p, self.pole) ** 2
-                 for p in probes]
+        dist = [1.0 if self.pole is None else G.gauge_dist(g, p, self.pole) for p in probes]
+        dist2 = [d * d for d in dist]  # a float product is inf past the range, not an error
         for k in sorted(range(len(probes)), key=lambda k: -dist2[k]):
             try:
                 val = self.deriv_norm_at(probes[k]) * dist2[k]
@@ -333,7 +331,7 @@ class ConformalChain:
             Z, T = prim.apply_many(self.group, Z, T)
         return Z, T
 
-    def deriv_norm_at(self, p: GPoint, tol: float = EPS_FLOOR) -> float:
+    def deriv_norm_at(self, p: GPoint) -> float:
         """Pointwise derivative norm ||DF(p)|| via the chain rule."""
         G._check_point(self.group, p, "p")
         vals = self.deriv_norm_many(p.z[None, :], p.t[None, :], strict=True)

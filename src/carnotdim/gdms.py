@@ -45,9 +45,6 @@ Word = Tuple[int, ...]  # edge indices; () is the empty word
 DEFAULT_WORD_BUDGET = 1_000_000
 # words per block of word_blocks: bounds the working memory of word loops
 WORD_BLOCK = 1 << 10
-# power iteration of stationary_distribution
-STATIONARY_TOL = 1e-14
-STATIONARY_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -310,6 +307,13 @@ class WordList(Sequence):
         return list(self)[k]
 
 
+def _extensions(succ: np.ndarray, lo: np.ndarray, deg: np.ndarray):
+    """(parent, last): for each i in turn, the successors succ[lo[i]:lo[i] + deg[i]]
+    as last, each with parent i."""
+    parent = np.repeat(np.arange(deg.size), deg)
+    return parent, succ[np.arange(parent.size) + np.repeat(lo - np.cumsum(deg) + deg, deg)]
+
+
 class GdmsSpec:
     """Immutable graph directed Markov system.
 
@@ -420,14 +424,18 @@ class GdmsSpec:
     # -- validation --------------------------------------------------------
 
     def _validate_geometry(self):
-        g = self.group
-        for a in range(len(self.vertices)):
-            for b in range(a + 1, len(self.vertices)):
-                va, vb = self.vertices[a], self.vertices[b]
-                d = G.gauge_dist(g, va.center, vb.center)
-                if d <= va.radius + vb.radius:
+        """d(c_a, c_b) > R_a + R_b for a < b: one dist_many pass per row a finds
+        the pairs within 1e-12 of touching, and gauge_dist decides them in
+        order (the array power may round the last bit the other way)."""
+        g, V = self.group, self.vertices
+        cz, ct, R, _ = self.vertex_arrays()
+        for a in range(len(V) - 1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = G.dist_many(g, cz[a], ct[a], cz[a + 1:], ct[a + 1:])
+            for b in (np.flatnonzero(d <= (R[a] + R[a + 1:]) * (1 + 1e-12)) + a + 1).tolist():
+                if G.gauge_dist(g, V[a].center, V[b].center) <= R[a] + R[b]:
                     raise ValidationError(
-                        f"vertex sets {va.id!r} and {vb.id!r} are not disjoint")
+                        f"vertex sets {V[a].id!r} and {V[b].id!r} are not disjoint")
 
     @cached_property
     def pole_gaps(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -454,7 +462,7 @@ class GdmsSpec:
     @cached_property
     def w_up(self) -> np.ndarray:
         """r_f / gap^2 per edge, the sup of ||D phi_e|| over X_t(e)."""
-        return self.table.r_f / self.pole_gaps[1] ** 2
+        return G.inverse_square(self.table.r_f, self.pole_gaps[1])
 
     @cached_property
     def image_balls(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -574,20 +582,18 @@ class GdmsSpec:
             return
         succ_all, row, ptr, _ = self._index
 
-        def extend(k, lo, cum, succ):
-            """Nonempty blocks of the extensions by succ[lo[i] + j],
-            j < cum[i + 1] - cum[i], of the words i of length k, each paired
-            with whether words of length k remain after its run."""
+        def extend(k, lo, deg, succ):
+            """Nonempty blocks of the extensions by succ[lo[i]:lo[i] + deg[i]] of
+            the words i of length k, each paired with whether words of length
+            k remain after its run."""
+            cum = np.concatenate(([0], np.cumsum(deg)))
             p0 = 0
             while p0 < lo.size:
                 # the next run of words with at most WORD_BLOCK extensions in all
                 p1 = max(int(np.searchsorted(cum, cum[p0] + WORD_BLOCK, "right")) - 1, p0 + 1)
-                deg = np.diff(cum[p0:p1 + 1])
-                parent = np.repeat(np.arange(p0, p1), deg)
-                last = succ[np.arange(parent.size)
-                            + np.repeat(lo[p0:p1] - (cum[p0:p1] - cum[p0]), deg)]
+                parent, last = _extensions(succ, lo[p0:p1], deg[p0:p1])
                 if last.size:
-                    yield (k + 1, parent, last), p1 < lo.size
+                    yield (k + 1, parent + p0, last), p1 < lo.size
                 p0 = p1
 
         # one generator per word length on an explicit stack, so that each
@@ -595,7 +601,7 @@ class GdmsSpec:
         # leaves the stack with its last block, so that a chain of one-block
         # lengths keeps the stack one deep: the empty word is followed by
         # every edge
-        stack = [extend(0, np.zeros(1, dtype=np.int64), np.array([0, self.n_edges]),
+        stack = [extend(0, np.zeros(1, dtype=np.int64), np.array([self.n_edges]),
                         np.arange(self.n_edges))]
         while stack:
             item = next(stack[-1], None)
@@ -609,8 +615,7 @@ class GdmsSpec:
             k, _, last = block
             if k < n:
                 r = row[last]
-                cum_next = np.concatenate(([0], np.cumsum(ptr[r + 1] - ptr[r])))
-                stack.append(extend(k, ptr[r], cum_next, succ_all))
+                stack.append(extend(k, ptr[r], ptr[r + 1] - ptr[r], succ_all))
 
     def admissible_words(self, n: int, budget: int = DEFAULT_WORD_BUDGET) -> Iterator[Word]:
         """Words of E_A^n in lexicographic edge order."""
@@ -692,26 +697,33 @@ class GdmsSpec:
                                   f"(budget {budget} letters)",
                                   estimate=count * depth, budget=budget)
 
-            def block(a, blocks):
-                """Level-k block of edge a, {phi_w(anchor) : w in E_A^k, w_1 = a}:
-                phi_a of the anchor of t(a) (k = 1) or of the level-(k - 1)
-                blocks of a's successors."""
-                if blocks is None:
-                    d = self.dst_idx[a]
-                    return self._apply_edge(a, AZ[d][None, :], AT[d][None, :])
-                succ = self.successors(a)  # none for an edge that nothing may follow
-                return self._apply_edge(
-                    a, np.concatenate([blocks[b][0] for b in succ] + [np.empty((0, g.m1))]),
-                    np.concatenate([blocks[b][1] for b in succ] + [np.empty((0, g.m2))]))
+            succ, row, ptr, _ = self._index
 
-            blocks = None
+            def level(edges, blocks):
+                """Level-k blocks {phi_w(anchor) : w in E_A^k, w_1 = a} of the
+                edges: phi_a of the anchor of t(a) (k = 1) or of the level-(k - 1)
+                blocks of a's successors, concatenated once per run of edges
+                of one index row (t(a) if maximal, a if not)."""
+                last = None
+                for a in edges:
+                    if row[a] != last:
+                        P, last = None, row[a]  # free the last row's points first
+                        if blocks is None:
+                            P = AZ[[self.dst_idx[a]]], AT[[self.dst_idx[a]]]
+                        else:
+                            s = succ[ptr[last]:ptr[last + 1]]  # none for a dead end
+                            P = (np.concatenate([blocks[b][0] for b in s] + [np.empty((0, g.m1))]),
+                                 np.concatenate([blocks[b][1] for b in s] + [np.empty((0, g.m2))]))
+                    # bind no name: the consumer frees each block before the next
+                    yield tuple(X[0] for X in self.table.apply([a], *P))
+
+            blocks, order = None, np.argsort(row, kind="stable").tolist()
             for _ in range(depth - 1):
-                blocks = [block(a, blocks) for a in range(self.n_edges)]
+                blocks = dict(zip(order, level(order, blocks)))
             # the last level goes straight into the cloud, one edge at a time
             Z, T = np.empty((count, g.m1)), np.empty((count, g.m2))
             end = 0
-            for a in range(self.n_edges):
-                FZ, FT = block(a, blocks)
+            for FZ, FT in level(range(self.n_edges), blocks):
                 Z[end:end + len(FZ)], T[end:end + len(FZ)] = FZ, FT
                 end += len(FZ)
                 del FZ, FT  # before the next edge's block is computed
@@ -738,11 +750,6 @@ class GdmsSpec:
                 z, t = z[:, 0], t[:, 0]
             Z[rows], T[rows] = z, t
         return PointCloud(g, Z, T, np.full(samples, bound))
-
-    def _apply_edge(self, a: int, Z, T):
-        """phi_a at the points (Z, T) from the edge table's row; no pole checks."""
-        FZ, FT = self.table.apply([a], Z, T)
-        return FZ[0], FT[0]
 
     def _sample_words(self, depth: int, samples: int, rng: np.random.Generator,
                       markov: Optional[np.ndarray]) -> np.ndarray:
@@ -837,9 +844,11 @@ class GdmsSpec:
         new_vertices = [VertexSet(id=str(names[a]), center=GPoint(Z[a], T[a]),
                                   radius=float(rho[a]))
                         for a in range(self.n_edges)]
-        pairs = list(self.admissible_words(2, math.inf))
-        a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        new_table = table.take(a, [f"{old[i]}|{old[j]}" for i, j in pairs], names[a], names[b])
+        # the admissible pairs (a, b) in lexicographic order, from the successor index
+        succ, row, ptr, _ = self._index
+        a, b = _extensions(succ, ptr[row], np.diff(ptr)[row])
+        new_table = table.take(a, [f"{old[i]}|{old[j]}" for i, j in zip(a.tolist(), b.tolist())],
+                               names[a], names[b])
         return GdmsSpec(self.group, new_vertices, new_table, incidence=None,
                         contraction=self.contraction, validate="none")
 
@@ -850,15 +859,15 @@ class GdmsSpec:
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Stationary distribution of a row-stochastic matrix by power iteration,
-    to STATIONARY_TOL within STATIONARY_MAX_ITER steps."""
+    """Stationary law of a row-stochastic P, solved directly: pi (P - I) = 0
+    and sum pi = 1 by least squares, on P's rows scaled to sum 1 (rows that
+    are stochastic to a rounding give the exact chain's law).  It is the
+    law of P's one closed class, periodic or not; of several, the least-norm
+    mixture.  Entries that round below 0 are 0."""
     P = np.asarray(P, float)
-    pi = np.full(P.shape[0], 1.0 / P.shape[0])
-    for _ in range(STATIONARY_MAX_ITER):
-        nxt = pi @ P
-        if np.abs(nxt - pi).max() < STATIONARY_TOL:
-            return nxt / nxt.sum()
-        pi = nxt
+    n = P.shape[0]
+    A = np.vstack([(P / P.sum(axis=1, keepdims=True)).T - np.eye(n), np.ones(n)])
+    pi = np.maximum(np.linalg.lstsq(A, np.eye(n + 1)[n], rcond=None)[0], 0.0)
     return pi / pi.sum()
 
 

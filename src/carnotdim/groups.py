@@ -256,10 +256,31 @@ def dilate_many(g: GroupSpec, r, Z, T):
 
 
 def norm_many(g: GroupSpec, Z, T):
+    """Gauge norms (|z|^4 + |t|^2)^{1/4}; where that overflows (|z| > ~1e77)
+    on finite coordinates, s ||(z / s; t / s^2)||, s = max(|z_i|, sqrt |t_j|),
+    so that every finite result is the plain formula's, to the bit."""
     Z = np.asarray(Z, float); T = np.asarray(T, float)
-    z2 = np.einsum("...i,...i->...", Z, Z)
-    t2 = np.einsum("...i,...i->...", T, T)
-    return (z2 * z2 + t2) ** 0.25
+    with np.errstate(over="ignore"):
+        z2 = np.einsum("...i,...i->...", Z, Z)
+        norm = (z2 * z2 + np.einsum("...i,...i->...", T, T)) ** 0.25
+    big = ~np.isfinite(norm)
+    if big.any():
+        norm = np.array(norm)
+        Zb, Tb = (np.broadcast_to(X, norm.shape + X.shape[-1:])[big] for X in (Z, T))
+        s = np.maximum(np.abs(Zb).max(axis=-1), np.sqrt(np.abs(Tb).max(axis=-1)))
+        ok = np.isfinite(s)  # inf or NaN coordinates keep their norm
+        vals, s = norm[big], s[ok, None]
+        with np.errstate(over="ignore"):
+            vals[ok] = s[:, 0] * norm_many(g, Zb[ok] / s, Tb[ok] / s / s)
+        norm[big] = vals
+    return norm[()]
+
+
+def inverse_square(r, d):
+    """r / d^2 (a derivative bound r_f / d(p, pole)^2) without a RuntimeWarning:
+    0 where d^2 passes the float range, as a finite norm_many may, inf at 0."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return r / (d * d)
 
 
 def dist_many(g: GroupSpec, Z1, T1, Z2, T2):

@@ -321,7 +321,9 @@ def build_self_similar(g: GroupSpec, maps: Sequence[Tuple],
     scales = np.array([prims[-1].r for prims in prim_lists])
     Zp = np.stack([prims[0].point.z for prims in prim_lists])
     Tp = np.stack([prims[0].point.t for prims in prim_lists])
-    R = max(float((G.norm_many(g, Zp, Tp) / (1 - scales)).max()) * (1 + 1e-9), 1e-6)
+    # in Python floats, a radius past the float range is inf, refused by VertexSet
+    R = max(max(n / (1 - s) for n, s in zip(G.norm_many(g, Zp, Tp).tolist(),
+                                            scales.tolist())) * (1 + 1e-9), 1e-6)
     vertex = VertexSet(id="X", center=G.origin(g), radius=R)
     n = len(prim_lists)
     table = EdgeTable.from_primitives(

@@ -10,7 +10,8 @@ _log_transfer, gives log rho(A * diag(w^t)) over the successor index's rows
 taken as exp(t (log w - log w_max)) so that any t >= 0 neither overflows
 nor underflows the largest: a sum when the index has one row, else a Perron
 root of the bincount row matrix.  Pressures, Bowen parameters,
-eigenmeasures, Gibbs checks and theta's shell sums all go through it.
+eigenmeasures and theta's shell sums all go through it; Gibbs checks are a
+closed form of the weights, taken by max-plus steps over the same index.
 Every root is bracketed: Bowen parameters and theta fits by bisection,
 Moran roots by tangent steps on the convex log sum w^t.
 """
@@ -27,6 +28,7 @@ import numpy as np
 from .errors import NonConvergenceError, ValidationError
 from .gdms import (DEFAULT_WORD_BUDGET, GdmsSpec, Word, WordList,
                    stationary_distribution)
+from .groups import inverse_square
 
 BISECTION_TOL = 1e-6
 BISECTION_MAX_ITER = 200
@@ -113,7 +115,8 @@ def compute_weight_table(sys: GdmsSpec) -> WeightTable:
     table = sys.table
     d = sys.pole_gaps[0]
     R = sys.vertex_arrays()[2][sys.dst_idx]
-    return WeightTable(np.where(table.has_pole, table.r_f / (d + R) ** 2, table.r_f),
+    # w_lo = 0 past the float range is refused by WeightTable
+    return WeightTable(np.where(table.has_pole, inverse_square(table.r_f, d + R), table.r_f),
                        sys.w_up)
 
 
@@ -235,7 +238,7 @@ def _log_transfer(log_w: np.ndarray, count: np.ndarray, t: float,
         n = ptr.size - 1
         lam, u = perron_eigenvalue(
             np.bincount(cell, weights=x[pair][succ], minlength=n * n).reshape(n, n))
-    log_rho = float(np.log(lam) + t * top)
+    log_rho = float(np.log(lam)) + float(t) * float(top)  # inf past the range, no warning
     if not vector:
         return log_rho
     return log_rho, np.ones(pair.size) if u is None else u[index[1]], x[pair] / lam
@@ -516,9 +519,9 @@ class CylinderMeasure:
     Masses follow m([w]) = w_mid(w)^t * v(w_n) * lam^-|w| / Z with v the
     (right) Perron eigenvector of M_ab = A_ab w_mid(b)^t; this choice makes
     children masses sum exactly to the parent mass.  masses[k] is the mass
-    of words[k], the depth-n words in lexicographic order.  letters[e] =
-    w_mid(e)^t / lam from the transfer kernel, which takes lam^-|w| letter
-    by letter: lam may underflow to 0, the masses do not.
+    of words[k], the depth-n words in lexicographic order, taken from
+    w_mid^t / lam letter by letter: lam may underflow to 0, the masses do
+    not.
     """
 
     depth: int
@@ -528,7 +531,6 @@ class CylinderMeasure:
     t: float
     eigenvector: np.ndarray
     norm_const: float
-    letters: np.ndarray
 
     def mass(self, word: Word) -> float:
         try:
@@ -563,41 +565,35 @@ def transfer_eigenmeasure(sys: GdmsSpec, t: float, depth: int,
     if abs(total - 1.0) > 1e-9:
         masses = masses / total
     return CylinderMeasure(depth=depth, words=WordList(sys, depth), masses=masses,
-                           eigenvalue=math.exp(log_rho), t=t, eigenvector=v, norm_const=Zc,
-                           letters=y)
+                           eigenvalue=math.exp(log_rho), t=t, eigenvector=v, norm_const=Zc)
 
 
-def gibbs_check(measure: CylinderMeasure, sys: GdmsSpec, t: float,
-                side: str = "mid", budget: int = DEFAULT_WORD_BUDGET):
+def gibbs_check(measure: CylinderMeasure, sys: GdmsSpec, t: float, side: str = "mid"):
     """(min, max) of the Gibbs ratios over all cylinders of depth <= measure.depth.
 
-    The ratio compares each cylinder mass, w_mid(w)^t * v(w_n) * lam^-|w| / Z
-    from the measure's letters, eigenvector and norm_const, against the
-    prediction w_side(w)^t * v(w_n) * lam^-|w| / Z.  Both share every factor
-    but the weights, so the ratio is the closed form prod (w_mid / w_side)^t
-    along the word: with side="mid" it is 1 by construction, and with
-    "lower" or "upper" it reads the weight bracket, not the measure (ratios
-    0/0 after underflow are skipped).
-    """
+    A cylinder's mass w_mid(w)^t v(w_n) lam^-|w| / Z over its prediction with
+    w_side for w_mid is exp(sum_k phi[w_k]), phi = -half t (log w_up - log w_lo),
+    half = -1/2, 0, 1/2 for lower, mid, upper: it reads the weight bracket,
+    not the measure.  Its extremes come from depth - 1 max-plus steps over
+    the successor index (on phi and -phi), with no word enumerated; an exp
+    past the float range is inf."""
     half = {"lower": -0.5, "mid": 0.0, "upper": 0.5}
     if side not in half:
         raise ValidationError(f"unknown weight side {side!r}")
+    if side == "mid":
+        return 1.0, 1.0
     log_lo, log_up, _, pair = ensure_weights(sys).rows
-    y, v, Zc = measure.letters, measure.eigenvector, measure.norm_const
-    # columns: w_mid^t / lam, for the cylinder masses, and w_side^t / lam, with
-    # log(w_side / w_mid) = half[side] (log w_up - log w_lo), log w_mid their mean
-    y = np.column_stack([y, y * np.exp(half[side] * t * (log_up - log_lo))[pair]])
-    prod = [np.ones((1, 2))] + [None] * measure.depth
-    lo, hi = math.inf, -math.inf
-    for k, parent, last in sys.word_blocks(measure.depth, budget):
-        prod[k] = prod[k - 1][parent] * y[last]
-        m = prod[k] * v[last, None] / Zc  # the masses and their predictions
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = m[:, 0] / m[:, 1]
-        # fmin/fmax skip NaN ratios (0/0 after underflow), as builtin min/max do;
-        # a prediction that underflows alone gives an inf ratio, reported as such
-        lo, hi = min(lo, np.fmin.reduce(r)), max(hi, np.fmax.reduce(r))
-    return lo, hi
+    succ, row, ptr, _ = sys._index
+    with np.errstate(over="ignore"):
+        phi = (-half[side] * t * (log_up - log_lo))[pair, None] * [1.0, -1.0]
+        best, top = phi, phi.max(axis=0)
+        for _ in range(measure.depth - 1):
+            # a row with no successor starts no longer word: -inf, also past the last
+            ext = np.maximum.reduceat(np.append(best[succ], [[-np.inf] * 2], axis=0), ptr[:-1])
+            ext[ptr[:-1] == ptr[1:]] = -np.inf
+            best = phi + ext[row]
+            top = np.maximum(top, best.max(axis=0))
+        return float(np.exp(-top[1])), float(np.exp(top[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,37 @@ def test_measure_dim_markov(fib2_path, tmp_path):
     assert 0 < parse(out)["dimension"] < 4
 
 
+def test_measure_dim_markov_periodic_chain(tmp_path):
+    """P of period 2 with stationary law (1/4, 1/2, 1/4) on scales 1/2,
+    1/4, 1/2: h = log(2) / 2 and chi = 3 log(2) / 2, so the dimension is
+    1/3; iterating pi P itself stopped at (1/3, 1/3, 1/3) and printed 0.25."""
+    spec = write_spec(tmp_path, "moran3.json", dict(MORAN4, maps=[
+        {"translate": [0.0, 0.0, 0.0], "scale": 0.5},
+        {"translate": [2.0, 0.0, 0.0], "scale": 0.25},
+        {"translate": [0.0, 2.0, 0.0], "scale": 0.5}]))
+    P = tmp_path / "P.json"
+    P.write_text(json.dumps([[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]]))
+    rc, out, err = run_cli(["measure-dim", "--spec", spec, "--markov", str(P)])
+    assert rc == 0, err
+    assert parse(out)["dimension"] == pytest.approx(1 / 3, rel=1e-12)
+    # rows stochastic to a rounding, as np.allclose accepts them, give the same
+    # law; the entropy of the rows as given moves the dimension by ~1e-9
+    P.write_text(json.dumps([[0, 1 - 1e-9, 0], [0.5 - 5e-10, 0, 0.5 - 5e-10], [0, 1 - 1e-9, 0]]))
+    rc, out, err = run_cli(["measure-dim", "--spec", spec, "--markov", str(P)])
+    assert rc == 0, err
+    assert parse(out)["dimension"] == pytest.approx(1 / 3, rel=1e-8)
+
+
+def test_measure_gibbs_ratio_past_the_float_range_exits_4():
+    """CF R = 4 at t = 1200: prod (w_mid / w_lo)^t over two letters passes
+    the float range; the inf exits 4 as any non-finite result does."""
+    rc, out, err = run_cli(["measure", "--system", "cf", "--radius", "4", "--t", "1200",
+                            "--depth", "2", "--side", "lower"])
+    assert rc == 4 and out == b""
+    assert b"Traceback" not in err and b"Warning" not in err and b"NaN" not in err
+    assert json.loads(err.decode().splitlines()[-1])["error"] == "NonConvergenceError"
+
+
 def test_subsystem_command():
     rc, out, _ = run_cli(["subsystem", "--target", "0.6"])
     assert rc == 0

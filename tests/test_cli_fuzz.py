@@ -19,7 +19,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from carnotdim import cli
 
@@ -167,8 +167,8 @@ def test_cli_flags_keep_the_exit_code_contract(data, spec_dir):
 
 @pytest.mark.parametrize("t", ["613", "-647"])
 def test_measure_at_extreme_t_leaves_stderr_clean(t, spec_dir):
-    """Masses that underflow to 0 at t = 613 (their 0/0 Gibbs ratios are
-    skipped) and a negative t (refused) print no warning."""
+    """Masses that underflow to 0 at t = 613 and a negative t (refused)
+    print no warning."""
     assert_contract(["measure", "--spec", str(spec_dir / "fib2.json"), f"--t={t}"],
                     clean_stderr=True)
 
@@ -258,6 +258,13 @@ SPEC_COMMANDS = [["dim"], ["dim", "--tol", "1e-3"], ["pressure", "--t", "1.5"],
 
 @settings(FUZZ, max_examples=300)
 @given(spec=mutated_specs(), command=st.sampled_from(SPEC_COMMANDS))
+# translations whose gauge norm |z|^4 + |t|^2 passes the float range: the
+# norm is now finite, and the domain radius and weights built from it must
+# overflow without a warning
+@example(spec=dict(FIB2, maps=[dict(FIB2["maps"][0], translate=[1e308, 0.0, 0.0]),
+                               FIB2["maps"][1]]), command=["dim"])
+@example(spec=dict(FIB2, maps=[dict(FIB2["maps"][0], translate=[0.0, 0.0, 1e308]),
+                               FIB2["maps"][1]]), command=["dim"])
 def test_mutated_specs_keep_the_exit_code_contract(spec, command, tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

@@ -97,6 +97,20 @@ def test_r_f_of_nearly_cancelling_inversions(g, t0):
         c.r_f / cd.gauge_dist(g, p, c.pole) ** 2, rel=1e-12)
 
 
+def test_r_f_of_a_pole_past_the_quartic_range(g):
+    """J o tau_(0,z0;0) o J with z0 = 3.03e-81 has its pole at |z| = 1/z0
+    ~ 3.3e80, where |z|^4 overflows: the gauge norm is rescaled there, so
+    r_f = 1/z0^2 is found, and ||D phi(p)|| = r_f / d(p, a)^2 holds."""
+    z0 = 3.03e-81
+    c = cd.ConformalChain(g, [cd.Invert(), cd.Translate(cd.gpoint([0.0, z0], [0.0])),
+                              cd.Invert()])
+    assert c.r_f == pytest.approx(1.0892178326743561e161, rel=1e-12)
+    assert c.r_f * z0 * z0 == pytest.approx(1.0, rel=1e-12)
+    for p in (cd.gpoint([1.0, 0.0], [0.0]), cd.gpoint([0.3, -0.2], [0.1])):
+        assert c.deriv_norm_at(p) == pytest.approx(
+            c.r_f / cd.gauge_dist(g, p, c.pole) ** 2, rel=1e-12)
+
+
 def test_rotate_validation(g):
     # non-symplectic matrix must be rejected
     M = np.array([[1.0, 1.0], [0.0, 1.0]])

@@ -107,6 +107,10 @@ def well_conditioned(chain, Z, T):
                   cd.Invert()]],
          probe=[cd.gpoint([1.0, 0.0], [0.0]), cd.gpoint([0.0, -1.0], [0.5]),
                 cd.gpoint([0.5, 0.5], [-0.5]), cd.gpoint([-1.5, 0.2], [1.0])])
+@example(chains=[[cd.Invert(), cd.Translate(cd.gpoint([0.0, 3.03e-81], [0.0])),
+                  cd.Invert()]],  # pole at |z| ~ 3.3e80, past the range of |z|^4
+         probe=[cd.gpoint([1.0, 0.0], [0.0]), cd.gpoint([0.0, -1.0], [0.5]),
+                cd.gpoint([0.5, 0.5], [-0.5]), cd.gpoint([-1.5, 0.2], [1.0])])
 def test_spec_chain_rows_and_normal_form(chains, probe):
     edges = [cd.EdgeMap(id=f"e{k}", src="X", dst="X", chain=cd.ConformalChain(G1, p))
              for k, p in enumerate(chains)]

@@ -270,6 +270,117 @@ def test_word_blocks_go_past_the_recursion_limit():
         next(one.word_blocks(11, budget=10))
 
 
+def pairwise_disjointness(g, vertices):
+    """The message of the first pair a < b of vertex balls that touch, by
+    one gauge_dist per pair in (a, b) order, else None."""
+    for a, va in enumerate(vertices):
+        for vb in vertices[a + 1:]:
+            if cd.gauge_dist(g, va.center, vb.center) <= va.radius + vb.radius:
+                return f"vertex sets {va.id!r} and {vb.id!r} are not disjoint"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), quaternionic=st.booleans(),
+       touching=st.integers(0, 3), overlapping=st.booleans())
+def test_disjointness_check_matches_the_pairs(seed, n, quaternionic, touching, overlapping):
+    """The array check raises on the pair that the per-pair loop raises on,
+    with its message, on random balls with some pairs placed to touch
+    (c_b = c_a (R_a + R_b, 0; 0)) or to overlap."""
+    g = cd.quaternionic_heisenberg(1) if quaternionic else cd.heisenberg(1)
+    rng = np.random.default_rng(seed)
+    Z, T = rng.uniform(-40, 40, (n, g.m1)), rng.uniform(-40, 40, (n, g.m2))
+    R = rng.uniform(0.05, 1.5, n)
+    for _ in range(touching if n > 1 else 0):
+        a, b = rng.choice(n, 2, replace=False)
+        e = np.zeros(g.m1)
+        e[0] = R[a] + R[b]
+        Z[b], T[b] = cd.groups.mul_many(g, Z[a], T[a], e, np.zeros(g.m2))
+    if overlapping and n > 1:
+        a, b = rng.choice(n, 2, replace=False)
+        Z[b], T[b] = Z[a] + 0.5 * R[a], T[a]
+    vertices = [cd.VertexSet(f"v{k}", cd.GPoint(Z[k], T[k]), float(R[k])) for k in range(n)]
+    edge = cd.EdgeMap("e", "v0", "v0", cd.ConformalChain(g, [cd.Dilate(0.5)]))
+    want = pairwise_disjointness(g, vertices)
+    if want is None:
+        cd.GdmsSpec(g, vertices, [edge], contraction=0.5, validate="none")
+    else:
+        with pytest.raises(ValidationError) as err:
+            cd.GdmsSpec(g, vertices, [edge], contraction=0.5, validate="none")
+        assert str(err.value) == want
+
+
+def test_disjointness_ties_follow_gauge_dist():
+    """Balls that touch to the last bit: the array power of dist_many and the
+    scalar one of gauge_dist can round a distance apart by an ulp, and the
+    scalar one decides, both where it reads touching and where it does not."""
+    g = cd.heisenberg(1)
+    rng = np.random.default_rng(0)
+    Z, T = rng.uniform(-3, 3, (4096, g.m1)), rng.uniform(-3, 3, (4096, g.m2))
+    batch = cd.groups.norm_many(g, Z, T)
+    scalar = np.array([cd.gauge_norm(g, cd.GPoint(z, t)) for z, t in zip(Z, T)])
+    edge = cd.EdgeMap("e", "a", "a", cd.ConformalChain(g, [cd.Dilate(0.5)]))
+    for apart in (batch < scalar, batch > scalar):
+        k = int(np.flatnonzero(apart)[0])
+        r = scalar[k] / 2  # R_a + R_b is the scalar distance, exactly
+        vertices = [cd.VertexSet("a", cd.origin(g), r), cd.VertexSet("b", cd.GPoint(Z[k], T[k]), r)]
+        assert pairwise_disjointness(g, vertices) is not None
+        with pytest.raises(ValidationError, match="not disjoint"):
+            cd.GdmsSpec(g, vertices, [edge], contraction=0.5, validate="none")
+        # R_a + R_b one ulp below it, exactly
+        vertices[1] = cd.VertexSet("b", cd.GPoint(Z[k], T[k]), np.nextafter(scalar[k], 0) - r)
+        assert pairwise_disjointness(g, vertices) is None
+        cd.GdmsSpec(g, vertices, [edge], contraction=0.5, validate="none")
+
+
+def test_hat_edges_are_the_admissible_pairs():
+    """The hat's edges are the words of length 2 in lexicographic order, on
+    an explicit incidence, with an edge that nothing may follow, and on a
+    maximal multi-vertex system."""
+    g = cd.heisenberg(1)
+    inc = cd.build_self_similar(g, line_maps(4, 0.01),
+                                incidence=np.array([[1, 1, 0, 1], [0, 0, 0, 0],
+                                                    [1, 0, 1, 1], [0, 1, 1, 0]], bool))
+    for sys_ in (separated_fib2_system(), inc, inc.maximalize()):
+        hat = sys_.maximalize()
+        pairs = list(sys_.admissible_words(2))
+        ids = sys_.table.ids
+        assert hat.table.ids.tolist() == [f"{ids[a]}|{ids[b]}" for a, b in pairs]
+        assert hat.table.src.tolist() == [f"v[{ids[a]}]" for a, _ in pairs]
+        assert hat.table.dst.tolist() == [f"v[{ids[b]}]" for _, b in pairs]
+        assert [v.id for v in hat.vertices] == [f"v[{e}]" for e in ids]
+
+
+def test_stationary_laws_of_periodic_chains():
+    """The direct solve holds where iterating pi P cycles: a chain of period
+    2, and one with a transient state feeding a 2-cycle."""
+    for P, pi in [([[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]], [0.25, 0.5, 0.25]),
+                  ([[0.9, 0.1, 0], [0, 0, 1], [0, 1, 0]], [0.0, 0.5, 0.5])]:
+        got = cd.gdms.stationary_distribution(np.array(P))
+        np.testing.assert_allclose(got, pi, rtol=0, atol=1e-14)
+        assert np.abs(got @ np.array(P) - got).max() < 1e-14
+
+
+def test_stationary_laws_of_rows_stochastic_to_a_rounding_and_slow_chains():
+    """Rows that sum to 1 - 1e-9 (or thirds typed as 0.333333333) give the
+    law of the exact chain, also to a chaos cloud, and a chain that mixes at
+    rate 1 - 3e-6 per step gets its law without iterating."""
+    for P, pi in [([[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]], [0.25, 0.5, 0.25]),
+                  ([[0.5, 0.5], [1.0, 0.0]], [2 / 3, 1 / 3])]:
+        got = cd.gdms.stationary_distribution(np.array(P) * (1 - 1e-9))
+        np.testing.assert_allclose(got, pi, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(cd.gdms.stationary_distribution(np.full((3, 3), 0.333333333)),
+                               [1 / 3] * 3, rtol=0, atol=1e-14)
+    got = cd.gdms.stationary_distribution(np.array([[1 - 1e-6, 1e-6], [2e-6, 1 - 2e-6]]))
+    np.testing.assert_allclose(got, [2 / 3, 1 / 3], rtol=0, atol=1e-9)
+    # a Markov chaos cloud from such rows is the cloud of the exact rows
+    sys_ = separated_fib2_system()
+    P = np.array([[0.5, 0.5], [1.0, 0.0]])
+    want = sys_.limit_set_cloud(6, mode="chaos", samples=50, seed=2, markov=P)
+    got = sys_.limit_set_cloud(6, mode="chaos", samples=50, seed=2, markov=P * (1 - 1e-9))
+    assert got.Z.tobytes() == want.Z.tobytes() and got.T.tobytes() == want.T.tobytes()
+
+
 def test_maximal_and_explicit_twins_agree(monkeypatch):
     """A maximal system and a copy of it with its adjacency as an explicit
     incidence: the vertex-index paths and the edge-index paths agree."""

@@ -2,7 +2,9 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -35,6 +37,41 @@ def test_gauge_norm_examples(h1):
     # pure-vertical point: norm = |t|^(1/2)
     assert cd.gauge_norm(h1, cd.gpoint([0.0, 0.0], [4.0])) == 2.0
     assert cd.gauge_norm(h1, cd.origin(h1)) == 0.0
+
+
+def test_norms_past_the_quartic_range(h1, hq):
+    """|z|^4 overflows from |z| ~ 1e77 on, |t|^2 from |t| ~ 1e154: those rows
+    are rescaled without a RuntimeWarning, every finite row keeps the plain
+    formula's bits, and rows with a coordinate that is not finite stay so."""
+    rng = np.random.default_rng(0)
+    for g in (h1, hq):
+        Z = rng.normal(size=(8, g.m1)) * 10.0 ** rng.integers(-3, 4, (8, 1))
+        T = rng.normal(size=(8, g.m2))
+        Z[:3] *= [[1e200], [1e77], [1e-10]]
+        T[2:4] *= [[1e300], [1e200]]
+        Z[5, 0], T[6, 0] = np.inf, np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = G.norm_many(g, Z, T)
+            # broadcast rows, and a single point
+            assert np.array_equal(G.norm_many(g, Z[:, None], T[None, :4]).diagonal()[:4],
+                                  norms[:4])
+            assert G.gauge_norm(g, cd.GPoint(Z[0], T[0])) == norms[0]
+        for k in range(8):
+            want = mpmath.sqrt(mpmath.sqrt(
+                mpmath.fsum(mpmath.mpf(x) ** 2 for x in Z[k]) ** 2
+                + mpmath.fsum(mpmath.mpf(x) ** 2 for x in T[k])))
+            if k == 5:
+                assert norms[k] == math.inf
+            elif k == 6:
+                assert math.isnan(norms[k])
+            else:
+                assert abs(norms[k] / float(want) - 1) <= 4e-16
+        with np.errstate(over="ignore"):
+            z2, t2 = (Z[3:] ** 2).sum(axis=1), (T[3:] ** 2).sum(axis=1)
+        plain = (z2 * z2 + t2) ** 0.25
+        finite = np.isfinite(plain)
+        assert finite[[1, 4]].all() and np.array_equal(norms[3:][finite], plain[finite])
 
 
 def test_group_law_heisenberg(h1):

@@ -12,7 +12,7 @@ import carnotdim as cd
 from carnotdim import gdms
 from carnotdim.cli import system_from_json
 
-from conftest import MORAN4, fib2_system
+from conftest import MORAN4, fib2_system, moran_system, separated_fib2_system
 
 GOLDEN_MARKOV = np.array([[0.3, 0.7], [1.0, 0.0]])
 
@@ -80,13 +80,17 @@ def test_chaos_cloud_is_independent_of_the_block_size(block_rows, monkeypatch):
 
 def test_deterministic_cloud_is_the_words_in_order():
     """Level by level with the last level written in place: the points are
-    phi_w(anchor) of the admissible words in lexicographic order."""
-    sys_ = fib2_system()
-    for depth in (1, 2, 7):
-        words = np.array(list(sys_.admissible_words(depth)))
-        cloud = sys_.limit_set_cloud(depth)
-        Z, T = one_shot_chaos(sys_, words)
-        assert np.array_equal(cloud.Z, Z) and np.array_equal(cloud.T, T)
+    phi_w(anchor) of the admissible words in lexicographic order.  Successors
+    are concatenated once per index row and level: an edge each on fib2's
+    explicit incidence, one row on a Moran IFS, a row per vertex on a hat
+    system, whose edges of one row are not adjacent."""
+    for sys_ in (fib2_system(), moran_system([0.5, 0.3, 0.2]),
+                 separated_fib2_system().maximalize()):
+        for depth in (1, 2, 7):
+            words = np.array(list(sys_.admissible_words(depth)))
+            cloud = sys_.limit_set_cloud(depth)
+            Z, T = one_shot_chaos(sys_, words)
+            assert np.array_equal(cloud.Z, Z) and np.array_equal(cloud.T, T)
 
 
 def test_deterministic_cloud_skips_an_edge_nothing_may_follow():

@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import types
 import warnings
 
 import mpmath
@@ -285,8 +286,8 @@ def test_gibbs_exact_for_similarities():
 
 def test_eigenmeasure_rejects_negative_t_and_gibbs_skips_underflow_silently():
     """A negative t is refused as in pressure_bracket; at t = 613 the depth-6
-    masses of fib2 underflow to 0, and their 0/0 ratios are skipped without
-    a RuntimeWarning."""
+    masses of fib2 underflow to 0, and the Gibbs ratios, a closed form of
+    the weights, are still 1, without a RuntimeWarning."""
     sys_ = fib2_system()
     with pytest.raises(ValidationError):
         cd.transfer_eigenmeasure(sys_, -1.0, depth=2)
@@ -294,6 +295,105 @@ def test_eigenmeasure_rejects_negative_t_and_gibbs_skips_underflow_silently():
         warnings.simplefilter("error")
         m = cd.transfer_eigenmeasure(sys_, 613.0, depth=6)
         assert cd.gibbs_check(m, sys_, 613.0) == (1.0, 1.0)
+
+
+def gibbs_by_words(sys_, t, depth, side):
+    """(min, max) of the Gibbs ratios by enumeration, as gibbs_check once
+    computed them: each word of length 1..depth carries its mass, the
+    product of w_mid^t along it, and its prediction, the product of w_side^t
+    (the factors v, lam and Z that both share are left out), here as sums
+    of logs so that no product underflows; the ratio is mass / prediction."""
+    wt = thermo.ensure_weights(sys_)
+    log_lo, log_up = np.log(wt.w_lo), np.log(wt.w_up)
+    log_mid = 0.5 * (log_lo + log_up)
+    log_side = {"lower": log_lo, "mid": log_mid, "upper": log_up}[side]
+    cols = t * np.column_stack([log_mid, log_side])
+    sums = [np.zeros((1, 2))] + [None] * depth
+    lo, hi = math.inf, -math.inf
+    for k, parent, last in sys_.word_blocks(depth):
+        sums[k] = sums[k - 1][parent] + cols[last]
+        r = sums[k][:, 0] - sums[k][:, 1]
+        lo, hi = min(lo, r.min()), max(hi, r.max())
+    with np.errstate(over="ignore"):
+        return float(np.exp(lo)), float(np.exp(hi))
+
+
+def random_inexact_system(seed, dead_end=False):
+    """2-5 similarities on a seeded random irreducible incidence, with a
+    weight table w_lo < w_up in place of their exact ratios; with
+    `dead_end`, a random edge may be followed by none."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 6))
+    A = rng.random((k, k)) < 0.4
+    A[np.arange(k), (np.arange(k) + 1) % k] = True
+    A[rng.integers(k)] &= not dead_end
+    w_up = rng.uniform(0.1, 0.6, k)
+    sys_ = cd.build_self_similar(cd.heisenberg(1), [(cd.gpoint([3.0 * j, 0.0], [0.0]), 0.5)
+                                                    for j in range(k)], incidence=A)
+    sys_.weights = thermo.WeightTable(w_up * rng.uniform(0.3, 0.99, k), w_up)
+    return sys_
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(1, 7),
+       side=st.sampled_from(["lower", "mid", "upper"]),
+       t=st.one_of(st.floats(0.0, 3.0), st.just(613.0)), dead_end=st.booleans())
+def test_gibbs_recursion_matches_the_words(seed, depth, side, t, dead_end):
+    """The max-plus steps over the successor index give the extremes that
+    enumerating every word gives, with no RuntimeWarning (at t = 613 the
+    ratios of long words pass the float range: inf or 0 on both), also when
+    an edge ends every word it is in."""
+    sys_ = random_inexact_system(seed, dead_end)
+    # gibbs_check reads only the measure's depth: a system with a dead end
+    # has no eigenmeasure, and the Perron vector of such an incidence need
+    # not converge at t = 613, where the power shift sits far above rho
+    if dead_end:
+        m = types.SimpleNamespace(depth=depth)
+    else:
+        m = cd.transfer_eigenmeasure(sys_, min(t, 3.0), depth)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cd.gibbs_check(m, sys_, t, side=side)
+    want = gibbs_by_words(sys_, t, depth, side)
+    np.testing.assert_allclose(got, want, rtol=1e-14 * (1 + t) * depth, atol=1e-300)
+    if side == "mid":
+        assert got == (1.0, 1.0)
+    elif side == "lower":  # w_mid >= w_lo
+        assert got[0] >= 1.0
+    else:
+        assert got[1] <= 1.0
+
+
+def test_gibbs_recursion_matches_the_words_on_cf():
+    """CF R = 4 (848 edges) at depth 2, both weight sides."""
+    sys_ = bracketed_system("cf")
+    m = cd.transfer_eigenmeasure(sys_, 2.0, 2)
+    for side in ("lower", "upper"):
+        np.testing.assert_allclose(cd.gibbs_check(m, sys_, 2.0, side=side),
+                                   gibbs_by_words(sys_, 2.0, 2, side), rtol=1e-14)
+
+
+def test_measure_enumerates_its_words_once(monkeypatch):
+    """transfer_eigenmeasure walks the words; gibbs_check reads only the
+    weight table and the successor index."""
+    sys_ = random_inexact_system(3)
+    calls = []
+    blocks = cd.GdmsSpec.word_blocks
+    monkeypatch.setattr(cd.GdmsSpec, "word_blocks",
+                        lambda self, *a: calls.append(a) or blocks(self, *a))
+    m = cd.transfer_eigenmeasure(sys_, 1.0, 5)
+    for side in ("lower", "mid", "upper"):
+        cd.gibbs_check(m, sys_, 1.0, side=side)
+    assert len(calls) == 1
+
+
+def test_gibbs_ratio_past_the_float_range_is_inf():
+    sys_ = random_inexact_system(5)
+    m = cd.transfer_eigenmeasure(sys_, 1.0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cd.gibbs_check(m, sys_, 1e6, side="lower")[1] == math.inf
+        assert cd.gibbs_check(m, sys_, 1e6, side="upper")[0] == 0.0
 
 
 def test_measure_dimension_bernoulli():
