@@ -1,12 +1,13 @@
-"""Conformal self-maps of Iwasawa groups as chains of primitives.
+"""Conformal self-maps of Iwasawa groups: chains of primitives and their normal form.
 
-A map is an ordered list of primitives (applied right-to-left):
-left translations, dilations, horizontal rotations (complex Heisenberg
-only), and the inversion J(z; t) = (z / (|z|^2 - i t); -t / ||(z,t)||^4)
-(complex Heisenberg only).  Pointwise derivative norms come from the chain
-rule with per-primitive factors {translate -> 1, rotate -> 1, dilate -> r,
-invert at x -> 1/d(x,o)^2}; for a chain with a pole a = F^{-1}(infinity)
-the norm has the closed form r_f / d(p, a)^2.
+A chain is an ordered list of primitives (applied right-to-left): left
+translations, dilations, horizontal rotations and the inversion
+J(z; t) = (z / (|z|^2 - i t); -t / ||(z,t)||^4) (both complex Heisenberg only).
+Each is a similarity tau_b delta_r U or, with one pole a, tau_b delta_r U J
+tau_{a^-1} (Koranyi-Reimann; U unitary, ||D phi(p)|| = r / d(p, a)^2).
+ConformalChain pulls infinity back to the pole and folds r and U in closed
+form; gdms.EdgeTable keeps only this normal form and evaluates a pole map
+through a base point x0 of its domain (`inverted_offset_many`).
 """
 
 from __future__ import annotations
@@ -28,37 +29,14 @@ EPS_FLOOR = 1e-12
 # ---------------------------------------------------------------------------
 
 class Primitive:
-    """Base class; concrete primitives implement the hooks below.
-
-    A primitive is fixed by a row of floats (`params`, `n_params` of them),
-    and `apply_rows` applies it for parameter rows P of shape (..., n_params)
-    that broadcast against the points (Z, T): one row per point batch, or a
-    stack of rows for many edges at once.
-    """
-
-    @staticmethod
-    def n_params(g: GroupSpec) -> int:
-        return 0
-
-    def params(self, g: GroupSpec) -> np.ndarray:
-        return np.empty(0)
-
-    @classmethod
-    def from_params(cls, g: GroupSpec, row) -> "Primitive":
-        return cls()
-
-    @staticmethod
-    def apply_rows(g: GroupSpec, P, Z, T):
-        raise NotImplementedError
+    """Base class; concrete primitives implement `apply_many` on points
+    (Z, T) of any leading shape."""
 
     def validate(self, g: GroupSpec) -> None:
         pass
 
     def inverse(self) -> "Primitive":
         raise NotImplementedError
-
-    def apply_many(self, g: GroupSpec, Z, T):
-        return self.apply_rows(g, self.params(g), Z, T)
 
     def apply_infinity(self, g: GroupSpec):
         """Image of the point at infinity (a GPoint or INFINITY)."""
@@ -83,20 +61,8 @@ class Translate(Primitive):
             raise ValidationError("cannot translate by infinity")
         self.point = point
 
-    @staticmethod
-    def n_params(g):
-        return g.m1 + g.m2
-
-    def params(self, g):
-        return np.concatenate([self.point.z, self.point.t])
-
-    @classmethod
-    def from_params(cls, g, row):
-        return cls(GPoint(row[:g.m1], row[g.m1:]))
-
-    @staticmethod
-    def apply_rows(g, P, Z, T):
-        return G.mul_many(g, P[..., :g.m1], P[..., g.m1:], Z, T)
+    def apply_many(self, g, Z, T):
+        return G.mul_many(g, self.point.z, self.point.t, Z, T)
 
     def validate(self, g):
         G._check_point(g, self.point, "translation")
@@ -114,20 +80,8 @@ class Dilate(Primitive):
             raise ValidationError(f"dilation factor must be positive, got {r}")
         self.r = float(r)
 
-    @staticmethod
-    def n_params(g):
-        return 1
-
-    def params(self, g):
-        return np.array([self.r])
-
-    @classmethod
-    def from_params(cls, g, row):
-        return cls(row[0])
-
-    @staticmethod
-    def apply_rows(g, P, Z, T):
-        return G.dilate_many(g, P[..., 0], Z, T)
+    def apply_many(self, g, Z, T):
+        return G.dilate_many(g, self.r, Z, T)
 
     def inverse(self):
         return Dilate(1.0 / self.r)
@@ -153,21 +107,8 @@ class Rotate(Primitive):
             raise ValidationError(f"rotation angle must be finite, got {self.theta}")
         self.matrix = None if matrix is None else np.asarray(matrix, float)
 
-    @staticmethod
-    def n_params(g):
-        return g.m1 * g.m1
-
-    def params(self, g):
-        return self._matrix_for(g).ravel()
-
-    @classmethod
-    def from_params(cls, g, row):
-        return cls(matrix=np.reshape(row, (g.m1, g.m1)))
-
-    @staticmethod
-    def apply_rows(g, P, Z, T):
-        A = np.reshape(P, np.shape(P)[:-1] + (g.m1, g.m1))
-        return np.einsum("...ab,...b->...a", A, Z), np.array(T, float)
+    def apply_many(self, g, Z, T):
+        return np.einsum("...ab,...b->...a", self._matrix_for(g), Z), np.array(T, float)
 
     def _matrix_for(self, g: GroupSpec) -> np.ndarray:
         if self.matrix is not None:
@@ -213,19 +154,16 @@ class Invert(Primitive):
     def inverse(self):
         return Invert()
 
-    @staticmethod
-    def apply_rows(g, P, Z, T):
+    def apply_many(self, g, Z, T):
+        """(z / A; -(t / |A|) / |A|) with A = |z|^2 - i t: |A| = hypot(|z|^2, t)
+        neither underflows nor overflows where ||x||^4 would.  A point within
+        the float resolution of o gives inf or NaN."""
         Z = np.asarray(Z, float); T = np.asarray(T, float)
-        n = g.n
-        zc = Z[..., :n] + 1j * Z[..., n:]
         z2 = np.einsum("...i,...i->...", Z, Z)
         t = T[..., 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = zc / (z2 - 1j * t)[..., None]
-            norm4 = z2 * z2 + t * t
-            t_new = -t / norm4
-        Z_new = np.concatenate([w.real, w.imag], axis=-1)
-        return Z_new, t_new[..., None]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            A = np.hypot(z2, t)
+            return _real(_complex(g, Z) / (z2 - 1j * t)[..., None]), (-(t / A) / A)[..., None]
 
     def apply_infinity(self, g):
         return origin(g)
@@ -242,21 +180,66 @@ class Invert(Primitive):
 
 
 # ---------------------------------------------------------------------------
+# Normal form
+# ---------------------------------------------------------------------------
+
+def _complex(g: GroupSpec, Z):
+    """Horizontal coordinates (x_1..x_n, y_1..y_n) as complex z_k = x_k + i y_k."""
+    return Z[..., :g.n] + 1j * Z[..., g.n:]
+
+
+def _real(W):
+    return np.concatenate([W.real, W.imag], axis=-1)
+
+
+def inversion_rotation(g: GroupSpec, b: GPoint) -> np.ndarray:
+    """U_b of J o tau_b o J = tau_{J(b)} delta_{1/||b||^2} U_b J tau_{J(b^-1)^-1} as a
+    real m1 x m1 matrix: ||b||^2 DJ_b = conj(A) I - 2 conj(A)^2 z z* for
+    (z; t) = delta_{1/||b||} b, A = |z|^2 - i t."""
+    nb = float(G.norm_many(g, b.z, b.t))
+    z = _complex(g, b.z / nb)
+    A = np.vdot(z, z).real - 1j * (b.t[0] / nb / nb)
+    C = np.conj(A) * np.eye(g.n) - 2 * np.conj(A) ** 2 * np.outer(z, np.conj(z))
+    return np.block([[C.real, -C.imag], [C.imag, C.real]])
+
+
+def inverted_offset_many(g: GroupSpec, PZ, PT, UZ, UT, r):
+    """delta_r(J(p)^-1 J(p u)) on complex Heisenberg, broadcast: with A(z; t) =
+    |z|^2 - i t, h = sum_k conj(z_p,k) z_u,k and A_q = A_p + A_u + 2h = A(p u),
+    (z_u - z_p ((A_u + 2h) / A_p)) (r / A_q) and -Im(A_u (r / conj(A_p)) (r / A_q)).
+    No point p u or J(p) is formed (they cancel when p is far from o), and r
+    enters each quotient, so a far pole's r^2 and A_p A_q stay in range."""
+    PZ, PT, UZ, UT = (np.asarray(X, float) for X in (PZ, PT, UZ, UT))
+    zp, zu = _complex(g, PZ), _complex(g, UZ)
+    Ap = np.einsum("...i,...i->...", PZ, PZ) - 1j * PT[..., 0]
+    Au = np.einsum("...i,...i->...", UZ, UZ) - 1j * UT[..., 0]
+    h2 = 2 * np.einsum("...i,...i->...", np.conj(zp), zu)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = r / (Ap + Au + h2)
+        z = (zu - zp * ((Au + h2) / Ap)[..., None]) * s[..., None]
+        t = -(Au * (r / np.conj(Ap)) * s).imag
+    return _real(z), t[..., None]
+
+
+# ---------------------------------------------------------------------------
 # Chains
 # ---------------------------------------------------------------------------
 
 def _apply_primitive_point(g: GroupSpec, prim: Primitive, p):
-    """Apply one primitive to a point that may be INFINITY; exact infinity handling."""
+    """Apply one primitive to a point that may be INFINITY; exact infinity
+    handling, and J of a point within the float resolution of o (o itself,
+    or an image past the float range) is INFINITY."""
     if is_infinity(p):
         return prim.apply_infinity(g)
-    if prim.is_inversion and G.norm_many(g, p.z, p.t) == 0.0:
-        return INFINITY
     Z, T = prim.apply_many(g, p.z, p.t)
+    if prim.is_inversion and not (np.isfinite(Z).all() and np.isfinite(T).all()):
+        return INFINITY
     return GPoint(Z, T)
 
 
 class ConformalChain:
-    """An immutable conformal map with cached pole and scaling factor r_f."""
+    """An immutable conformal map with cached pole, scaling factor r_f and
+    unitary part `rotation` (a real m1 x m1 matrix) of its normal form."""
 
     def __init__(self, group: GroupSpec, primitives: Sequence[Primitive]):
         if not group.is_iwasawa:
@@ -267,7 +250,7 @@ class ConformalChain:
             prim.validate(group)
         self.n_inversions = sum(1 for p in self.primitives if p.is_inversion)
         self.pole = self._compute_pole()
-        self.r_f = self._compute_r_f()
+        self.r_f, self.rotation = self._fold()
 
     # -- structure ---------------------------------------------------------
 
@@ -282,32 +265,27 @@ class ConformalChain:
             x = _apply_primitive_point(self.group, prim.inverse(), x)
         return None if is_infinity(x) else x
 
-    def _compute_r_f(self) -> float:
-        if self.n_inversions == 0:
-            r = 1.0
-            for prim in self.primitives:
-                r *= prim.scale()
-            return r
-        # r_f = ||DF(p)|| d(p, pole)^2 at every p off the pole, and inversions
-        # that cancel (J o dilate(r) o J = dilate(1/r)) leave a similarity with
-        # ||DF|| = r_f everywhere.  Probe the unit points +-e_j, farthest from
-        # the pole first: F cancels catastrophically near a far-away pole.
+    def _fold(self):
+        """(r_f, U), folded from the innermost primitive outward with the image
+        b of infinity so far: a similarity multiplies r by its ratio and U by
+        its rotation; J turns r into 1/r where b is infinity or o, and else
+        into r / ||b||^2 = d(a', a)^2 / r (Koranyi-Reimann, a and a' the poles
+        before and after J) and U into U_b U (`inversion_rotation`)."""
         g = self.group
-        probes = []
-        for j in range(g.m1):
-            for sign in (1.0, -1.0):
-                e = np.zeros(g.m1); e[j] = sign
-                probes.append(GPoint(e, np.zeros(g.m2)))
-        dist = [1.0 if self.pole is None else G.gauge_dist(g, p, self.pole) for p in probes]
-        dist2 = [d * d for d in dist]  # a float product is inf past the range, not an error
-        for k in sorted(range(len(probes)), key=lambda k: -dist2[k]):
-            try:
-                val = self.deriv_norm_at(probes[k]) * dist2[k]
-            except PoleError:
-                continue
-            if np.isfinite(val) and val > 0:
-                return float(val)
-        raise PoleError("could not determine the scaling factor r_f")
+        b, r, U = INFINITY, 1.0, np.eye(g.m1)
+        for prim in reversed(self.primitives):
+            image = _apply_primitive_point(g, prim, b)
+            if prim.is_inversion and (is_infinity(b) or is_infinity(image)):
+                r = 1.0 / r
+            elif prim.is_inversion:
+                nb = float(G.norm_many(g, b.z, b.t))
+                r, U = r / nb / nb, inversion_rotation(g, b) @ U
+            elif isinstance(prim, Rotate):
+                U = prim._matrix_for(g) @ U
+            else:
+                r *= prim.scale()
+            b = image
+        return r, U
 
     # -- evaluation --------------------------------------------------------
 
@@ -358,23 +336,6 @@ class ConformalChain:
         return f"ConformalChain({list(self.primitives)!r})"
 
 
-def template_offsets(g: GroupSpec, template: Sequence[type]) -> np.ndarray:
-    """Start of each primitive's parameters in a template row, plus the row width."""
-    return np.cumsum([0] + [cls.n_params(g) for cls in template])
-
-
-def apply_template(g: GroupSpec, template: Sequence[type], P, Z, T):
-    """Apply the chain template (outermost first) with parameter rows P."""
-    off = template_offsets(g, template)
-    for j in range(len(template) - 1, -1, -1):
-        Z, T = template[j].apply_rows(g, P[..., off[j]:off[j + 1]], Z, T)
-    return Z, T
-
-
-def identity_chain(g: GroupSpec) -> ConformalChain:
-    return ConformalChain(g, [])
-
-
 def compose(c1: ConformalChain, c2: ConformalChain) -> ConformalChain:
     """Composition c1 o c2 (c2 applied first)."""
     if c1.group is not c2.group and (c1.group.m1 != c2.group.m1 or c1.group.m2 != c2.group.m2):
@@ -390,6 +351,10 @@ def compose_all(chains: Iterable[ConformalChain]) -> ConformalChain:
     for c in chains:
         prims.extend(c.primitives)
     return ConformalChain(chains[0].group, prims)
+
+
+def identity_chain(g: GroupSpec) -> ConformalChain:
+    return ConformalChain(g, [])
 
 
 def invert_chain(c: ConformalChain) -> ConformalChain:

@@ -17,11 +17,12 @@ Its rows (vertices if maximal, else edges) are the unit of every reader: word
 counts and blocks, chaos sampling, irreducibility witnesses (one BFS per row)
 and thermo's transfer matrix; no code outside this module reads `incidence`.
 
-Edges live in an EdgeTable, one struct of arrays: each map is a row of
-primitive parameters under a template (its tuple of primitive types) plus
-its normal form (a pole a with ||D phi(p)|| = r_f / d(p, a)^2, or a
-similarity of ratio r_f).  ConformalChain objects are built only where a
-chain is needed (word maps and coding points).
+Edges live in an EdgeTable, one struct of arrays that holds each map only
+in normal form: a pole a with phi = tau_b delta_r U J tau_{a^-1} and
+||D phi(p)|| = r_f / d(p, a)^2, or a similarity tau_b U delta_r of ratio r_f,
+with b given through a base point x0 of the domain and its image phi(x0).
+ConformalChain objects are built only where a chain is needed (word maps
+and coding points).
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import numpy as np
 from .errors import BudgetError, ValidationError
 from . import groups as G
 from .groups import GPoint, GroupSpec
-from .conformal import (EPS_FLOOR, ConformalChain, Invert, apply_template,
-                        compose_all, template_offsets)
+from .conformal import (EPS_FLOOR, ConformalChain, Dilate, Invert, Rotate, Translate,
+                        compose_all, inverted_offset_many)
 
 Word = Tuple[int, ...]  # edge indices; () is the empty word
 
@@ -134,15 +135,23 @@ class IdRows(NamedTuple):
     columns: np.ndarray
 
 
+def unique_rotations(g: GroupSpec, mats):
+    """(index of each matrix, stack of the distinct ones), entry 0 the identity."""
+    keys = {np.eye(g.m1).tobytes(): 0}
+    index = [keys.setdefault(np.asarray(M, float).tobytes(), len(keys)) for M in mats]
+    return index, np.array([np.frombuffer(k).reshape(g.m1, g.m1) for k in keys])
+
+
 class EdgeTable:
     """The edges of a system as one struct of arrays.
 
-    Row k holds the edge id, i(e) and t(e) as vertex ids, the index of its
-    template (a tuple of primitive types, outermost first) in `templates`,
-    the template's parameters (zero-padded to a common width), and the
-    normal form of phi_e: either a pole a with ||D phi_e(p)|| = r_f / d(p, a)^2
-    (`has_pole`, `pole_z`, `pole_t`, `r_f`), or a similarity of ratio r_f.
-    A ConformalChain is built only when `chain(k)` asks for one, once per row.
+    Row k holds the edge id, i(e) and t(e) as vertex ids, and phi_e in
+    normal form: tau_b delta_r U J tau_{a^-1} with pole a and ||D phi_e(p)|| =
+    r_f / d(p, a)^2 (`has_pole`, `pole_z`, `pole_t`, `r_f`), or a similarity
+    tau_b U delta_r.  U is `rotations[rotation[k]]` (entry 0 is I), and b is
+    held as a base point x0 of the domain (`base_z`, `base_t`; o for a
+    similarity) and y0 = phi_e(x0) (`image_z`, `image_t`).  A ConformalChain
+    is built only when `chain(k)` asks for one, once per row.
 
     `ids` is an array of id strings, or an IdRows (the builders' ids): those
     are formatted by `_edge_ids` when `ids` is first read and kept, the same
@@ -150,8 +159,8 @@ class EdgeTable:
     formats none, and GdmsSpec does not check them for duplicates.
     """
 
-    def __init__(self, group: GroupSpec, ids, src, dst, templates, template, params,
-                 pole_z, pole_t, has_pole, r_f,
+    def __init__(self, group: GroupSpec, ids, src, dst, pole_z, pole_t, has_pole, r_f,
+                 base_z, base_t, image_z, image_t, rotation=0, rotations=None,
                  chains: Optional[Dict[int, ConformalChain]] = None):
         self.group = group
         self.id_rows = ids if isinstance(ids, IdRows) else None
@@ -159,41 +168,46 @@ class EdgeTable:
         self._n = n = len(ids.columns) if self._ids is None else len(self._ids)
         self.src = np.broadcast_to(np.asarray(src, dtype=str), (n,))
         self.dst = np.broadcast_to(np.asarray(dst, dtype=str), (n,))
-        self.templates = tuple(tuple(t) for t in templates)
-        self.template = np.broadcast_to(np.asarray(template, dtype=np.int64), (n,))
-        self.params = np.asarray(params, float).reshape(n, -1)
-        self.pole_z = np.asarray(pole_z, float).reshape(n, group.m1)
-        self.pole_t = np.asarray(pole_t, float).reshape(n, group.m2)
+        (self.pole_z, self.base_z, self.image_z), (self.pole_t, self.base_t, self.image_t) = (
+            [np.asarray(X, float).reshape(n, m) for X in cols]
+            for cols, m in (((pole_z, base_z, image_z), group.m1),
+                            ((pole_t, base_t, image_t), group.m2)))
         self.has_pole = np.broadcast_to(np.asarray(has_pole, dtype=bool), (n,))
         self.r_f = np.broadcast_to(np.asarray(r_f, float), (n,))
+        self.rotation = np.broadcast_to(np.asarray(rotation, dtype=np.int64), (n,))
+        self.rotations = (np.eye(group.m1)[None] if rotations is None
+                          else np.asarray(rotations, float))
         self._chains: Dict[int, ConformalChain] = dict(chains or {})
 
     @classmethod
-    def from_primitives(cls, group: GroupSpec, ids, src, dst, prim_lists, pole_z, pole_t,
-                        has_pole, r_f, chains=None) -> "EdgeTable":
-        """Pack per-edge primitive lists (outermost first) into template rows."""
-        kinds = [tuple(type(p) for p in prims) for prims in prim_lists]
-        templates = list(dict.fromkeys(kinds))
-        which = {t: j for j, t in enumerate(templates)}
-        rows = [np.concatenate([p.params(group) for p in prims] + [np.empty(0)])
-                for prims in prim_lists]
-        params = np.zeros((len(rows), max(r.size for r in rows)))
-        for k, row in enumerate(rows):
-            params[k, :row.size] = row
-        return cls(group, ids, src, dst, templates, [which[t] for t in kinds], params,
-                   pole_z, pole_t, has_pole, r_f, chains)
-
-    @classmethod
-    def from_maps(cls, group: GroupSpec, edges: Sequence[EdgeMap]) -> "EdgeTable":
-        """Table of explicit edges; their chains supply the pole and r_f."""
+    def from_maps(cls, group: GroupSpec, edges: Sequence[EdgeMap], anchors) -> "EdgeTable":
+        """Table of explicit edges, whose chains supply the normal form; y0 is
+        the chain's value at x0, a pole map's domain anchor (anchors[k]) or,
+        where phi expands by more than 4 there (d(x0, a)^2 < r_f / 4, never on
+        a contraction's domain), a point of its isometric sphere."""
+        g, o = group, G.origin(group)
         chains = [e.chain for e in edges]
-        poles = [c.pole if c.pole is not None else G.origin(group) for c in chains]
-        return cls.from_primitives(
-            group, [e.id for e in edges], [e.src for e in edges], [e.dst for e in edges],
-            [c.primitives for c in chains],
-            np.array([p.z for p in poles]), np.array([p.t for p in poles]),
-            [c.pole is not None for c in chains], [c.r_f for c in chains],
-            chains=dict(enumerate(chains)))
+        base, image = [], []
+        for c, x in zip(chains, anchors):
+            if c.pole is None:
+                x = o
+            elif (d := G.gauge_dist(g, x, c.pole)) * d < c.r_f / 4:
+                e1 = np.eye(g.m1)[0] * math.sqrt(c.r_f)
+                x = G.group_mul(g, c.pole, GPoint(e1, np.zeros(g.m2)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    y = c.apply(x)
+                    image.append((y.z, y.t))
+                except ValidationError:  # past the float range: no certificate holds
+                    image.append((np.full(g.m1, np.nan), np.full(g.m2, np.nan)))
+            base.append(x)
+        poles = [o if c.pole is None else c.pole for c in chains]
+        return cls(group, [e.id for e in edges], [e.src for e in edges], [e.dst for e in edges],
+                   [p.z for p in poles], [p.t for p in poles], [c.pole is not None for c in chains],
+                   [c.r_f for c in chains], [p.z for p in base], [p.t for p in base],
+                   [y[0] for y in image], [y[1] for y in image],
+                   *unique_rotations(g, [c.rotation for c in chains]),
+                   chains=dict(enumerate(chains)))
 
     @property
     def ids(self) -> np.ndarray:
@@ -209,67 +223,74 @@ class EdgeTable:
         """A table of the given rows (repeats allowed) under new ids and vertices."""
         rows = np.asarray(rows, dtype=np.int64)
         cached = np.flatnonzero(np.isin(rows, list(self._chains)))
-        return EdgeTable(self.group, ids, src, dst, self.templates, self.template[rows],
-                         self.params[rows], self.pole_z[rows], self.pole_t[rows],
-                         self.has_pole[rows], self.r_f[rows],
+        return EdgeTable(self.group, ids, src, dst, self.pole_z[rows], self.pole_t[rows],
+                         self.has_pole[rows], self.r_f[rows], self.base_z[rows],
+                         self.base_t[rows], self.image_z[rows], self.image_t[rows],
+                         self.rotation[rows], self.rotations,
                          chains={int(k): self._chains[int(rows[k])] for k in cached})
 
     def chain(self, k: int) -> ConformalChain:
-        """The ConformalChain of row k, built on first use."""
+        """The ConformalChain of row k, built on first use from the normal
+        form: tau_b delta_r U J tau_{a^-1} with b = phi(infinity), or
+        tau_{y0} U delta_r, leaving out translations by o, delta_1 and U = I."""
+        def tau(z, t):
+            return [Translate(GPoint(np.ravel(z), np.ravel(t)))] if np.any(z) or np.any(t) else []
+
         k = int(k)
-        c = self._chains.get(k)
-        if c is None:
-            g, tpl = self.group, self.templates[self.template[k]]
-            off = template_offsets(g, tpl)
-            row = self.params[k]
-            c = ConformalChain(g, [cls.from_params(g, row[off[j]:off[j + 1]])
-                                   for j, cls in enumerate(tpl)])
-            self._chains[k] = c
-        return c
+        if k not in self._chains:
+            U = [Rotate(matrix=self.rotations[self.rotation[k]])] if self.rotation[k] else []
+            r = [Dilate(self.r_f[k])] if self.r_f[k] != 1.0 else []
+            if self.has_pole[k]:
+                prims = (tau(*self.image_of_infinity([k])) + r + U + [Invert()]
+                         + tau(-self.pole_z[k], -self.pole_t[k]))
+            else:
+                prims = tau(self.image_z[k], self.image_t[k]) + U + r
+            self._chains[k] = ConformalChain(self.group, prims)
+        return self._chains[k]
+
+    def _from_offsets(self, rows, VZ, VT):
+        """y0 * U v for offsets v = (VZ, VT) of shape (rows, ...)."""
+        turn = np.flatnonzero(self.rotation[rows])
+        pad = (slice(None),) + (None,) * (VZ.ndim - 2)
+        if turn.size:
+            VZ[turn] = np.einsum("...ab,...b->...a",
+                                 self.rotations[self.rotation[rows[turn]]][pad], VZ[turn])
+        return G.mul_many(self.group, self.image_z[rows][pad], self.image_t[rows][pad], VZ, VT)
 
     def apply(self, rows, Z, T):
         """phi_e of each given row at points (Z, T) broadcastable to (rows, S, .);
-        returns arrays of shape (rows, S, m1) and (rows, S, m2).  No pole checks."""
+        returns arrays of shape (rows, S, m1) and (rows, S, m2).  No pole checks.
+
+        phi_e(x) = y0 * U v: v = delta_r(x) for a similarity, and for a pole
+        map v = delta_r(J(p)^-1 J(p u)) with p = a^-1 x0 and u = x0^-1 x, in
+        closed form (`inverted_offset_many`)."""
         g = self.group
         rows = np.asarray(rows, dtype=np.int64)
         shape = (rows.size, np.shape(Z)[-2])
         Z = np.broadcast_to(Z, shape + (g.m1,))
         T = np.broadcast_to(T, shape + (g.m2,))
-        P = self.params[rows][:, None, :]
-        tpl_of = self.template[rows]
-        kinds = np.flatnonzero(np.bincount(tpl_of, minlength=len(self.templates)))
-        if kinds.size == 1:
-            return apply_template(g, self.templates[kinds[0]], P, Z, T)
-        FZ = np.empty(shape + (g.m1,)); FT = np.empty(shape + (g.m2,))
-        for j in kinds:
-            sel = np.flatnonzero(tpl_of == j)
-            FZ[sel], FT[sel] = apply_template(g, self.templates[j], P[sel], Z[sel], T[sel])
-        return FZ, FT
+        r = self.r_f[rows][:, None]
+        pole = np.flatnonzero(self.has_pole[rows])
+        VZ, VT = (G.dilate_many(g, r, Z, T) if pole.size < rows.size else
+                  (np.empty(shape + (g.m1,)), np.empty(shape + (g.m2,))))
+        if pole.size:
+            k = rows[pole][:, None]
+            VZ[pole], VT[pole] = inverted_offset_many(
+                g, *G.mul_many(g, -self.pole_z[k], -self.pole_t[k], self.base_z[k], self.base_t[k]),
+                *G.mul_many(g, -self.base_z[k], -self.base_t[k], Z[pole], T[pole]), r[pole])
+        return self._from_offsets(rows, VZ, VT)
 
     def image_of_infinity(self, rows):
-        """phi_e(infinity) of each given row as arrays (rows, m1) and (rows, m2),
-        inf where phi_e fixes infinity.  Each template is walked from its
-        innermost primitive: translations, rotations and dilations fix
-        infinity, and J swaps infinity and o."""
+        """phi_e(infinity) of each given row as arrays (rows, m1) and (rows, m2):
+        y0 * U delta_r(J(p)^-1) with p = a^-1 x0 for a pole map, inf for a
+        similarity (which fixes infinity)."""
         g, rows = self.group, np.asarray(rows, dtype=np.int64)
-        Z, T = np.zeros((rows.size, g.m1)), np.zeros((rows.size, g.m2))
-        at_inf = np.ones(rows.size, dtype=bool)
-        tpl_of = self.template[rows]
-        for j in np.flatnonzero(np.bincount(tpl_of, minlength=len(self.templates))):
-            sel = np.flatnonzero(tpl_of == j)
-            tpl = self.templates[j]
-            off = template_offsets(g, tpl)
-            z, t, inf = Z[sel], T[sel], at_inf[sel]
-            for k in range(len(tpl) - 1, -1, -1):
-                if issubclass(tpl[k], Invert):
-                    at_o = ~inf & (G.norm_many(g, z, t) == 0)
-                    z, t = Invert.apply_rows(g, None, z, t)
-                    z[inf], t[inf] = 0.0, 0.0  # J(infinity) = o
-                    inf = at_o
-                else:
-                    z, t = tpl[k].apply_rows(g, self.params[rows[sel], off[k]:off[k + 1]], z, t)
-            Z[sel], T[sel], at_inf[sel] = z, t, inf
-        Z[at_inf], T[at_inf] = np.inf, np.inf
+        Z, T = np.full((rows.size, g.m1), np.inf), np.full((rows.size, g.m2), np.inf)
+        sel = np.flatnonzero(self.has_pole[rows])
+        k, r = rows[sel], self.r_f[rows[sel]][:, None]
+        JZ, JT = Invert().apply_many(g, *G.mul_many(g, -self.pole_z[k], -self.pole_t[k],
+                                                    self.base_z[k], self.base_t[k]))
+        Z[sel], T[sel] = self._from_offsets(k, -r * JZ, -(r * (r * JT)))
         return Z, T
 
 
@@ -346,7 +367,9 @@ class GdmsSpec:
             edges = edges.table
         elif not isinstance(edges, EdgeTable):
             edges = list(edges)
-            edges = EdgeTable.from_maps(group, edges) if edges else None
+            anchor = {v.id: v.anchor(group) for v in self.vertices}
+            edges = EdgeTable.from_maps(group, edges, [anchor.get(e.dst, G.origin(group))
+                                                       for e in edges]) if edges else None
         if not self.vertices or edges is None or len(edges) == 0:
             raise ValidationError("a system needs at least one vertex and one edge")
         self.table: EdgeTable = edges
@@ -474,18 +497,22 @@ class GdmsSpec:
         d(phi_e x, phi_e c) = r_f d(x, c) / (d(a, x) d) with d = d(a, c), and
         d(phi_e x, phi_e(infinity)) = r_f / d(a, x), where d(a, x) >= gap on
         X_t(e).  Of B(phi_e(c), r_f R / (gap d)) and B(phi_e(infinity), r_f / gap)
-        the first is smaller iff d > R, i.e. iff the pole is outside the ball."""
+        the first is smaller iff d > R, i.e. iff the pole is outside the ball.
+        phi_e(c) is the row's y0 where c is its base point, as every builder's is."""
         table, g = self.table, self.group
         cz, ct, R, _ = self.vertex_arrays()
         v = self.dst_idx
         d, gap = self.pole_gaps
         at_c = ~table.has_pole | (d > R[v])
-        c_rows, inf_rows = np.flatnonzero(at_c), np.flatnonzero(~at_c)
-        Z, T = np.empty((self.n_edges, g.m1)), np.empty((self.n_edges, g.m2))
+        at_x0 = at_c & (table.base_z == cz[v]).all(axis=1) & (table.base_t == ct[v]).all(axis=1)
+        c_rows, inf_rows = np.flatnonzero(at_c & ~at_x0), np.flatnonzero(~at_c)
+        Z, T = table.image_z.copy(), table.image_t.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            FZ, FT = table.apply(c_rows, cz[v[c_rows], None], ct[v[c_rows], None])
-            Z[c_rows], T[c_rows] = FZ[:, 0], FT[:, 0]
-            Z[inf_rows], T[inf_rows] = table.image_of_infinity(inf_rows)
+            if c_rows.size:
+                FZ, FT = table.apply(c_rows, cz[v[c_rows], None], ct[v[c_rows], None])
+                Z[c_rows], T[c_rows] = FZ[:, 0], FT[:, 0]
+            if inf_rows.size:
+                Z[inf_rows], T[inf_rows] = table.image_of_infinity(inf_rows)
             return Z, T, table.r_f / gap * np.where(
                 at_c, R[v] / np.where(at_c & table.has_pole, d, 1.0), 1.0)
 

@@ -255,24 +255,30 @@ def dilate_many(g: GroupSpec, r, Z, T):
     return r * Z, (r * r) * T
 
 
+NORM_TINY = 2.0 ** -255  # from here on |z|^4 + |t|^2 >= 2^-1020 is a normal float
+
+
 def norm_many(g: GroupSpec, Z, T):
-    """Gauge norms (|z|^4 + |t|^2)^{1/4}; where that overflows (|z| > ~1e77)
-    on finite coordinates, s ||(z / s; t / s^2)||, s = max(|z_i|, sqrt |t_j|),
-    so that every finite result is the plain formula's, to the bit."""
+    """Gauge norms (|z|^4 + |t|^2)^{1/4}.  Where that overflows (|z| > ~1e77)
+    or falls below NORM_TINY (|z|^4 + |t|^2 subnormal or 0, |z| < ~1e-77) on
+    finite coordinates, not all zero, s ||(z / s; t / s^2)||, s = max(|z_i|,
+    sqrt |t_j|), so that every result in [NORM_TINY, inf) is the plain
+    formula's, to the bit."""
     Z = np.asarray(Z, float); T = np.asarray(T, float)
     with np.errstate(over="ignore"):
         z2 = np.einsum("...i,...i->...", Z, Z)
         norm = (z2 * z2 + np.einsum("...i,...i->...", T, T)) ** 0.25
-    big = ~np.isfinite(norm)
-    if big.any():
-        norm = np.array(norm)
-        Zb, Tb = (np.broadcast_to(X, norm.shape + X.shape[-1:])[big] for X in (Z, T))
-        s = np.maximum(np.abs(Zb).max(axis=-1), np.sqrt(np.abs(Tb).max(axis=-1)))
-        ok = np.isfinite(s)  # inf or NaN coordinates keep their norm
-        vals, s = norm[big], s[ok, None]
-        with np.errstate(over="ignore"):
-            vals[ok] = s[:, 0] * norm_many(g, Zb[ok] / s, Tb[ok] / s / s)
-        norm[big] = vals
+    bad = ~((NORM_TINY <= norm) & (norm < np.inf))  # NaN is bad too
+    if not bad.any():
+        return norm[()]
+    norm = np.array(norm)
+    Zb, Tb = (np.broadcast_to(X, norm.shape + X.shape[-1:])[bad] for X in (Z, T))
+    s = np.maximum(np.abs(Zb).max(axis=-1), np.sqrt(np.abs(Tb).max(axis=-1)))
+    ok = np.isfinite(s) & (s > 0)  # inf, NaN or zero coordinates keep their norm
+    vals, s = norm[bad], s[ok, None]
+    with np.errstate(over="ignore"):
+        vals[ok] = s[:, 0] * norm_many(g, Zb[ok] / s, Tb[ok] / s / s)
+    norm[bad] = vals
     return norm[()]
 
 

@@ -11,14 +11,15 @@
 * Self-similar iterated function systems built from translations, rotations
   and dilations, with exact weights.
 
-Each builder fills the system's EdgeTable in closed form, one array
-operation for the whole alphabet: continued fractions have pole gamma^{-1}
-and r_f = 1, Cantor maps have pole o and r_f = r, similarities have no pole
-and r_f = the product of their dilations.  GdmsSpec certifies containment
-and contraction of every system from these normal forms (image balls from
-the Koranyi-Reimann identity), so no builder has a certificate of its own,
-and thermo.compute_weight_table derives every system's weight brackets
-from the same normal forms on first use (no builder attaches a table).
+Each builder fills the system's EdgeTable in normal form, one array
+operation for the whole alphabet: continued fractions have pole gamma^{-1},
+r_f = 1 and base point o with image J(gamma); Cantor maps have pole o,
+r_f = r and the image of the domain anchor; similarities have no pole,
+r_f = their dilation, U = their rotation and image p of the base point o.
+GdmsSpec certifies containment and contraction of every system from these
+normal forms (image balls from the Koranyi-Reimann identity), and
+thermo.compute_weight_table derives every system's weight brackets from them
+on first use, so no builder has a certificate or weight table of its own.
 Shell-mode Cantor systems carry the shell number of each edge
 (`cantor_shells`); infinite-alphabet families have a ShellFamily for theta
 estimation.
@@ -37,7 +38,7 @@ from .errors import BudgetError, ValidationError
 from . import groups as G
 from .groups import DEFAULT_LATTICE_BUDGET, GPoint, GroupSpec
 from .conformal import Dilate, Invert, Rotate, Translate
-from .gdms import EdgeTable, GdmsSpec, IdRows, VertexSet
+from .gdms import EdgeTable, GdmsSpec, IdRows, VertexSet, unique_rotations
 from .thermo import ShellFamily, ensure_weights
 
 
@@ -98,9 +99,9 @@ def build_cf_system(g: GroupSpec, params: CfSystemParams,
     Z, T, _ = cf_alphabet(g, params, budget)
     n = Z.shape[0]
     vertex = VertexSet(id="X", center=G.origin(g), radius=0.5)
-    coords = np.concatenate([Z, T], axis=1)
-    table = EdgeTable(g, IdRows("g", coords), "X", "X", [(Invert, Translate)], 0,
-                      coords, -Z, -T, True, np.ones(n))
+    o_z, o_t = np.zeros((n, g.m1)), np.zeros((n, g.m2))
+    table = EdgeTable(g, IdRows("g", np.concatenate([Z, T], axis=1)), "X", "X", -Z, -T,
+                      True, np.ones(n), o_z, o_t, *Invert().apply_many(g, Z, T))
     return GdmsSpec(g, [vertex], table)
 
 
@@ -261,13 +262,16 @@ def build_cantor_system(g: GroupSpec, params: CantorSystemParams,
         raise ValidationError(f"map radius {radii[bad][0]:g} out of (0,1)")
     if (G.norm_many(g, Z, T) == 0).any():
         raise ValidationError("anchor points must avoid the identity (inversion pole)")
-    # translate(p) o dilate(r) o translate(J(p)^{-1}) o J fixes p; pole o, r_f = r
-    JZ, JT = Invert().apply_many(g, Z, T)
+    # phi = translate(p) o dilate(r) o translate(J(p)^{-1}) o J fixes p; pole o,
+    # r_f = r, and y0 = phi(x0) = p delta_r(J(p)^-1 J(x0)) at the domain anchor x0
+    J, x0 = Invert(), vertex.anchor(g)
+    JZ, JT = J.apply_many(g, Z, T)
+    VZ, VT = G.dilate_many(g, radii, *G.mul_many(g, -JZ, -JT,
+                                                *J.apply_many(g, x0.z, x0.t)))
     n = Z.shape[0]
     table = EdgeTable(g, IdRows("c", np.arange(n)[:, None]), "X", "X",
-                      [(Translate, Dilate, Translate, Invert)], 0,
-                      np.concatenate([Z, T, radii[:, None], -JZ, -JT], axis=1),
-                      np.zeros((n, g.m1)), np.zeros((n, g.m2)), True, radii)
+                      np.zeros((n, g.m1)), np.zeros((n, g.m2)), True, radii,
+                      np.tile(x0.z, (n, 1)), np.tile(x0.t, (n, 1)), *G.mul_many(g, Z, T, VZ, VT))
     return GdmsSpec(g, [vertex], table, validate=validate, cantor_shells=shell_of)
 
 
@@ -299,36 +303,30 @@ def build_self_similar(g: GroupSpec, maps: Sequence[Tuple],
     """
     if not maps:
         raise ValidationError("need at least one map")
-    prim_lists = []
+    points, scales, rotations = [], [], []
     for spec in maps:
-        if len(spec) == 2:
-            p, s = spec
-            theta = None
-        elif len(spec) == 3:
-            p, s, theta = spec
-        else:
+        if len(spec) not in (2, 3):
             raise ValidationError("map spec must be (point, scale[, rotation])")
+        p, s, theta = (tuple(spec) + (None,))[:3]
         if not (0 < s < 1):
             raise ValidationError(f"scale {s:g} is not contractive")
-        prims = [Translate(p)]
-        if theta is not None:
-            prims.append(Rotate(theta=float(theta)) if np.isscalar(theta)
-                         else Rotate(matrix=theta))
-        prims.append(Dilate(float(s)))
+        prims = [Translate(p), Dilate(float(s))] + ([] if theta is None else [
+            Rotate(theta=float(theta)) if np.isscalar(theta) else Rotate(matrix=theta)])
         for prim in prims:
             prim.validate(g)
-        prim_lists.append(prims)
-    scales = np.array([prims[-1].r for prims in prim_lists])
-    Zp = np.stack([prims[0].point.z for prims in prim_lists])
-    Tp = np.stack([prims[0].point.t for prims in prim_lists])
+        points.append(p); scales.append(float(s))
+        rotations.append(prims[-1]._matrix_for(g) if theta is not None else np.eye(g.m1))
+    scales = np.array(scales)
+    Zp = np.stack([p.z for p in points])
+    Tp = np.stack([p.t for p in points])
     # in Python floats, a radius past the float range is inf, refused by VertexSet
     R = max(max(n / (1 - s) for n, s in zip(G.norm_many(g, Zp, Tp).tolist(),
                                             scales.tolist())) * (1 + 1e-9), 1e-6)
     vertex = VertexSet(id="X", center=G.origin(g), radius=R)
-    n = len(prim_lists)
-    table = EdgeTable.from_primitives(
-        g, IdRows("s", np.arange(n)[:, None]), "X", "X", prim_lists,
-        np.zeros((n, g.m1)), np.zeros((n, g.m2)), False, scales)
+    n = len(points)
+    o_z, o_t = np.zeros((n, g.m1)), np.zeros((n, g.m2))
+    table = EdgeTable(g, IdRows("s", np.arange(n)[:, None]), "X", "X", o_z, o_t, False,
+                      scales, o_z, o_t, Zp, Tp, *unique_rotations(g, rotations))
     return GdmsSpec(g, [vertex], table, incidence=incidence)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,9 +87,9 @@ def test_deriv_norm_matches_finite_differences(g):
 
 @pytest.mark.parametrize("t0", [1e-3, 1e-40, 1e-80, 1.893e-143])
 def test_r_f_of_nearly_cancelling_inversions(g, t0):
-    """J o tau_(0,0,t0) o J has its pole at (0; 1/t0) and r_f = 1/t0; next to
-    that far pole the map cancels catastrophically, so r_f must be found
-    from probes near the origin."""
+    """J o tau_(0,0,t0) o J has its pole at (0; 1/t0) and r_f = 1/t0: the fold
+    reads r_f = 1 / ||tau(o)||^2 without evaluating the map, which cancels
+    catastrophically next to that far pole."""
     c = cd.ConformalChain(g, [cd.Invert(), cd.Translate(cd.gpoint([0.0, 0.0], [t0])),
                               cd.Invert()])
     assert c.pole.t[0] * t0 == pytest.approx(1.0, rel=1e-12)
@@ -107,6 +109,23 @@ def test_r_f_of_a_pole_past_the_quartic_range(g):
     assert c.r_f == pytest.approx(1.0892178326743561e161, rel=1e-12)
     assert c.r_f * z0 * z0 == pytest.approx(1.0, rel=1e-12)
     for p in (cd.gpoint([1.0, 0.0], [0.0]), cd.gpoint([0.3, -0.2], [0.1])):
+        assert c.deriv_norm_at(p) == pytest.approx(
+            c.r_f / cd.gauge_dist(g, p, c.pole) ** 2, rel=1e-12)
+
+
+def test_r_f_of_a_pole_past_the_quartic_underflow(g):
+    """J o tau_(0,1e-100;0) o J: ||x||^4 of the translation underflows, so the
+    gauge norm is rescaled there and J divides t by |A| = hypot(|z|^2, t)
+    twice: the pole lies at |z| = 1e100 and r_f = 1e200, with no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = cd.ConformalChain(g, [cd.Invert(), cd.Translate(cd.gpoint([0.0, 1e-100], [0.0])),
+                                  cd.Invert()])
+        assert c.pole is not None
+        assert np.abs(c.pole.z).max() == pytest.approx(1e100, rel=1e-12)
+        assert c.pole.t[0] == 0.0
+        assert c.r_f == pytest.approx(1e200, rel=1e-12)
+        p = cd.gpoint([0.3, -0.2], [0.1])
         assert c.deriv_norm_at(p) == pytest.approx(
             c.r_f / cd.gauge_dist(g, p, c.pole) ** 2, rel=1e-12)
 

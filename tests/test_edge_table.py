@@ -2,6 +2,7 @@
 
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -21,14 +22,14 @@ coord = st.floats(-2.0, 2.0, allow_nan=False)
 point = st.tuples(coord, coord, coord).map(lambda c: cd.gpoint(c[:2], c[2:]))
 
 
-def check_rows(sys_, rows, seed=0):
-    """Row normal form and batched apply against the materialised chains."""
+def check_rows(sys_, rows, chains, seed=0):
+    """Row normal form and batched apply against chains that the test builds
+    from the builder's inputs, compared by coordinates."""
     table = sys_.table
     rng = np.random.default_rng(seed)
     Z, T = sample_vertex(G1, sys_.vertices[0], 16, rng)
     FZ, FT = table.apply(rows, Z, T)
-    for j, k in enumerate(rows):
-        chain = sys_.edges[k].chain
+    for j, (k, chain) in enumerate(zip(rows, chains)):
         assert table.has_pole[k] == (chain.pole is not None)
         assert table.r_f[k] == pytest.approx(chain.r_f, rel=1e-12)
         if chain.pole is not None:
@@ -43,8 +44,12 @@ def check_rows(sys_, rows, seed=0):
 @given(eps=st.floats(0.0, 0.6), extra=st.floats(0.6, 1.5),
        picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6))
 def test_cf_rows_match_chains(eps, extra, picks):
-    sys_ = cd.build_cf_system(G1, cd.CfSystemParams(eps, 2.5 + eps + extra))
-    check_rows(sys_, sorted({k % sys_.n_edges for k in picks}))
+    params = cd.CfSystemParams(eps, 2.5 + eps + extra)
+    sys_ = cd.build_cf_system(G1, params)
+    Z, T, _ = cd.systems.cf_alphabet(G1, params)
+    rows = sorted({k % sys_.n_edges for k in picks})
+    check_rows(sys_, rows, [cd.ConformalChain(G1, [cd.Invert(), cd.Translate(
+        cd.gpoint(Z[k], T[k]))]) for k in rows])
 
 
 @SETTINGS
@@ -57,7 +62,10 @@ def test_cantor_rows_match_chains(anchors, radii):
                                    domain_center=cd.gpoint([3.0, 0.0], [0.0]),
                                    domain_radius=1.0)
     sys_ = cd.build_cantor_system(G1, params, validate="none")
-    check_rows(sys_, list(range(sys_.n_edges)))
+    J = cd.ConformalChain(G1, [cd.Invert()])
+    check_rows(sys_, list(range(sys_.n_edges)), [cd.ConformalChain(G1, [
+        cd.Translate(p), cd.Dilate(r), cd.Translate(G.group_inv(G1, J.apply(p))), cd.Invert()])
+        for p, r in zip(pts, radii)])
 
 
 @SETTINGS
@@ -67,16 +75,32 @@ def test_cantor_rows_match_chains(anchors, radii):
 def test_similarity_rows_match_chains(maps):
     sys_ = cd.build_self_similar(
         G1, [(p, s) if theta is None else (p, s, theta) for p, s, theta in maps])
-    check_rows(sys_, list(range(sys_.n_edges)))
+    check_rows(sys_, list(range(sys_.n_edges)), [cd.ConformalChain(G1, [cd.Translate(p)] + (
+        [] if theta is None else [cd.Rotate(theta=theta)]) + [cd.Dilate(s)])
+        for p, s, theta in maps])
     assert not sys_.table.has_pole.any()
     np.testing.assert_array_equal(sys_.table.r_f, [s for _, s, _ in maps])
 
 
-def _similarity_prims():
-    return st.lists(st.one_of(point.map(cd.Translate),
-                              st.floats(0.3, 3.0).map(cd.Dilate),
-                              st.floats(-3.0, 3.0).map(lambda th: cd.Rotate(theta=th))),
-                    max_size=2)
+def _similarity_prims(g=G1, max_size=2):
+    """Translations in [-2, 2], dilations in [0.3, 3] and unitary rotations
+    (an angle on Heis^1, a complex QR factor on Heis^n)."""
+    coords = st.lists(coord, min_size=g.N, max_size=g.N)
+    entries = st.lists(st.floats(-1.0, 1.0), min_size=2 * g.n * g.n, max_size=2 * g.n * g.n)
+    rotate = (st.floats(-3.0, 3.0).map(lambda th: cd.Rotate(theta=th)) if g.n == 1 else
+              entries.map(lambda e: cd.Rotate(matrix=_unitary(g, e))))
+    return st.lists(st.one_of(coords.map(lambda c: cd.Translate(cd.gpoint(c[:g.m1], c[g.m1:]))),
+                              st.floats(0.3, 3.0).map(cd.Dilate), rotate),
+                    max_size=max_size)
+
+
+def _unitary(g, entries):
+    """The unitary factor of a QR decomposition, as a real m1 x m1 matrix."""
+    n = g.n
+    M = np.reshape(entries[:n * n], (n, n)) + 1j * np.reshape(entries[n * n:], (n, n))
+    Q, R = np.linalg.qr(M + 2 * np.eye(n))  # diagonally dominant: invertible
+    Q = Q * np.sign(np.diag(R).real)
+    return np.block([[Q.real, -Q.imag], [Q.imag, Q.real]])
 
 
 @st.composite
@@ -89,15 +113,134 @@ def spec_chain(draw):
     return prims
 
 
+@st.composite
+def short_chain(draw, g):
+    """Primitive lists of 1-7 primitives, 1-3 of them inversions."""
+    n_inv = draw(st.integers(1, 3))
+    prims = draw(_similarity_prims(g, 7 - n_inv))
+    for k in sorted(draw(st.lists(st.integers(0, len(prims)), min_size=n_inv,
+                                  max_size=n_inv)), reverse=True):
+        prims.insert(k, cd.Invert())
+    return prims
+
+
 def well_conditioned(chain, Z, T):
     """Points whose orbit meets every inversion at a gauge norm in [0.2, 20]."""
+    g = chain.group
     ok = np.ones(Z.shape[0], bool)
     for prim in reversed(chain.primitives):
         if prim.is_inversion:
-            norm = G.norm_many(G1, Z, T)
+            norm = G.norm_many(g, Z, T)
             ok &= (norm >= 0.2) & (norm <= 20.0)
-        Z, T = prim.apply_many(G1, Z, T)
+        Z, T = prim.apply_many(g, Z, T)
     return ok
+
+
+# -- a 50-digit oracle: the primitive walk in mpmath --------------------------
+
+MP_DPS = 50
+
+
+def _mp_prim(g, prim, x):
+    """One primitive at 50 digits on x = (z, t) (lists of mpf), or None for
+    infinity."""
+    if prim.is_inversion:
+        if x is None:
+            return [mpmath.mpf(0)] * g.m1, [mpmath.mpf(0)]
+        z, t = x
+        n = g.n
+        zc = [mpmath.mpc(z[k], z[n + k]) for k in range(n)]
+        A = mpmath.fsum(v * v for v in z) - 1j * t[0]
+        if A == 0:
+            return None
+        w = [v / A for v in zc]
+        return [v.real for v in w] + [v.imag for v in w], [-t[0] / abs(A) ** 2]
+    if x is None:
+        return None
+    z, t = x
+    if isinstance(prim, cd.Translate):
+        cz = [mpmath.mpf(float(v)) for v in prim.point.z]
+        ct = [mpmath.mpf(float(v)) for v in prim.point.t]
+        t = [ct[i] + t[i] for i in range(g.m2)]
+        for i, a, b, v in g.B_terms:
+            t[i] += v * cz[b] * z[a]
+        return [cz[k] + z[k] for k in range(g.m1)], t
+    if isinstance(prim, cd.Dilate):
+        r = mpmath.mpf(prim.r)
+        return [r * v for v in z], [r * r * v for v in t]
+    M = prim._matrix_for(g)
+    return ([mpmath.fsum(mpmath.mpf(float(M[a, b])) * z[b] for b in range(g.m1))
+             for a in range(g.m1)], t)
+
+
+def _mp_point(z, t):
+    return [mpmath.mpf(float(v)) for v in z], [mpmath.mpf(float(v)) for v in t]
+
+
+def _mp_norm(x):
+    z, t = x
+    return mpmath.root(mpmath.fsum(v * v for v in z) ** 2 + mpmath.fsum(v * v for v in t), 4)
+
+
+def _mp_walk(g, prims, x):
+    for prim in reversed(prims):
+        x = _mp_prim(g, prim, x)
+    return x
+
+
+def mp_oracle(g, prims, Z, T):
+    """(pole or None, r_f, phi(infinity) or None, [phi(x_k)]) at 50 digits:
+    the pole pulled back from infinity, r_f = ||D phi(x)|| d(x, a)^2 at the
+    first point by the chain rule, and the primitive walk."""
+    with mpmath.workdps(MP_DPS):
+        pole = _mp_walk(g, [p.inverse() for p in reversed(prims)], None)
+        x, deriv = _mp_point(Z[0], T[0]), mpmath.mpf(1)
+        for prim in reversed(prims):
+            if prim.is_inversion:
+                deriv /= _mp_norm(x) ** 2
+            elif isinstance(prim, cd.Dilate):
+                deriv *= prim.r
+            x = _mp_prim(g, prim, x)
+        if pole is not None:  # d(x, a) = ||a^-1 x||
+            az, at = pole
+            x0 = _mp_point(Z[0], T[0])
+            t = [x0[1][i] - at[i] for i in range(g.m2)]
+            for i, a, b, v in g.B_terms:
+                t[i] += v * (-az[b]) * x0[0][a]
+            deriv *= _mp_norm(([x0[0][k] - az[k] for k in range(g.m1)], t)) ** 2
+        images = [_mp_walk(g, prims, _mp_point(Z[k], T[k])) for k in range(len(Z))]
+        return pole, deriv, _mp_walk(g, prims, None), images
+
+
+def assert_close_coords(g, got_z, got_t, want, rel=1e-12):
+    """|dz| <= rel s and |dt| <= rel s^2 for s = max(||want||, 1): relative
+    in coordinates, on the gauge scale of the point."""
+    with mpmath.workdps(MP_DPS):
+        s = max(float(_mp_norm(want)), 1.0)
+        dz = max(abs(float(mpmath.mpf(float(a)) - b)) for a, b in zip(got_z, want[0]))
+        dt = max(abs(float(mpmath.mpf(float(a)) - b)) for a, b in zip(got_t, want[1]))
+    assert dz <= rel * s and dt <= rel * s * s, (dz / s, dt / s / s)
+
+
+def check_normal_form(g, prims, Z, T, oracle, rel=1e-12):
+    """r_f, pole, phi(infinity) and the base-point apply of the table row of
+    the chain (vertex B(o, 1), base point o) against the 50-digit oracle."""
+    chain = cd.ConformalChain(g, prims)
+    v = cd.VertexSet(id="X", center=cd.origin(g), radius=1.0)
+    table = cd.GdmsSpec(g, [v], [cd.EdgeMap("e", "X", "X", chain)], contraction=0.5,
+                        validate="none").table
+    pole, r_f, at_inf, images = oracle
+    assert table.has_pole[0] == (pole is not None)
+    assert table.r_f[0] == pytest.approx(float(r_f), rel=rel)
+    BZ, BT = table.image_of_infinity([0])
+    if pole is None:
+        assert np.isinf(BZ).all() and np.isinf(BT).all()
+    else:
+        assert_close_coords(g, table.pole_z[0], table.pole_t[0], pole, rel)
+        assert_close_coords(g, BZ[0], BT[0], at_inf, rel)
+    FZ, FT = table.apply([0], Z, T)
+    for k, want in enumerate(images):
+        assert_close_coords(g, FZ[0, k], FT[0, k], want, rel)
 
 
 @SETTINGS
@@ -111,18 +254,36 @@ def well_conditioned(chain, Z, T):
                   cd.Invert()]],  # pole at |z| ~ 3.3e80, past the range of |z|^4
          probe=[cd.gpoint([1.0, 0.0], [0.0]), cd.gpoint([0.0, -1.0], [0.5]),
                 cd.gpoint([0.5, 0.5], [-0.5]), cd.gpoint([-1.5, 0.2], [1.0])])
+@example(chains=[[cd.Invert(), cd.Translate(cd.gpoint([0.0, 1e-100], [0.0])),
+                  cd.Invert()]],  # pole at |z| = 1e100, where |z|^4 of 1e-100 underflows
+         probe=[cd.gpoint([1.0, 0.0], [0.0]), cd.gpoint([0.0, -1.0], [0.5]),
+                cd.gpoint([0.5, 0.5], [-0.5]), cd.gpoint([-1.5, 0.2], [1.0])])
 def test_spec_chain_rows_and_normal_form(chains, probe):
-    edges = [cd.EdgeMap(id=f"e{k}", src="X", dst="X", chain=cd.ConformalChain(G1, p))
-             for k, p in enumerate(chains)]
+    """JSON chains: the row against the primitive walk at the sample points
+    whose orbit is well conditioned, and against the 50-digit walk at the
+    others, where the float walk loses digits near an intermediate pole."""
+    chains = [cd.ConformalChain(G1, p) for p in chains]
+    edges = [cd.EdgeMap(id=f"e{k}", src="X", dst="X", chain=c) for k, c in enumerate(chains)]
     v = cd.VertexSet(id="X", center=cd.origin(G1), radius=1.0)
     sys_ = cd.GdmsSpec(G1, [v], edges, contraction=0.5, validate="none")
-    with np.errstate(all="ignore"):  # samples may sit on intermediate poles
-        check_rows(sys_, list(range(sys_.n_edges)))
-    # ||D phi(p)|| = r_f / d(p, a)^2 whatever the number of inversions
     table = sys_.table
+    Z, T = sample_vertex(G1, v, 16, np.random.default_rng(0))
+    with np.errstate(all="ignore"):  # samples may sit on intermediate poles
+        FZ, FT = table.apply(np.arange(len(chains)), Z, T)
+        for k, chain in enumerate(chains):
+            ok = well_conditioned(chain, Z, T)
+            CZ, CT = chain.apply_many(Z[ok], T[ok])
+            np.testing.assert_allclose(FZ[k, ok], CZ, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(FT[k, ok], CT, rtol=1e-12, atol=1e-12)
+            far = ~ok & (G.dist_many(G1, table.pole_z[k], table.pole_t[k], Z, T) >= 0.2
+                         if table.has_pole[k] else ~ok)
+            images = mp_oracle(G1, chain.primitives, Z[far], T[far])[3] if far.any() else []
+            for j, want in zip(np.flatnonzero(far), images):
+                assert_close_coords(G1, FZ[k, j], FT[k, j], want)
+    # ||D phi(p)|| = r_f / d(p, a)^2 whatever the number of inversions
     Z = np.stack([p.z for p in probe]); T = np.stack([p.t for p in probe])
     for k in range(sys_.n_edges):
-        chain = sys_.edges[k].chain
+        chain = chains[k]
         with np.errstate(all="ignore"):
             ok = well_conditioned(chain, Z, T)
         assume(ok.any())
@@ -134,6 +295,48 @@ def test_spec_chain_rows_and_normal_form(chains, probe):
             np.testing.assert_allclose(deriv, table.r_f[k], rtol=1e-9)
 
 
+G2 = cd.heisenberg(2)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), g=st.sampled_from([G1, G2]))
+def test_normal_form_against_mpmath(data, g):
+    """The fold (r_f, U), the pole, phi(infinity) and the base-point apply of
+    chains of 1-7 primitives with 1-3 inversions on Heis^1 and Heis^2,
+    within 1e-12 of a 50-digit walk, at 8 points of B(o, 1) at gauge
+    distance >= 0.2 from the pole (nearer, any float evaluation loses
+    digits), for chains whose orbit of o (the base point) is well
+    conditioned and whose pole and r_f lie well inside the float range."""
+    prims = data.draw(short_chain(g))
+    chain = cd.ConformalChain(g, prims)
+    with np.errstate(all="ignore"):
+        assume(well_conditioned(chain, np.zeros((1, g.m1)), np.zeros((1, g.m2)))[0]
+               or chain.pole is None)
+    Z, T = sample_vertex(g, cd.VertexSet(id="X", center=cd.origin(g), radius=1.0), 64,
+                         np.random.default_rng(data.draw(st.integers(0, 2 ** 16))))
+    if chain.pole is not None:
+        keep = G.dist_many(g, chain.pole.z, chain.pole.t, Z, T) >= 0.2
+        Z, T = Z[keep], T[keep]
+    assume(len(Z) >= 8)
+    oracle = mp_oracle(g, prims, Z[:8], T[:8])
+    pole, r_f = oracle[:2]
+    assume(1e-300 < r_f < 1e300 and (pole is None or _mp_norm(pole) < 1e150))
+    check_normal_form(g, prims, Z[:8], T[:8], oracle)
+
+
+@pytest.mark.parametrize("t0", [1e-3, 1e-6, 1e-12, 1.893e-143])
+def test_far_pole_normal_form_against_mpmath(t0):
+    """J o tau_(0,0;t0) o J o delta_0.7 has its pole at (0; 1/(0.49 t0)): the
+    direct form b delta_r U J(a^-1 x) cancels there (its t is off by 5e-10,
+    3e-5 and 0.3 at t0 = 1e-6, 1e-12, 1.893e-143), the base-point form keeps
+    every digit."""
+    prims = [cd.Invert(), cd.Translate(cd.gpoint([0.0, 0.0], [t0])), cd.Invert(),
+             cd.Dilate(0.7)]
+    Z, T = sample_vertex(G1, cd.VertexSet(id="X", center=cd.origin(G1), radius=1.0), 8,
+                         np.random.default_rng(7))
+    check_normal_form(G1, prims, Z, T, mp_oracle(G1, prims, Z, T))
+
+
 @SETTINGS
 @given(chains=st.lists(spec_chain(), min_size=1, max_size=4))
 @example(chains=[[cd.Invert(), cd.Invert(), cd.Dilate(2.0), cd.Invert(),
@@ -143,8 +346,8 @@ def test_image_of_infinity_matches_chains(chains):
     J o J o delta o J o R sends infinity to o, then infinity, then o."""
     chains = [cd.ConformalChain(G1, p) for p in chains]
     edges = [cd.EdgeMap(id=f"e{k}", src="X", dst="X", chain=c) for k, c in enumerate(chains)]
-    table = cd.EdgeTable.from_maps(G1, edges)
     with np.errstate(all="ignore"):
+        table = cd.EdgeTable.from_maps(G1, edges, [cd.origin(G1)] * len(edges))
         Z, T = table.image_of_infinity(np.arange(len(chains)))
         want = [c.apply(cd.INFINITY) for c in chains]
     for k, p in enumerate(want):
@@ -191,7 +394,7 @@ def test_edge_ids_match_fstrings(prefix, rows, as_float):
 def _per_edge_system():
     """Three vertex balls and an edge for every (i(e), t(e)) pair: a similarity
     B(c_t, 1) -> B(c_i, 0.2), with a rotation on every other edge, so src, dst
-    and template vary from row to row."""
+    and U vary from row to row."""
     centers = {"A": ([0.0, 0.0], [0.0]), "B": ([3.0, 0.0], [0.0]), "C": ([0.0, 3.0], [0.5])}
     vertices = [cd.VertexSet(id=v, center=cd.gpoint(*c), radius=1.0) for v, c in centers.items()]
     edges = []
@@ -205,15 +408,17 @@ def _per_edge_system():
     return vertices, edges
 
 
-def test_gdms_spec_per_edge_vertices_and_templates():
+def test_gdms_spec_per_edge_vertices_and_rotations():
     vertices, edges = _per_edge_system()
     sys_ = cd.GdmsSpec(G1, vertices, edges)
     table = sys_.table
-    assert len(table.templates) == 2 and len(set(table.src.tolist())) == 3
+    # the identity and the four distinct rotations of the odd edges
+    assert len(table.rotations) == 5 and len(set(table.src.tolist())) == 3
+    np.testing.assert_array_equal(table.rotation > 0, np.arange(9) % 2 == 1)
     index = {v.id: k for k, v in enumerate(vertices)}
     np.testing.assert_array_equal(sys_.src_idx, [index[e.src] for e in edges])
     np.testing.assert_array_equal(sys_.dst_idx, [index[e.dst] for e in edges])
-    # rows out of order, with a repeat, mixing both templates
+    # rows out of order, with a repeat, with and without a rotation
     rows = [5, 0, 8, 3, 3, 1, 6]
     rng = np.random.default_rng(4)
     Z, T = sample_box(G1, 12, rng, scale=2.0)
@@ -241,9 +446,11 @@ def test_gdms_spec_unknown_vertex_is_named():
 def test_builder_and_hat_ids_follow_the_documented_formats():
     """g<x>,<y>,<t> (the translation gamma), s<k>, and the hat system's
     v[<id>] vertices and <a>|<b> edges, as README states."""
-    cf = cd.build_cf_system(G1, cd.CfSystemParams(0.5, 4.0))
+    cf_params = cd.CfSystemParams(0.5, 4.0)
+    cf = cd.build_cf_system(G1, cf_params)
+    Z, T, _ = cd.systems.cf_alphabet(G1, cf_params)
     coords = [[int(v) for v in e[1:].split(",")] for e in cf.table.ids.tolist()]
-    np.testing.assert_array_equal(coords, cf.table.params)
+    np.testing.assert_array_equal(coords, np.concatenate([Z, T], axis=1))
     assert all(e.startswith("g") for e in cf.table.ids.tolist())
     fib = separated_fib2_system()
     assert fib.table.ids.tolist() == ["s0", "s1"]

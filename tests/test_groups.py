@@ -74,6 +74,30 @@ def test_norms_past_the_quartic_range(h1, hq):
         assert finite[[1, 4]].all() and np.array_equal(norms[3:][finite], plain[finite])
 
 
+def test_norms_below_the_quartic_range(h1, hq):
+    """|z|^4 + |t|^2 underflows for |z| below ~1e-77: those rows are rescaled
+    as the overflowing ones are, within 4e-16 of mpmath, the origin stays 0,
+    and every row at or above NORM_TINY keeps the plain formula's bits."""
+    rng = np.random.default_rng(1)
+    for g in (h1, hq):
+        Z = rng.normal(size=(6, g.m1))
+        T = rng.normal(size=(6, g.m2))
+        Z[:3] *= [[1e-100], [1e-160], [1e-300]]
+        T[:3] *= [[1e-200], [0.0], [1e-310]]
+        Z[3], T[3] = 0.0, 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = G.norm_many(g, Z, T)
+        assert norms[3] == 0.0
+        for k in (0, 1, 2, 4, 5):
+            want = mpmath.root(mpmath.fsum(mpmath.mpf(x) ** 2 for x in Z[k]) ** 2
+                               + mpmath.fsum(mpmath.mpf(x) ** 2 for x in T[k]), 4)
+            assert abs(norms[k] / float(want) - 1) <= 4e-16
+        z2, t2 = (Z[4:] ** 2).sum(axis=1), (T[4:] ** 2).sum(axis=1)
+        assert np.array_equal(norms[4:], (z2 * z2 + t2) ** 0.25)
+        assert (norms[4:] >= G.NORM_TINY).all()
+
+
 def test_group_law_heisenberg(h1):
     # (z,t)*(w,s) = (z+w, t+s+2(y w_x - x w_y)) in the chosen normalization
     p = cd.gpoint([1.0, 2.0], [0.5])

@@ -474,13 +474,22 @@ SHELL_IDS = ["heis1-3", "heis1-6", "heis2-3"]
 @pytest.mark.parametrize("grp, n_shells, scale", SHELL_CASES, ids=SHELL_IDS)
 def test_cantor_shells_are_separated(grp, n_shells, scale):
     """Anchors of shell n are s_n apart and lie in [d_n, d_n + theta_n),
-    inside the annulus; the certified image balls are pairwise disjoint."""
+    inside the annulus, and each edge's map fixes its anchor; the certified
+    image balls are pairwise disjoint.  The anchors are the dilated lattice
+    points delta_{s_n}(gamma) with d_n <= s_n ||gamma|| < d_n + theta_n."""
     sys_ = cd.build_cantor_system(grp, cd.CantorSystemParams(
         epsilon=2.0, shells=n_shells, separation_scale=scale))
     d, s, theta, inner, outer = shell_layers(2.0, n_shells, scale)
     assert sys_.vertices[0].inner_radius == inner and sys_.vertices[0].radius == outer
     assert (d + theta <= outer).all() and d[0] >= inner
-    anchors = sys_.table.params[:, :grp.m1], sys_.table.params[:, grp.m1:grp.N]
+    layers = [G.dilate_many(grp, s[k], *G.lattice_shell_array(grp, d[k] / s[k],
+                                                              (d[k] + theta[k]) / s[k]))
+              for k in range(n_shells)]
+    anchors = np.concatenate([Z for Z, _ in layers]), np.concatenate([T for _, T in layers])
+    assert len(anchors[0]) == sys_.n_edges
+    FZ, FT = sys_.table.apply(np.arange(sys_.n_edges), anchors[0][:, None], anchors[1][:, None])
+    np.testing.assert_allclose(FZ[:, 0], anchors[0], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(FT[:, 0], anchors[1], rtol=1e-12, atol=1e-12)
     norms = G.norm_many(grp, *anchors)
     for n in range(1, n_shells + 1):
         on = sys_.cantor_shells == n
@@ -507,7 +516,7 @@ def test_cantor_shell_counts_match_integer_keys(grp, n_shells, scale):
 def test_cantor_shells_ignore_the_seed(g):
     params = cd.CantorSystemParams(epsilon=2.0, shells=3, separation_scale=8.0)
     a, b = (cd.build_cantor_system(g, params, seed=seed) for seed in (0, 5))
-    for name in ("ids", "params", "pole_z", "pole_t", "r_f"):
+    for name in ("ids", "pole_z", "pole_t", "r_f", "base_z", "base_t", "image_z", "image_t"):
         assert np.array_equal(getattr(a.table, name), getattr(b.table, name))
     assert np.array_equal(a.cantor_shells, b.cantor_shells)
 
