@@ -418,14 +418,14 @@ def lattice_round(g: GroupSpec, p: GPoint) -> LatticePoint:
 
 
 def _int_box(m: int, b: int) -> np.ndarray:
-    """All integer vectors x in Z^m with |x_j| <= b, in lexicographic order."""
-    rng = np.arange(-b, b + 1, dtype=np.int64)
+    """All int32 vectors x in Z^m with |x_j| <= b < 2^31, in lexicographic order."""
+    rng = np.arange(-b, b + 1, dtype=np.int32)
     grids = np.meshgrid(*([rng] * m), indexing="ij")
     return np.stack([grid.ravel() for grid in grids], axis=-1)
 
 
 def _mapped_zeros(n: int, m: int) -> np.ndarray:
-    """An (n, m) int64 array of zeros in its own private anonymous memory map.
+    """An (n, m) int32 array of zeros in its own private anonymous memory map.
 
     Lattice point arrays run to hundreds of MB and live for one call.  Had
     they come from malloc, glibc would raise its mmap threshold after each
@@ -436,11 +436,11 @@ def _mapped_zeros(n: int, m: int) -> np.ndarray:
     asks for huge pages, which makes first touch several times cheaper.
     """
     if n * m == 0:
-        return np.zeros((n, m), dtype=np.int64)
-    buf = mmap.mmap(-1, 8 * n * m, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        return np.zeros((n, m), dtype=np.int32)
+    buf = mmap.mmap(-1, 4 * n * m, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     if hasattr(mmap, "MADV_HUGEPAGE"):  # Linux only
         buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf, dtype=np.int64).reshape(n, m)
+    return np.frombuffer(buf, dtype=np.int32).reshape(n, m)
 
 
 def _isqrt(n) -> np.ndarray:
@@ -483,12 +483,28 @@ def _key_range(r_lo: float, r_hi: float):
 
 
 def check_lattice_scan(g: GroupSpec, r_hi: float, budget: int):
-    """Raise the BudgetError of a lattice scan of norms below r_hi before it
+    """Raise the error of a lattice scan of norms below r_hi before it
     starts; return the half-widths (zmax, tmax) of its bounding box
-    |z_j| <= zmax, |t_j| <= tmax, whose size is the cost (monotone in r_hi)."""
+    |z_j| <= zmax, |t_j| <= tmax.
+
+    A tmax of 2^31 or more is a ValidationError at any budget: the points
+    are stored in int32.  The cost, monotone in r_hi, is the size of the
+    box when m2 == 1.  When m2 > 1 the scan visits only the z box, the t
+    box and the points themselves, so it is their sum; the points of the
+    ball are counted in closed form (_count_keys_below), and only once the
+    two boxes fit the budget, which bounds the work of the count.
+    """
     zmax = max(int(math.ceil(r_hi)) - 1, 0)
     tmax = max(int(math.ceil(r_hi * r_hi)) - 1, 0)
-    cost = (2 * zmax + 1) ** g.m1 * (2 * tmax + 1) ** g.m2
+    if tmax >= 1 << 31:
+        raise ValidationError(f"r_hi = {r_hi:g} is too large for 32-bit lattice coordinates")
+    zbox, tbox = (2 * zmax + 1) ** g.m1, (2 * tmax + 1) ** g.m2
+    if g.m2 == 1:
+        cost = zbox * tbox
+    else:
+        cost = zbox + tbox
+        if cost <= budget:
+            cost += int(_count_keys_below(g, np.array([_key_range(0.0, r_hi)[1]]))[0])
     if cost > budget:
         raise BudgetError(
             f"lattice scan would visit ~{cost:.2e} candidates (budget {budget:.2e})",
@@ -497,14 +513,15 @@ def check_lattice_scan(g: GroupSpec, r_hi: float, budget: int):
 
 
 # Points per block of whole z rows in _lattice_points.  A block's temporaries,
-# a few int64 arrays of this length (256 KB of z rows on Heis^1), stay in the
-# L2 cache and small enough for malloc to reuse from block to block; larger
-# ones are handed back to the system and faulted in again, block after block.
+# its int64 run offsets and its int32 z rows (128 KB each on Heis^1), stay in
+# the L2 cache and small enough for malloc to reuse from block to block;
+# larger ones are handed back to the system and faulted in again, block
+# after block.
 LATTICE_BLOCK = 1 << 14
 
 
 def _lattice_points(g: GroupSpec, r_lo: float, r_hi: float, budget: int):
-    """Integer arrays (Z, T) of the lattice points with r_lo <= norm < r_hi.
+    """int32 arrays (Z, T) of the lattice points with r_lo <= norm < r_hi.
 
     Points come in lexicographic order over (z, t) from the bounding box
     |z_j| <= r_hi, |t_j| <= r_hi^2.  The row of z holds, in ascending order,
@@ -526,13 +543,15 @@ def _lattice_points(g: GroupSpec, r_lo: float, r_hi: float, budget: int):
     shared by all blocks.  Every output element is written once.
     The temporaries are O(block), besides `lex`, which holds the t-set of
     one row per distinct |z|^2 and so is never longer than the output.
+    The z and t boxes are int32, as the output is (check_lattice_scan keeps
+    every coordinate below 2^31); keys, counts and offsets are int64.
     """
     if r_lo < 0 or r_hi <= r_lo:
         raise ValidationError("need 0 <= r_lo < r_hi")
     zmax, tmax = check_lattice_scan(g, r_hi, budget)
     L, H = _key_range(r_lo, r_hi)
     Zs = _int_box(g.m1, zmax)
-    z2 = np.einsum("ki,ki->k", Zs, Zs)
+    z2 = np.einsum("ki,ki->k", Zs, Zs, dtype=np.int64)
     z4 = z2 * z2
     keep = z4 < H
     Zs = Zs[keep]; z2 = z2[keep]; z4 = z4[keep]
@@ -552,7 +571,7 @@ def _lattice_points(g: GroupSpec, r_lo: float, r_hi: float, budget: int):
         run_off[seg[1:][gapped] - 1] = (tlow - start - half)[gapped]
     else:
         Ts = _int_box(g.m2, tmax)
-        t2 = np.einsum("ki,ki->k", Ts, Ts)
+        t2 = np.einsum("ki,ki->k", Ts, Ts, dtype=np.int64)
         order = np.argsort(t2)
         t2 = t2[order]
         u = np.flatnonzero(np.bincount(z2))  # the distinct |z|^2, ascending
@@ -588,7 +607,8 @@ def _lattice_points(g: GroupSpec, r_lo: float, r_hi: float, budget: int):
 
 def lattice_shell_array(g: GroupSpec, r_lo: float, r_hi: float,
                         budget: int = DEFAULT_LATTICE_BUDGET):
-    """All lattice points with r_lo <= gauge norm < r_hi as integer arrays (Z, T)."""
+    """All lattice points with r_lo <= gauge norm < r_hi as int32 arrays (Z, T),
+    in lexicographic (z, t) order: 4 (m1 + m2) bytes a point, 12 on Heis^1."""
     if not g.integer_structure:
         raise UnsupportedError("lattice enumeration requires integral structure matrices")
     return _lattice_points(g, r_lo, r_hi, budget)

@@ -407,6 +407,30 @@ def test_maximal_and_explicit_twins_agree(monkeypatch):
     assert np.allclose(m.masses, n.masses, rtol=1e-12, atol=0)
 
 
+def test_vertex_rows_match_the_per_edge_lookup():
+    """src_idx and dst_idx are each edge's vertex looked up one edge at a
+    time: on a multi-vertex system, on its hat, and on a copy of the hat
+    whose vertex list is reversed (so its ids are not in sorted order)."""
+    hat = separated_fib2_system().maximalize()
+    flipped = cd.GdmsSpec(hat.group, hat.vertices[::-1], hat.edges,
+                          contraction=hat.contraction, validate="none")
+    for sys_ in (hat, hat.maximalize(), flipped):
+        assert len(sys_.vertices) > 1
+        for col, rows in ((sys_.table.src, sys_.src_idx), (sys_.table.dst, sys_.dst_idx)):
+            assert rows.tolist() == [sys_.vertex_index[s] for s in col.tolist()]
+    assert flipped.src_idx.tolist() == (len(hat.vertices) - 1 - hat.src_idx).tolist()
+
+
+def test_unknown_vertex_names_its_first_edge():
+    hat = separated_fib2_system().maximalize()
+    table = hat.table
+    src = table.src.copy()
+    src[[1, 2]] = ["v[s9]", "nowhere"]
+    bad = table.take(np.arange(len(table)), table.ids, src, table.dst)
+    with pytest.raises(ValidationError, match=r"edge 's0\|s1' references unknown vertices"):
+        cd.GdmsSpec(hat.group, hat.vertices, bad, contraction=hat.contraction, validate="none")
+
+
 def test_maximal_system_builds_no_edge_pair_arrays():
     """On CF R=6 (5.9k edges) an |E| x |E| array would take 35 MB as bool and
     280 MB as float; word counts, the eigenmeasure and chaos sampling read

@@ -326,7 +326,7 @@ def test_lattice_shell_array_matches_brute_force(g, r_max, data):
     assume(r_lo < r_hi)
     Z, T = cd.lattice_shell_array(g, r_lo, r_hi)
     want_Z, want_T = brute_shell(g, r_lo, r_hi)
-    assert Z.dtype == T.dtype == np.int64
+    assert Z.dtype == T.dtype == np.int32
     assert Z.flags.c_contiguous and T.flags.c_contiguous
     assert Z.flags.writeable and T.flags.writeable
     assert np.array_equal(Z, want_Z) and np.array_equal(T, want_T)
@@ -351,7 +351,7 @@ def test_lattice_blocks_of_any_size_match_brute_force(monkeypatch, block, g, r_l
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM (Linux)")
 def test_lattice_shell_memory_is_the_output():
-    """The R = 30 shell on Heis^1 (4.0M points, 91 MiB of int64 output) raises
+    """The R = 30 shell on Heis^1 (4.0M points, 46 MiB of int32 output) raises
     the peak RSS by its output and O(block) temporaries, at most 8 MiB.
 
     A child process reads its own high-water mark, VmHWM: its ru_maxrss
@@ -368,8 +368,51 @@ def test_lattice_shell_memory_is_the_output():
             "print(status('VmHWM') - before, Z.nbytes + T.nbytes)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
     grown, output = map(int, proc.stdout.split())
-    assert output == 3_993_695 * 3 * 8
+    assert output == 3_993_695 * 3 * 4
     assert grown <= output + 8 * 2 ** 20, (grown, output)
+
+
+def test_lattice_coordinates_past_int32_are_refused_before_any_array(monkeypatch, h1, hq):
+    """t up to ceil(r_hi^2) - 1 must fit int32: r_hi = 46341 (t bound
+    2,147,488,280 >= 2^31) is a ValidationError at any budget, before a box
+    or an output array is made; r_hi = 46340 (2,147,395,599) is not."""
+    def no_array(*args):
+        raise AssertionError("an array was built")
+    monkeypatch.setattr(G, "_int_box", no_array)
+    monkeypatch.setattr(G, "_mapped_zeros", no_array)
+    for g in (h1, hq):
+        with pytest.raises(ValidationError, match="32-bit"):
+            G.check_lattice_scan(g, 46341.0, 10 ** 40)
+        with pytest.raises(ValidationError, match="32-bit"):
+            cd.lattice_shell_array(g, 0.0, 46341.0, budget=10 ** 40)
+    assert G.check_lattice_scan(h1, 46340.0, 10 ** 40) == (46339, 2_147_395_599)
+
+
+def test_quaternionic_scan_charges_boxes_and_points(h1, hq):
+    """For m2 > 1 the scan is charged the z box, the t box and the points
+    of the ball below r_hi, which it visits; the charge is exact against the
+    points enumerated, and nondecreasing in r_hi.  The Heis^1 charge is
+    still the box product."""
+    Z, T = cd.lattice_shell_array(hq, 0.0, 3.5)
+    z2 = (Z.astype(np.int64) ** 2).sum(axis=1)
+    key = z2 * z2 + (T.astype(np.int64) ** 2).sum(axis=1)
+    charges = []
+    for r in np.concatenate([np.arange(0.25, 3.5, 0.25), [1.0 + 1e-9, math.sqrt(2.0), 3.5]]):
+        zmax, tmax = math.ceil(r) - 1, math.ceil(r * r) - 1
+        want = (2 * zmax + 1) ** 4 + (2 * tmax + 1) ** 3 + int((key < math.ceil(r ** 4)).sum())
+        assert G.check_lattice_scan(hq, r, want) == (zmax, tmax)
+        with pytest.raises(BudgetError) as exc:
+            G.check_lattice_scan(hq, r, want - 1)
+        assert exc.value.estimate == want
+        charges.append((r, want))
+    charges.sort()
+    assert all(a[1] <= b[1] for a, b in zip(charges, charges[1:]))
+    assert int((key < 3.5 ** 4).sum()) == Z.shape[0]
+    # the ball of radius 4.5 holds 2.8e7 points, within the default budget
+    assert G.check_lattice_scan(hq, 4.5, G.DEFAULT_LATTICE_BUDGET) == (4, 20)
+    with pytest.raises(BudgetError) as exc:
+        G.check_lattice_scan(h1, 2.6, 0)
+    assert exc.value.estimate == 5 ** 2 * 13
 
 
 def test_isqrt_exact_near_squares():
