@@ -215,9 +215,9 @@ def cmd_pressure(args):
     if args.t is None and not args.t_grid:
         raise ValidationError("pressure needs --t T or --t-grid lo:hi:step")
     sys = load_system(args)
-    if args.t_grid:
+    if args.t_grid or args.format == "csv":
         rows = []
-        for t in _grid(args.t_grid, args.budget):
+        for t in _grid(args.t_grid, args.budget) if args.t_grid else [args.t]:
             pb = pressure_bracket(sys, t)
             rows.append((t, pb.lower, pb.upper))
         if args.format == "json":
@@ -332,7 +332,6 @@ def _add_common(p, system=False):
     p.add_argument("--threads", type=int, default=None,
                    help="accepted for interface stability; results are "
                         "independent of thread count")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)
     if system:
         p.add_argument("--spec", default=None, help="system spec JSON file")
@@ -363,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, system=True)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--t-grid", dest="t_grid", default=None, help="lo:hi:step")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_pressure)
 
     p = sub.add_parser("dim", help="Bowen parameter bracket")

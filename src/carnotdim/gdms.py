@@ -100,9 +100,10 @@ class EdgeMap:
         self._chain, self._table, self._row = chain, None, -1
 
     @classmethod
-    def _view(cls, table: "EdgeTable", k: int) -> "EdgeMap":
+    def _view(cls, table: "EdgeTable", vertices: Sequence[VertexSet], k: int) -> "EdgeMap":
         e = cls.__new__(cls)
-        e.id, e.src, e.dst = str(table.ids[k]), str(table.src[k]), str(table.dst[k])
+        e.id = str(table.ids[k])
+        e.src, e.dst = vertices[table.src[k]].id, vertices[table.dst[k]].id
         e._chain, e._table, e._row = None, table, k
         return e
 
@@ -116,23 +117,31 @@ class EdgeMap:
         return f"EdgeMap({self.id!r}, {self.src!r} <- {self.dst!r})"
 
 
-def _edge_ids(prefix: str, columns: np.ndarray) -> np.ndarray:
-    """Ids prefix + comma-joined integer columns, e.g. 'g1,-2,3' or 'c17',
-    formatted by a single `%` over a repeated row template."""
-    cols = np.rint(columns).astype(np.int64)
-    n, k = cols.shape
-    row = prefix + ",".join(["%d"] * k) + "\n"
-    return np.array((row * n % tuple(cols.ravel().tolist())).split("\n")[:-1], dtype=str)
+def _edge_ids(prefix: str, columns: np.ndarray, sep: str = ",", names=None) -> np.ndarray:
+    """Ids prefix + the sep-joined integers of each row, e.g. 'g1,-2,3', by one `%`
+    over a repeated row template, or the `names` they index, e.g. 's0|s1', by
+    np.char.add, which is faster there and takes names holding a line break."""
+    if names is None:
+        cols = np.rint(columns).astype(np.int64)
+        n, k = cols.shape
+        row = prefix + sep.join(["%d"] * k) + "\n"
+        return np.array((row * n % tuple(cols.ravel().tolist())).split("\n")[:-1], dtype=str)
+    ids = np.char.add(prefix, names[columns[:, 0]])
+    for j in range(1, columns.shape[1]):
+        ids = np.char.add(np.char.add(ids, sep), names[columns[:, j]])
+    return ids
 
 
 class IdRows(NamedTuple):
-    """Edge ids given as data: id k is `prefix` followed by the comma-joined
-    integers of row k of `columns` (`_edge_ids`).  The rows must be distinct;
-    the ids then are too, since the prefix and the commas fix where each
-    integer starts."""
+    """Edge ids given as data: id k is `prefix` followed by the sep-joined
+    fields of row k of `columns`, integers or the `names` they index.  Rows
+    that are distinct, with c seps in every field (none in an integer), give
+    distinct ids: the prefix and every (c + 1)-th sep fix where fields start."""
 
     prefix: str
     columns: np.ndarray
+    sep: str = ","
+    names: Optional[np.ndarray] = None
 
 
 def unique_rotations(g: GroupSpec, mats):
@@ -145,7 +154,7 @@ def unique_rotations(g: GroupSpec, mats):
 class EdgeTable:
     """The edges of a system as one struct of arrays.
 
-    Row k holds the edge id, i(e) and t(e) as vertex ids, and phi_e in
+    Row k holds the edge id, i(e) and t(e) as vertex rows, and phi_e in
     normal form: tau_b delta_r U J tau_{a^-1} with pole a and ||D phi_e(p)|| =
     r_f / d(p, a)^2 (`has_pole`, `pole_z`, `pole_t`, `r_f`), or a similarity
     tau_b U delta_r.  U is `rotations[rotation[k]]` (entry 0 is I), and b is
@@ -153,10 +162,10 @@ class EdgeTable:
     similarity) and y0 = phi_e(x0) (`image_z`, `image_t`).  A ConformalChain
     is built only when `chain(k)` asks for one, once per row.
 
-    `ids` is an array of id strings, or an IdRows (the builders' ids): those
-    are formatted by `_edge_ids` when `ids` is first read and kept, the same
-    strings and dtype as an eager call, so a build that never reads an id
-    formats none, and GdmsSpec does not check them for duplicates.
+    `ids` is an array of id strings, or an IdRows (the builders' and hats'
+    ids): those are formatted by `_edge_ids` when `ids` is first read and
+    kept, the same strings and dtype as an eager call, so a build that never
+    reads an id formats none, and GdmsSpec does not check them for duplicates.
     """
 
     def __init__(self, group: GroupSpec, ids, src, dst, pole_z, pole_t, has_pole, r_f,
@@ -166,8 +175,8 @@ class EdgeTable:
         self.id_rows = ids if isinstance(ids, IdRows) else None
         self._ids = None if self.id_rows is not None else np.asarray(ids, dtype=str)
         self._n = n = len(ids.columns) if self._ids is None else len(self._ids)
-        self.src = np.broadcast_to(np.asarray(src, dtype=str), (n,))
-        self.dst = np.broadcast_to(np.asarray(dst, dtype=str), (n,))
+        self.src = np.broadcast_to(np.asarray(src, dtype=np.int64), (n,))
+        self.dst = np.broadcast_to(np.asarray(dst, dtype=np.int64), (n,))
         (self.pole_z, self.base_z, self.image_z), (self.pole_t, self.base_t, self.image_t) = (
             [np.asarray(X, float).reshape(n, m) for X in cols]
             for cols, m in (((pole_z, base_z, image_z), group.m1),
@@ -180,15 +189,19 @@ class EdgeTable:
         self._chains: Dict[int, ConformalChain] = dict(chains or {})
 
     @classmethod
-    def from_maps(cls, group: GroupSpec, edges: Sequence[EdgeMap], anchors) -> "EdgeTable":
-        """Table of explicit edges, whose chains supply the normal form; y0 is
-        the chain's value at x0, a pole map's domain anchor (anchors[k]) or,
-        where phi expands by more than 4 there (d(x0, a)^2 < r_f / 4, never on
-        a contraction's domain), a point of its isometric sphere."""
+    def from_maps(cls, group: GroupSpec, edges: Sequence[EdgeMap], vertices) -> "EdgeTable":
+        """Table of explicit edges over `vertices`, each src and dst id looked up
+        once as its row (-1 if unknown), whose chains supply the normal form; y0
+        is the chain's value at x0, a pole map's domain anchor (o if unknown)
+        or, where phi expands by more than 4 there (d(x0, a)^2 < r_f / 4, never
+        on a contraction's domain), a point of its isometric sphere."""
         g, o = group, G.origin(group)
+        index = {v.id: k for k, v in enumerate(vertices)}
+        src, dst = ([index.get(getattr(e, end), -1) for e in edges] for end in ("src", "dst"))
+        anchors = [v.anchor(g) for v in vertices] + [o]  # row -1 reads o
         chains = [e.chain for e in edges]
         base, image = [], []
-        for c, x in zip(chains, anchors):
+        for c, x in zip(chains, (anchors[v] for v in dst)):
             if c.pole is None:
                 x = o
             elif (d := G.gauge_dist(g, x, c.pole)) * d < c.r_f / 4:
@@ -202,7 +215,7 @@ class EdgeTable:
                     image.append((np.full(g.m1, np.nan), np.full(g.m2, np.nan)))
             base.append(x)
         poles = [o if c.pole is None else c.pole for c in chains]
-        return cls(group, [e.id for e in edges], [e.src for e in edges], [e.dst for e in edges],
+        return cls(group, [e.id for e in edges], src, dst,
                    [p.z for p in poles], [p.t for p in poles], [c.pole is not None for c in chains],
                    [c.r_f for c in chains], [p.z for p in base], [p.t for p in base],
                    [y[0] for y in image], [y[1] for y in image],
@@ -220,7 +233,7 @@ class EdgeTable:
         return self._n
 
     def take(self, rows, ids, src, dst) -> "EdgeTable":
-        """A table of the given rows (repeats allowed) under new ids and vertices."""
+        """A table of the given rows (repeats allowed) under new ids and vertex rows."""
         rows = np.asarray(rows, dtype=np.int64)
         cached = np.flatnonzero(np.isin(rows, list(self._chains)))
         return EdgeTable(self.group, ids, src, dst, self.pole_z[rows], self.pole_t[rows],
@@ -295,20 +308,20 @@ class EdgeTable:
 
 
 class EdgeList(Sequence):
-    """Read-only sequence of EdgeMap views over an EdgeTable."""
+    """Read-only sequence of EdgeMap views over an EdgeTable and its vertices."""
 
-    def __init__(self, table: EdgeTable):
-        self.table = table
+    def __init__(self, table: EdgeTable, vertices: Sequence[VertexSet]):
+        self.table, self.vertices = table, vertices
 
     def __len__(self):
         return len(self.table)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return [EdgeMap._view(self.table, i) for i in range(*k.indices(len(self)))]
+            return [self[i] for i in range(*k.indices(len(self)))]
         if not -len(self) <= k < len(self):
             raise IndexError("edge index out of range")
-        return EdgeMap._view(self.table, k % len(self))
+        return EdgeMap._view(self.table, self.vertices, k % len(self))
 
 
 class WordList(Sequence):
@@ -339,13 +352,14 @@ class GdmsSpec:
     """Immutable graph directed Markov system.
 
     `edges` is a sequence of EdgeMap (each with its chain), the `edges` of
-    another system, or an EdgeTable.  The system stores its edges as one
-    EdgeTable (`table`); `edges[k]` is a view whose chain is built on first
-    access.  The certificate, weight brackets and maximalization work on
-    the table's rows without building chains.  `weights` (a thermo
-    WeightTable, computed on first use by thermo.ensure_weights when None)
-    and `cantor_shells` (the shell number of each edge of a shell-mode
-    Cantor system) are constructor fields.
+    another system over the same vertices, or an EdgeTable.  The system stores
+    its edges as one EdgeTable (`table`, vertex rows `src_idx` and `dst_idx`);
+    `edges[k]` is a view whose chain is built on first access.  The
+    certificate, weight brackets and maximalization work on the table's rows
+    without building chains.  `weights` (a thermo WeightTable, computed on
+    first use by thermo.ensure_weights when None) and `cantor_shells` (the
+    shell number of each edge of a shell-mode Cantor system) are constructor
+    fields.
 
     The contraction bound is certified from the normal forms: max_e r_f /
     gap_e^2 (`w_up`), which bounds ||D phi_e|| on X_t(e).  A declared
@@ -367,21 +381,22 @@ class GdmsSpec:
             edges = edges.table
         elif not isinstance(edges, EdgeTable):
             edges = list(edges)
-            anchor = {v.id: v.anchor(group) for v in self.vertices}
-            edges = EdgeTable.from_maps(group, edges, [anchor.get(e.dst, G.origin(group))
-                                                       for e in edges]) if edges else None
+            edges = EdgeTable.from_maps(group, edges, self.vertices) if edges else None
         if not self.vertices or edges is None or len(edges) == 0:
             raise ValidationError("a system needs at least one vertex and one edge")
         self.table: EdgeTable = edges
-        self.edges = EdgeList(edges)
+        self.edges = EdgeList(edges, self.vertices)
         self.vertex_index: Dict[str, int] = {v.id: k for k, v in enumerate(self.vertices)}
         if len(self.vertex_index) != len(self.vertices):
             raise ValidationError("duplicate vertex ids")
         # IdRows ids are distinct by construction; np.unique sorts long strings slowly
         if edges.id_rows is None and len(set(edges.ids.tolist())) != len(edges):
             raise ValidationError("duplicate edge ids")
-        self.src_idx = self._vertex_rows(edges.src)
-        self.dst_idx = self._vertex_rows(edges.dst)
+        self.src_idx, self.dst_idx = edges.src, edges.dst
+        bad = np.flatnonzero((np.minimum(edges.src, edges.dst) < 0)
+                             | (np.maximum(edges.src, edges.dst) >= len(self.vertices)))
+        if bad.size:
+            raise ValidationError(f"edge {str(edges.ids[bad[0]])!r} references unknown vertices")
 
         if incidence is not None:
             A = np.asarray(incidence)
@@ -424,24 +439,6 @@ class GdmsSpec:
         if not (0 < self.contraction < 1):
             raise ValidationError(
                 f"contraction bound must be in (0,1), got {self.contraction:g}")
-
-    def _vertex_rows(self, names: np.ndarray) -> np.ndarray:
-        """Vertex index of each edge's vertex id: one lookup for a column
-        with one value (every builder's "X"), else a binary search of the
-        column in the sorted vertex ids, which has no per-edge Python call
-        and, unlike np.unique, does not sort the column."""
-        index = self.vertex_index
-        if (names == names[0]).all():
-            rows = np.full(names.size, index.get(str(names[0]), -1))
-        else:
-            keys = np.array(list(index), dtype=str)  # key k is vertex row k
-            order = np.argsort(keys)
-            pos = np.minimum(np.searchsorted(keys[order], names), keys.size - 1)
-            rows = np.where(keys[order[pos]] == names, order[pos], -1)
-        if (rows < 0).any():
-            k = int(np.flatnonzero(rows < 0)[0])
-            raise ValidationError(f"edge {str(self.table.ids[k])!r} references unknown vertices")
-        return rows
 
     def vertex_arrays(self):
         """Per-vertex (center z, center t, radius, inner radius) arrays."""
@@ -867,20 +864,22 @@ class GdmsSpec:
         """Hat construction: vertices = old edges, edges = admissible pairs.
 
         The vertex of edge e is its image ball (`image_balls`), which holds
-        phi_e(X_t(e)).
+        phi_e(X_t(e)); edge (a, b) runs from vertex row a to b.  Its id a|b is
+        formatted on first read if every old id holds as many | (then the ids
+        are distinct), else here, for GdmsSpec to check.
         """
         table = self.table
         Z, T, rho = self.image_balls
-        old = table.ids.tolist()
-        names = np.array([f"v[{e}]" for e in old], dtype=str)
-        new_vertices = [VertexSet(id=str(names[a]), center=GPoint(Z[a], T[a]),
-                                  radius=float(rho[a]))
-                        for a in range(self.n_edges)]
+        old = table.ids
+        new_vertices = [VertexSet(id=f"v[{e}]", center=GPoint(Z[a], T[a]), radius=float(rho[a]))
+                        for a, e in enumerate(old.tolist())]
         # the admissible pairs (a, b) in lexicographic order, from the successor index
         succ, row, ptr, _ = self._index
-        a, b = _extensions(succ, ptr[row], np.diff(ptr)[row])
-        new_table = table.take(a, [f"{old[i]}|{old[j]}" for i, j in zip(a.tolist(), b.tolist())],
-                               names[a], names[b])
+        ends = np.column_stack(_extensions(succ, ptr[row], np.diff(ptr)[row]))
+        ids = IdRows("", ends, "|", old)
+        if len({e.count("|") for e in old.tolist()}) > 1:
+            ids = _edge_ids(*ids)
+        new_table = table.take(ends[:, 0], ids, ends[:, 0], ends[:, 1])
         return GdmsSpec(self.group, new_vertices, new_table, incidence=None,
                         contraction=self.contraction, validate="none")
 

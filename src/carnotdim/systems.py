@@ -100,7 +100,7 @@ def build_cf_system(g: GroupSpec, params: CfSystemParams,
     n = Z.shape[0]
     vertex = VertexSet(id="X", center=G.origin(g), radius=0.5)
     o_z, o_t = np.zeros((n, g.m1)), np.zeros((n, g.m2))
-    table = EdgeTable(g, IdRows("g", np.concatenate([Z, T], axis=1)), "X", "X", -Z, -T,
+    table = EdgeTable(g, IdRows("g", np.concatenate([Z, T], axis=1)), 0, 0, -Z, -T,
                       True, np.ones(n), o_z, o_t, *Invert().apply_many(g, Z, T))
     return GdmsSpec(g, [vertex], table)
 
@@ -269,7 +269,7 @@ def build_cantor_system(g: GroupSpec, params: CantorSystemParams,
     VZ, VT = G.dilate_many(g, radii, *G.mul_many(g, -JZ, -JT,
                                                 *J.apply_many(g, x0.z, x0.t)))
     n = Z.shape[0]
-    table = EdgeTable(g, IdRows("c", np.arange(n)[:, None]), "X", "X",
+    table = EdgeTable(g, IdRows("c", np.arange(n)[:, None]), 0, 0,
                       np.zeros((n, g.m1)), np.zeros((n, g.m2)), True, radii,
                       np.tile(x0.z, (n, 1)), np.tile(x0.t, (n, 1)), *G.mul_many(g, Z, T, VZ, VT))
     return GdmsSpec(g, [vertex], table, validate=validate, cantor_shells=shell_of)
@@ -325,7 +325,7 @@ def build_self_similar(g: GroupSpec, maps: Sequence[Tuple],
     vertex = VertexSet(id="X", center=G.origin(g), radius=R)
     n = len(points)
     o_z, o_t = np.zeros((n, g.m1)), np.zeros((n, g.m2))
-    table = EdgeTable(g, IdRows("s", np.arange(n)[:, None]), "X", "X", o_z, o_t, False,
+    table = EdgeTable(g, IdRows("s", np.arange(n)[:, None]), 0, 0, o_z, o_t, False,
                       scales, o_z, o_t, Zp, Tp, *unique_rotations(g, rotations))
     return GdmsSpec(g, [vertex], table, incidence=incidence)
 

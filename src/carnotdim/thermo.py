@@ -299,12 +299,11 @@ def _bisect_root(f: Callable[[float], float], lo: float, hi: float, tol: float):
     """Largest t with f >= 0 and smallest t with f <= 0, to endpoint gap tol.
 
     f must be decreasing with f(lo) >= 0 >= f(hi).  Returns (a, b, iters)
-    with a <= root <= b and b - a <= tol.
+    with a <= root <= b and b - a <= tol, or a and b adjacent floats.
     """
     a, b = lo, hi
     iters = 0
-    while b - a > tol and iters < BISECTION_MAX_ITER:
-        m = 0.5 * (a + b)
+    while b - a > tol and iters < BISECTION_MAX_ITER and a < (m := 0.5 * (a + b)) < b:
         if f(m) >= 0:
             a = m
         else:
@@ -319,8 +318,8 @@ def bowen_dim(sys: GdmsSpec, tol: float = BISECTION_TOL) -> DimBracket:
     Certified by the final pressure evaluations: P_lower(h_lo) >= 0 and
     P_upper(h_hi) <= 0.  Each root is bisected on its own side of the
     pressure bracket (pressure_bracket), which is evaluated only there; an
-    exact table has one side.  When the pressure bracket is wider than tol
-    the extra width is reported as slack, never hidden.
+    exact table has one side.  A bracket wider than tol, or than the final
+    bisection intervals at float resolution, reports the excess as slack.
     """
     if not tol > 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
@@ -345,7 +344,7 @@ def bowen_dim(sys: GdmsSpec, tol: float = BISECTION_TOL) -> DimBracket:
         return lower[t]
 
     Q = sys.group.Q
-    iters = 0
+    iters, reach = 0, 0.0  # reach: the widths of the final bisection intervals
     note = ""
 
     hi = float(Q)
@@ -361,14 +360,16 @@ def bowen_dim(sys: GdmsSpec, tol: float = BISECTION_TOL) -> DimBracket:
     if f_up(0.0) <= 0:
         h_hi = 0.0
     else:
-        _, h_hi, it = _bisect_root(f_up, 0.0, hi, tol / 2)
-        iters += it
+        a, h_hi, it = _bisect_root(f_up, 0.0, hi, tol / 2)
+        iters, reach = iters + it, reach + h_hi - a
     if f_lo(0.0) <= 0:
         h_lo = 0.0
     else:
-        h_lo, _, it = _bisect_root(f_lo, 0.0, hi, tol / 2)
-        iters += it
-    slack = max(h_hi - h_lo - tol, 0.0)
+        h_lo, b, it = _bisect_root(f_lo, 0.0, hi, tol / 2)
+        iters, reach = iters + it, reach + b - h_lo
+    if reach > tol:
+        note += f"bisection stopped at float resolution (width {reach:.3g}); "
+    slack = max(h_hi - h_lo - max(tol, reach), 0.0)
     if slack > 0:
         note += f"pressure bracket width dominates (slack {slack:.3g})"
     return DimBracket(h_lo=h_lo, h_hi=h_hi, iterations=iters, tol=tol,

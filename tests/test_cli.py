@@ -53,6 +53,23 @@ def test_pressure_grid_csv(moran4_path):
     assert all(a[1] >= b[1] for a, b in zip(vals, vals[1:]))  # decreasing
 
 
+def test_pressure_at_one_t_as_csv_is_a_one_point_grid(moran4_path):
+    one = run_cli(["pressure", "--spec", moran4_path, "--t", "0.5", "--format", "csv"])
+    grid = run_cli(["pressure", "--spec", moran4_path, "--t-grid", "0.5:0.5:1",
+                    "--format", "csv"])
+    assert one[0] == grid[0] == 0
+    assert one[1] == grid[1] and one[1].decode().startswith("t,P_lo,P_hi\n0.5,")
+
+
+@pytest.mark.parametrize("argv", [["dim", "--spec", "{spec}", "--format", "csv"],
+                                  ["limitset", "--spec", "{spec}", "--format", "json"]])
+def test_format_is_a_pressure_flag(argv, moran4_path):
+    rc, out, err = run_cli([a.format(spec=moran4_path) for a in argv])
+    assert rc == 2 and out == b""
+    rec = json.loads(err.decode().splitlines()[-1])
+    assert rec["error"] == "ValidationError" and "--format" in rec["message"]
+
+
 def test_dim_command(moran4_path):
     rc, out, _ = run_cli(["dim", "--spec", moran4_path, "--tol", "1e-8"])
     assert rc == 0

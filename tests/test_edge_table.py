@@ -347,7 +347,7 @@ def test_image_of_infinity_matches_chains(chains):
     chains = [cd.ConformalChain(G1, p) for p in chains]
     edges = [cd.EdgeMap(id=f"e{k}", src="X", dst="X", chain=c) for k, c in enumerate(chains)]
     with np.errstate(all="ignore"):
-        table = cd.EdgeTable.from_maps(G1, edges, [cd.origin(G1)] * len(edges))
+        table = cd.EdgeTable.from_maps(G1, edges, [cd.VertexSet("X", cd.origin(G1), 1.0)])
         Z, T = table.image_of_infinity(np.arange(len(chains)))
         want = [c.apply(cd.INFINITY) for c in chains]
     for k, p in enumerate(want):
@@ -457,8 +457,8 @@ def test_builder_and_hat_ids_follow_the_documented_formats():
     hat = fib.maximalize()
     assert [v.id for v in hat.vertices] == ["v[s0]", "v[s1]"]
     assert hat.table.ids.tolist() == ["s0|s0", "s0|s1", "s1|s0"]
-    assert hat.table.src.tolist() == ["v[s0]", "v[s0]", "v[s1]"]
-    assert hat.table.dst.tolist() == ["v[s0]", "v[s1]", "v[s0]"]
+    assert [e.src for e in hat.edges] == ["v[s0]", "v[s0]", "v[s1]"]
+    assert [e.dst for e in hat.edges] == ["v[s0]", "v[s1]", "v[s0]"]
     np.testing.assert_array_equal(hat.src_idx, [0, 0, 1])
     np.testing.assert_array_equal(hat.dst_idx, [0, 1, 0])
 
@@ -503,7 +503,27 @@ def test_edge_views_and_maximalize_format_the_ids():
     assert fib.table._ids is None
     hat = fib.maximalize()
     assert fib.table._ids.tolist() == ["s0", "s1"]
-    assert hat.table.id_rows is None  # a|b ids are explicit
+    assert hat.table._ids is None and hat.table.id_rows.sep == "|"  # a|b ids on first read
+    assert hat.edges[1].id == "s0|s1"
+    assert hat.table._ids.tolist() == ["s0|s0", "s0|s1", "s1|s0"]
+
+
+def test_hat_and_bowen_dim_format_no_hat_id():
+    hat = separated_fib2_system().maximalize()
+    cd.bowen_dim(hat, tol=1e-3)
+    assert hat.table._ids is None
+
+
+def test_hat_ids_with_unequal_pipes_are_checked():
+    """Old ids x|y, z, x, y|z hold one or no |: the hat's ids are formatted
+    by maximalize and checked, and x|y|z is both x|y + z and x + y|z."""
+    line = cd.build_self_similar(G1, [(cd.gpoint([4.0 * a, 0.0], [0.0]), 0.01)
+                                      for a in range(4)])
+    edges = [cd.EdgeMap(e, x.src, x.dst, x.chain)
+             for e, x in zip(["x|y", "z", "x", "y|z"], line.edges)]
+    sys_ = cd.GdmsSpec(G1, line.vertices, edges)
+    with pytest.raises(ValidationError, match="duplicate edge ids"):
+        sys_.maximalize()
 
 
 def test_explicit_duplicate_ids_raise():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -346,8 +347,8 @@ def test_hat_edges_are_the_admissible_pairs():
         pairs = list(sys_.admissible_words(2))
         ids = sys_.table.ids
         assert hat.table.ids.tolist() == [f"{ids[a]}|{ids[b]}" for a, b in pairs]
-        assert hat.table.src.tolist() == [f"v[{ids[a]}]" for a, _ in pairs]
-        assert hat.table.dst.tolist() == [f"v[{ids[b]}]" for _, b in pairs]
+        assert [e.src for e in hat.edges] == [f"v[{ids[a]}]" for a, _ in pairs]
+        assert [e.dst for e in hat.edges] == [f"v[{ids[b]}]" for _, b in pairs]
         assert [v.id for v in hat.vertices] == [f"v[{e}]" for e in ids]
 
 
@@ -407,25 +408,80 @@ def test_maximal_and_explicit_twins_agree(monkeypatch):
     assert np.allclose(m.masses, n.masses, rtol=1e-12, atol=0)
 
 
-def test_vertex_rows_match_the_per_edge_lookup():
-    """src_idx and dst_idx are each edge's vertex looked up one edge at a
-    time: on a multi-vertex system, on its hat, and on a copy of the hat
-    whose vertex list is reversed (so its ids are not in sorted order)."""
-    hat = separated_fib2_system().maximalize()
-    flipped = cd.GdmsSpec(hat.group, hat.vertices[::-1], hat.edges,
-                          contraction=hat.contraction, validate="none")
-    for sys_ in (hat, hat.maximalize(), flipped):
-        assert len(sys_.vertices) > 1
-        for col, rows in ((sys_.table.src, sys_.src_idx), (sys_.table.dst, sys_.dst_idx)):
-            assert rows.tolist() == [sys_.vertex_index[s] for s in col.tolist()]
-    assert flipped.src_idx.tolist() == (len(hat.vertices) - 1 - hat.src_idx).tolist()
+def _spec_over(vertices, ends, ids):
+    """A maximal spec over `vertices` (VertexSet ids in any order) with an
+    edge ids[k] from vertex ends[k][0] to ends[k][1] (indices into `vertices`):
+    a similarity of ratio 0.01 from the unit ball X_dst into X_src, the images
+    of one X_src 0.1 apart on the x axis, so that hats of hats stay disjoint."""
+    g, step = cd.heisenberg(1), {}
+    edges = []
+    for e, (s, d) in zip(ids, ends):
+        j = step[s] = step.get(s, -1) + 1
+        x_src, x_dst = vertices[s].center.z[0], vertices[d].center.z[0]
+        chain = cd.ConformalChain(g, [cd.Translate(cd.gpoint([x_src + 0.1 * j - 0.4, 0.0], [0.0])),
+                                      cd.Dilate(0.01),
+                                      cd.Translate(cd.gpoint([-x_dst, 0.0], [0.0]))])
+        edges.append(cd.EdgeMap(e, vertices[s].id, vertices[d].id, chain))
+    return cd.GdmsSpec(g, vertices, edges)
+
+
+@st.composite
+def specs_over_shuffled_vertices(draw):
+    n_vertices = draw(st.integers(2, 5))
+    order = draw(st.permutations(range(n_vertices)))
+    vertices = [cd.VertexSet(id="ABCDE"[k], center=cd.gpoint([10.0 * k, 0.0], [0.0]),
+                             radius=1.0) for k in order]
+    n_edges = draw(st.integers(1, 8))
+    ends = draw(st.lists(st.tuples(st.integers(0, n_vertices - 1),
+                                   st.integers(0, n_vertices - 1)),
+                         min_size=n_edges, max_size=n_edges))
+    pipes = draw(st.booleans())
+    ids = draw(st.lists(st.text("xy|" if pipes else "xy", max_size=3),
+                        min_size=n_edges, max_size=n_edges, unique=True))
+    return _spec_over(vertices, ends, ids), [(vertices[s].id, vertices[d].id) for s, d in ends], ids
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=specs_over_shuffled_vertices())
+def test_vertex_rows_and_ids_of_specs_and_their_hats(spec):
+    """On a spec with a shuffled vertex list and ids with and without |, on
+    its hat and on its hat's hat: src_idx and dst_idx are each edge's vertex
+    looked up one edge at a time, the ids and the views' src and dst are the
+    f-strings of the parent's ids (or maximalize raises on duplicates, as
+    they would be), and a reference to an unknown vertex names its edge."""
+    sys_, ends, ids = spec
+    for level in range(3):
+        index = sys_.vertex_index
+        assert sys_.src_idx.tolist() == [index[s] for s, _ in ends]
+        assert sys_.dst_idx.tolist() == [index[d] for _, d in ends]
+        assert sys_.table.ids.tolist() == ids
+        assert [(e.id, e.src, e.dst) for e in sys_.edges] == [(e, s, d)
+                                                              for e, (s, d) in zip(ids, ends)]
+        edges = list(sys_.edges)
+        for k in sorted({0, len(edges) // 2, len(edges) - 1}, reverse=True):
+            e = edges[k]
+            edges[k] = cd.EdgeMap(e.id, *((e.src, "nowhere") if k % 2 else ("nowhere", e.dst)),
+                                  e.chain)
+            with pytest.raises(ValidationError, match=f"edge {re.escape(repr(e.id))} references"):
+                cd.GdmsSpec(sys_.group, sys_.vertices, edges, contraction=sys_.contraction,
+                            validate="none")
+        pairs = list(sys_.admissible_words(2))
+        if level == 2 or not pairs:
+            break
+        ends = [(f"v[{ids[a]}]", f"v[{ids[b]}]") for a, b in pairs]
+        ids = [f"{ids[a]}|{ids[b]}" for a, b in pairs]
+        if len(set(ids)) < len(ids):
+            with pytest.raises(ValidationError, match="duplicate edge ids"):
+                sys_.maximalize()
+            break
+        sys_ = sys_.maximalize()
 
 
 def test_unknown_vertex_names_its_first_edge():
     hat = separated_fib2_system().maximalize()
     table = hat.table
     src = table.src.copy()
-    src[[1, 2]] = ["v[s9]", "nowhere"]
+    src[[1, 2]] = [len(hat.vertices), -1]
     bad = table.take(np.arange(len(table)), table.ids, src, table.dst)
     with pytest.raises(ValidationError, match=r"edge 's0\|s1' references unknown vertices"):
         cd.GdmsSpec(hat.group, hat.vertices, bad, contraction=hat.contraction, validate="none")

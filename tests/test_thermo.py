@@ -17,7 +17,8 @@ import carnotdim as cd
 from carnotdim import thermo
 from carnotdim.errors import BudgetError, NonConvergenceError, ValidationError
 
-from conftest import fib2_system, moran_system, sample_vertex, separated_fib2_system
+from carnotdim.cli import system_from_json
+from conftest import FIB2, MORAN4, fib2_system, moran_system, sample_vertex, separated_fib2_system
 
 
 def test_weight_table_mid_and_sides():
@@ -137,6 +138,17 @@ def test_bowen_dim_moran_oracle():
     root = math.log2((1 + math.sqrt(5)) / 2)
     assert db.h_lo - 1e-9 <= root <= db.h_hi + 1e-9
     assert db.h_hi - db.h_lo <= 1e-9 + 1e-15
+
+
+@pytest.mark.parametrize("spec", [MORAN4, FIB2], ids=["moran4", "fib2"])
+def test_bowen_dim_stops_at_float_resolution(spec):
+    """Exact tables have a pressure bracket of width 0: at tol 1e-300 each
+    side stops where its midpoint is an endpoint, and the final intervals'
+    width is noted, not counted as slack."""
+    db = cd.bowen_dim(system_from_json(spec), tol=1e-300)
+    assert db.slack == 0 and db.iterations <= 2 * 64
+    assert db.p_lower_at_h_lo >= 0 >= db.p_upper_at_h_hi
+    assert 0 < db.h_hi - db.h_lo < 1e-15 and "float resolution" in db.note
 
 
 def test_bowen_dim_single_map_is_zero():
